@@ -17,11 +17,7 @@ Three dispatch mechanisms are modeled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .cluster import HardwareDescription
-from .model import ModelConfig
-from .parallel import ParallelPlan
+from dataclasses import dataclass
 
 MECHANISMS = ("allgather", "alltoall", "hierarchical")
 
@@ -83,60 +79,3 @@ def dispatch_volumes(
         inter_units = tokens * (ep - 1)
         intra_units = tokens * topk
     return DispatchVolumes(mechanism, inter_units * unit, intra_units * unit)
-
-
-def hierarchical_events(
-    tokens: int,
-    cfg: ModelConfig,
-    plan: ParallelPlan,
-    hw: HardwareDescription,
-    prefix: str = "disp",
-) -> list[CommEvent]:
-    """Two-phase dispatch events for one micro batch, both directions.
-
-    Phase one is the cross-node allgather among ep peers, phase two the
-    local alltoall; within a direction phase two depends on phase one. On a
-    single-node cluster the phase-one list is empty and only the local
-    alltoall remains.
-    """
-    vols = dispatch_volumes(
-        "hierarchical", tokens, cfg.hidden_size, cfg.dtype_bytes, cfg.top_k, plan.tp, plan.ep
-    )
-    events: list[CommEvent] = []
-    for direction in ("fwd", "bwd"):
-        deps: tuple = ()
-        if hw.num_nodes > 1 and vols.inter_node_bytes > 0:
-            inter_id = f"{prefix}:{direction}:inter"
-            events.append(
-                CommEvent(
-                    id=inter_id,
-                    kind="allgather",
-                    resource="inter_link",
-                    bytes=vols.inter_node_bytes,
-                    direction=direction,
-                    group_size=plan.ep,
-                )
-            )
-            deps = (inter_id,)
-        events.append(
-            CommEvent(
-                id=f"{prefix}:{direction}:intra",
-                kind="alltoall",
-                resource="intra_link",
-                bytes=vols.intra_node_bytes,
-                direction=direction,
-                dependencies=deps,
-                group_size=min(plan.ep * plan.tp, hw.devices_per_node),
-            )
-        )
-    return events
-
-
-def tp_exposed_time(comm_time: float, tiles: int) -> float:
-    """Exposed fraction of tensor-parallel collective time when the matmul
-    and its collective are cut into ``tiles`` interleaved pieces."""
-    if tiles < 1:
-        raise ValueError("tiles must be >= 1")
-    if comm_time < 0:
-        raise ValueError("comm_time must be >= 0")
-    return comm_time / tiles

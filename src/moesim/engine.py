@@ -43,13 +43,6 @@ class TimelineResult:
     chains: dict
     makespan: float
 
-    def intervals_on(self, device: int, resource: str):
-        """(start, end, task_id) tuples on one resource, in chain order."""
-        out = []
-        for tid in self.chains.get((device, resource), ()):
-            out.append((self.start[tid], self.end[tid], tid))
-        return out
-
 
 def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
     """Compute start/end times for every task.
@@ -74,7 +67,6 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
     # Graph nodes: "x:" execute nodes, and "d:" dispatch nodes when host
     # ordering is modeled for the task's device.
     host_order = host_order or {}
-    hosted = {tid for order in host_order.values() for tid in order}
     edges = {}
     indeg = {}
 
@@ -146,9 +138,11 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
     if seen != len(edges):
         raise DeadlockError("dependency cycle in timeline task graph")
 
+    # Filled in host order, not set order, so sums over it do not depend on
+    # string hashing.
     host_delay = {}
-    for tid in hosted:
-        if tid in dispatch_end:
+    for order in host_order.values():
+        for tid in order:
             base = ready_without_host.get(f"x:{tid}", 0.0)
             host_delay[tid] = max(0.0, dispatch_end[tid] - base)
 

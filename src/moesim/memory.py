@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cluster import HardwareDescription, kernel_time
-from .errors import InfeasibleMemoryError
+from .errors import InfeasibleMemoryError, NonDivisibleError
 from .model import ModelConfig, count_parameters, flops_per_token, _attention_params, _layer_norm_params
 from .parallel import ChunkWeights, ParallelPlan, assign_chunks, micro_batch_count
 
@@ -177,7 +177,7 @@ def activation_peak(cfg: ModelConfig, plan: ParallelPlan, mem_plan: MemoryPlan) 
     """Peak activation bytes on the worst (first) pipeline stage."""
     try:
         m = micro_batch_count(plan)
-    except Exception:
+    except NonDivisibleError:
         m = None
     assignment = assign_chunks(cfg, plan)
     tokens = _tokens_per_device(cfg, plan)
@@ -203,7 +203,7 @@ def plan_time_cost(
     """Seconds one device adds per step for recompute and swap traffic."""
     try:
         m = micro_batch_count(plan)
-    except Exception:
+    except NonDivisibleError:
         m = 1
     tokens = _tokens_per_device(cfg, plan)
     layers_per_stage = math.ceil((cfg.num_layers + cfg.num_mtp_layers) / plan.pp)

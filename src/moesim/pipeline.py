@@ -3,10 +3,14 @@
 The schedule is the one-forward-one-backward family: classic 1F1B when
 vpp == 1, and the interleaved variant when vpp > 1 (which requires the
 micro batch count to divide evenly by the stage count; plans violating
-that are rejected at validation). The simulation executes the schedule's
-slots plus any communication events on per-device resources (compute,
-inter_link, intra_link, host) and reports step time, bubble fraction,
-communication overlap, and host-induced idle time.
+that are rejected at validation). The simulation turns the schedule's
+slots and any communication events into one ordered program per device:
+for each slot in schedule order, the events spliced in before it, its
+compute tasks, and the events spliced in after it, then the device's
+remaining events. Each serial resource (compute, inter_link, intra_link)
+runs the program's tasks that use it, in program order, and the host
+launches the whole program in that order. The report gives step time,
+bubble fraction, communication overlap, and host-induced idle time.
 
 Slot ids follow ``{phase}:p{stage}:v{chunk}:m{micro_batch}`` and may be
 referenced from CommEvent dependencies and ``feeds``.
@@ -14,6 +18,7 @@ referenced from CommEvent dependencies and ``feeds``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from . import engine
@@ -158,6 +163,26 @@ def _comm_seconds(ev: CommEvent, hw: HardwareDescription) -> float:
     return latency + ev.bytes / bandwidth
 
 
+def _slot_parts(phase: str, cost: ChunkCost, policy: OverlapPolicy, split_fwd: bool) -> list:
+    """(id suffix, duration, kind, sync_host) of one slot's compute tasks,
+    in launch order."""
+    if phase == "fwd" and split_fwd:
+        ops = [
+            (":permute", PERMUTE_FRACTION * cost.fwd, "permute", False),
+            (":gmm", GMM_FRACTION * cost.fwd, "gmm", False),
+        ]
+        if policy.host_gmm_first:
+            # Dispatch the longer device-side op first.
+            ops.sort(key=lambda q: -q[1])
+        return [(":pre", PREPROCESS_FRACTION * cost.fwd, "preprocess", True)] + ops
+    if phase == "bwd" and policy.decouple_dw and cost.bwd > 0:
+        return [
+            (":dx", (1 - policy.dw_fraction) * cost.bwd, "bwd_dx", False),
+            (":dw", policy.dw_fraction * cost.bwd, "bwd_dw", False),
+        ]
+    return [("", cost.fwd if phase == "fwd" else cost.bwd, phase, False)]
+
+
 def simulate_timeline(
     schedule,
     chunk_costs,
@@ -180,249 +205,112 @@ def simulate_timeline(
         raise ValueError("hw is required when comm events are present")
     p = len(schedule)
     v = 1 + max((sl.vpp_stage for slots in schedule for sl in slots), default=0)
-
     host_time = hw.host_dispatch_time if hw is not None else 0.0
-    split_fwd = host_time > 0
 
+    # Every device runs one program, cut into segments keyed
+    # (device, slot index, side): side 0 holds the comm events spliced in
+    # before the slot, side 1 the slot's compute tasks, side 2 the comm
+    # events spliced in after it. The tail segment follows every slot.
+    segments = {}
     tasks = []
-    # slot -> (first task id, task id downstream deps wait on, device)
+    # slot id -> (first task id, task id downstream deps wait on, device, slot index)
     anchors = {}
-    slot_tasks = {}  # slot id -> [task ids on compute]
-
     for s, slots in enumerate(schedule):
-        for sl in slots:
+        for idx, sl in enumerate(slots):
             sid = slot_id(sl)
             cost = chunk_costs[(sl.pp_stage, sl.vpp_stage)]
+            parts = _slot_parts(sl.phase, cost, policy, host_time > 0)
             ids = []
-            if sl.phase == "fwd" and split_fwd:
-                parts = [
-                    (f"{sid}:pre", PREPROCESS_FRACTION * cost.fwd, "preprocess", True),
-                    (f"{sid}:permute", PERMUTE_FRACTION * cost.fwd, "permute", False),
-                    (f"{sid}:gmm", GMM_FRACTION * cost.fwd, "gmm", False),
-                ]
-                if policy.host_gmm_first:
-                    # Dispatch the longer device-side op first.
-                    head, rest = parts[:1], sorted(
-                        parts[1:], key=lambda q: -q[1]
-                    )
-                    parts = head + rest
-                for tid, dur, kind, sync in parts:
-                    tasks.append(
-                        engine.Task(
-                            tid,
-                            device=s,
-                            resources=("compute",),
-                            duration=dur,
-                            kind=kind,
-                            host_time=host_time,
-                            sync_host=sync,
-                        )
-                    )
-                    ids.append(tid)
-                dep_anchor = ids[-1]
-            elif sl.phase == "bwd" and policy.decouple_dw and cost.bwd > 0:
-                dx = f"{sid}:dx"
-                dw = f"{sid}:dw"
+            for suffix, dur, kind, sync in parts:
+                ids.append(sid + suffix)
                 tasks.append(
                     engine.Task(
-                        dx,
-                        device=s,
-                        resources=("compute",),
-                        duration=(1 - policy.dw_fraction) * cost.bwd,
-                        kind="bwd_dx",
-                        host_time=host_time,
-                    )
-                )
-                tasks.append(
-                    engine.Task(
-                        dw,
-                        device=s,
-                        resources=("compute",),
-                        duration=policy.dw_fraction * cost.bwd,
-                        kind="bwd_dw",
-                        host_time=host_time,
-                    )
-                )
-                ids = [dx, dw]
-                dep_anchor = dx
-            else:
-                dur = cost.fwd if sl.phase == "fwd" else cost.bwd
-                tasks.append(
-                    engine.Task(
-                        sid,
+                        sid + suffix,
                         device=s,
                         resources=("compute",),
                         duration=dur,
-                        kind=sl.phase,
+                        kind=kind,
                         host_time=host_time,
+                        sync_host=sync,
                     )
                 )
-                ids = [sid]
-                dep_anchor = sid
-            anchors[sid] = (ids[0], dep_anchor, s)
-            slot_tasks[sid] = ids
+            # Downstream work never waits on a deferred weight gradient.
+            wait = ids[-2] if parts[-1][2] == "bwd_dw" else ids[-1]
+            anchors[sid] = (ids[0], wait, s, idx)
+            segments[(s, idx, 1)] = ids
 
-    # Dataflow edges between slots.
-    extra_deps = {}  # first task id -> list of dep anchor ids
+    extra_deps = {}  # task id -> ids it waits on beyond its own deps
     for slots in schedule:
         for sl in slots:
             parent = dataflow_parent(sl, p, v)
-            if parent is None:
-                continue
-            pid = slot_id(parent)
-            if pid not in anchors:
-                continue
-            first, _, _ = anchors[slot_id(sl)]
-            extra_deps.setdefault(first, []).append(anchors[pid][1])
+            if parent is not None and slot_id(parent) in anchors:
+                first = anchors[slot_id(sl)][0]
+                extra_deps.setdefault(first, []).append(anchors[slot_id(parent)][1])
 
-    # Communication events. Each one is anchored into its device's program
-    # order: just before the slot it feeds on that device, just after the
-    # same-device slot it consumes from, or at the end of the program.
-    # Same-device event dependencies are pulled into the bucket ahead of
-    # their dependents, so every serial chain built from this order is a
-    # linear extension of the dependency graph whatever order the caller
-    # built the event list in. With overlap off the events additionally
-    # occupy the compute stream at that anchored position.
     comm_tasks = []
-    task_of = {}
-    by_event = {}
-    fed_slot = {}  # comm id -> same-device slot it feeds
-    prod_slot = {}  # comm id -> same-device slot it consumes from
-    slot_pos = {}  # (device, slot id) -> position in the device's order
-    for s, slots in enumerate(schedule):
-        for idx, sl in enumerate(slots):
-            slot_pos[(s, slot_id(sl))] = idx
     for ev in comm_events:
-        deps = []
-        own_slot_dep = None
-        for d in ev.dependencies:
-            if d in anchors:
-                deps.append(anchors[d][1])
-                if anchors[d][2] == ev.device:
-                    own_slot_dep = d
-            else:
-                deps.append(d)
-        resources = (ev.resource,)
-        if not policy.overlap_comm:
-            resources = ("compute", ev.resource)
-        t = engine.Task(
-            ev.id,
-            device=ev.device,
-            resources=resources,
-            duration=_comm_seconds(ev, hw),
-            deps=tuple(deps),
-            kind="comm",
-            host_time=host_time,
+        comm_tasks.append(
+            engine.Task(
+                ev.id,
+                device=ev.device,
+                resources=(ev.resource,) if policy.overlap_comm else ("compute", ev.resource),
+                duration=_comm_seconds(ev, hw),
+                deps=tuple(anchors[d][1] if d in anchors else d for d in ev.dependencies),
+                kind="comm",
+                host_time=host_time,
+            )
         )
-        comm_tasks.append(t)
-        task_of[ev.id] = t
-        by_event[ev.id] = ev
         if ev.feeds is not None:
-            if ev.feeds in anchors:
-                first, _, dev = anchors[ev.feeds]
-                extra_deps.setdefault(first, []).append(ev.id)
-                if dev == ev.device:
-                    fed_slot[ev.id] = ev.feeds
-            else:
-                extra_deps.setdefault(ev.feeds, []).append(ev.id)
-        if own_slot_dep is not None:
-            prod_slot[ev.id] = own_slot_dep
+            target = anchors[ev.feeds][0] if ev.feeds in anchors else ev.feeds
+            extra_deps.setdefault(target, []).append(ev.id)
 
-    before_slot = {}  # slot id -> [comm ids spliced before it]
-    after_slot = {}  # slot id -> [comm ids spliced after it]
-    tail_comm = {}  # device -> [comm ids appended at the end]
+    def segment(ev):
+        """Just before the same-device slot the event feeds, else just after
+        the last same-device slot it consumes from, else the tail."""
+        fed = anchors.get(ev.feeds)
+        if fed is not None and fed[2] == ev.device:
+            return (ev.device, fed[3], 0)
+        for d in reversed(ev.dependencies):
+            if d in anchors and anchors[d][2] == ev.device:
+                return (ev.device, anchors[d][3], 2)
+        return (ev.device, math.inf, 0)
+
+    # Same-device event dependencies are pulled into the segment ahead of
+    # their dependents, so every serial chain taken from a program is a
+    # linear extension of the dependency graph whatever order the caller
+    # built the event list in.
+    by_event = {ev.id: ev for ev in comm_events}
     placed = set()
 
-    def emit(ev, bucket):
+    def emit(ev, ids):
         if ev.id in placed:
             return
         placed.add(ev.id)
         for d in ev.dependencies:
             dep = by_event.get(d)
             if dep is not None and dep.device == ev.device:
-                emit(dep, bucket)
-        bucket.append(ev.id)
+                emit(dep, ids)
+        ids.append(ev.id)
 
-    def anchor_key(item):
-        idx, ev = item
-        if ev.id in fed_slot:
-            return (slot_pos[(ev.device, fed_slot[ev.id])], 0, idx)
-        return (slot_pos[(ev.device, prod_slot[ev.id])], 1, idx)
+    for key, _, ev in sorted((segment(ev), i, ev) for i, ev in enumerate(comm_events)):
+        emit(ev, segments.setdefault(key, []))
+    programs = {}
+    for (dev, _, _), ids in sorted(segments.items()):
+        programs.setdefault(dev, []).extend(ids)
 
-    anchored = [
-        (i, ev)
-        for i, ev in enumerate(comm_events)
-        if ev.id in fed_slot or ev.id in prod_slot
+    all_tasks = [
+        replace(t, deps=t.deps + tuple(extra_deps[t.id])) if t.id in extra_deps else t
+        for t in tasks + comm_tasks
     ]
-    for _, ev in sorted(anchored, key=anchor_key):
-        if ev.id in fed_slot:
-            emit(ev, before_slot.setdefault(fed_slot[ev.id], []))
-        else:
-            emit(ev, after_slot.setdefault(prod_slot[ev.id], []))
-    for ev in comm_events:
-        if ev.id not in placed:
-            emit(ev, tail_comm.setdefault(ev.device, []))
-
-    all_tasks = []
-    for t in tasks + comm_tasks:
-        deps = tuple(t.deps) + tuple(extra_deps.get(t.id, ()))
-        all_tasks.append(replace(t, deps=deps) if deps != t.deps else t)
-
+    # Each serial resource runs its share of the program in program order;
+    # the host launches the whole program in that order.
+    resources = {t.id: t.resources for t in all_tasks}
     chains = {}
-    for s, slots in enumerate(schedule):
-        chain = []
-        for sl in slots:
-            sid = slot_id(sl)
-            if not policy.overlap_comm:
-                chain.extend(before_slot.get(sid, ()))
-            chain.extend(slot_tasks[sid])
-            if not policy.overlap_comm:
-                chain.extend(after_slot.get(sid, ()))
-        if not policy.overlap_comm:
-            chain.extend(tail_comm.get(s, ()))
-        chains[(s, "compute")] = chain
-
-    def comm_program(dev: int) -> list:
-        if dev >= p:
-            return list(tail_comm.get(dev, ()))
-        out = []
-        for sl in schedule[dev]:
-            sid = slot_id(sl)
-            out.extend(before_slot.get(sid, ()))
-            out.extend(after_slot.get(sid, ()))
-        out.extend(tail_comm.get(dev, ()))
-        return out
-
-    comm_devices = sorted({t.device for t in comm_tasks})
-    for dev in comm_devices:
-        ordered = comm_program(dev)
-        for tid in ordered:
-            link = [r for r in task_of[tid].resources if r != "compute"][0]
-            chains.setdefault((dev, link), []).append(tid)
-        if not policy.overlap_comm and dev >= p:
-            # Events on devices without a schedule stage still need a
-            # compute chain to serialize into.
-            chains.setdefault((dev, "compute"), []).extend(ordered)
-
-    host_order = None
-    if host_time > 0:
-        # The host launches every task of its device, comm included, in
-        # program order; a comm event is dispatched where it was anchored.
-        host_order = {}
-        for s, slots in enumerate(schedule):
-            order = []
-            for sl in slots:
-                sid = slot_id(sl)
-                order.extend(before_slot.get(sid, ()))
-                order.extend(slot_tasks[sid])
-                order.extend(after_slot.get(sid, ()))
-            order.extend(tail_comm.get(s, ()))
-            host_order[s] = order
-        for dev in comm_devices:
-            if dev >= p:
-                host_order[dev] = comm_program(dev)
-
-    result = engine.run_tasks(all_tasks, chains, host_order)
+    for dev, program in programs.items():
+        for tid in program:
+            for r in resources[tid]:
+                chains.setdefault((dev, r), []).append(tid)
+    result = engine.run_tasks(all_tasks, chains, programs if host_time > 0 else None)
 
     compute_kinds = {"fwd", "bwd", "bwd_dx", "bwd_dw", "preprocess", "permute", "gmm"}
     busy = []

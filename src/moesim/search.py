@@ -38,9 +38,6 @@ from .pipeline import (
     summarize,
 )
 
-ITEM_KIND = {"dense": "dense", "moe": "moe", "mtp": "mtp", "head": "head"}
-
-
 @dataclass(frozen=True)
 class SimulationFeatures:
     """Executor behaviors the simulator can toggle on or off."""
@@ -169,9 +166,7 @@ def slot_dispatch_events(
     for chunk in assignment.chunks:
         n = sum(1 for name, _ in chunk.items if _item_kind(name) in ("moe", "mtp"))
         routed[(chunk.pp_stage, chunk.vpp_stage)] = n
-    inter_group = plan.ep if mechanism == "hierarchical" else plan.ep * plan.tp
-    if mechanism == "alltoall":
-        inter_group = plan.ep
+    inter_group = plan.ep * plan.tp if mechanism == "allgather" else plan.ep
     inter_kind = "alltoall" if mechanism == "alltoall" else "allgather"
     intra_group = min(plan.ep * plan.tp, hw.devices_per_node)
     events = []

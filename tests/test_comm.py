@@ -4,10 +4,7 @@ import random
 
 import pytest
 
-from moesim.cluster import HardwareDescription
-from moesim.comm import dispatch_volumes, hierarchical_events, tp_exposed_time
-from moesim.model import MlaDims, ModelConfig
-from moesim.parallel import ParallelPlan
+from moesim.comm import dispatch_volumes
 
 
 def count_token_copies(mechanism, tokens, topk, tp, ep):
@@ -77,58 +74,3 @@ def test_single_expert_group_moves_nothing_across_nodes():
 def test_unknown_mechanism_rejected():
     with pytest.raises(ValueError):
         dispatch_volumes("ring", 16, 16, 2, 2, 1, 2)
-
-
-def small_cluster(num_nodes=2):
-    return HardwareDescription(
-        name="mini",
-        peak_flops={"bf16": 1e12},
-        hbm_capacity=16e9,
-        hbm_bandwidth=1e12,
-        intra_node_bandwidth=100e9,
-        intra_node_latency=1e-6,
-        inter_node_bandwidth=20e9,
-        inter_node_latency=5e-6,
-        devices_per_node=8,
-        num_nodes=num_nodes,
-    )
-
-
-def small_model():
-    return ModelConfig(
-        num_layers=4,
-        hidden_size=16,
-        num_attention_heads=2,
-        num_routed_experts=4,
-        top_k=2,
-        expert_intermediate_size=8,
-        num_dense_layers=0,
-        num_mtp_layers=0,
-        mla=MlaDims(q_rank=12, kv_rank=6, head_dim=4, rope_dim=2),
-        vocab_size=64,
-        seq_len=32,
-    )
-
-
-def test_hierarchical_events_two_phases_both_directions():
-    plan = ParallelPlan(tp=2, pp=1, vpp=1, ep=4, dp=4, micro_batch_size=1, global_batch_size=4)
-    events = hierarchical_events(32, small_model(), plan, small_cluster())
-    ids = [e.id for e in events]
-    assert ids == ["disp:fwd:inter", "disp:fwd:intra", "disp:bwd:inter", "disp:bwd:intra"]
-    intra = {e.id: e for e in events}["disp:fwd:intra"]
-    assert intra.dependencies == ("disp:fwd:inter",)
-    assert intra.resource == "intra_link"
-
-
-def test_hierarchical_events_single_node_skips_inter_phase():
-    plan = ParallelPlan(tp=2, pp=1, vpp=1, ep=4, dp=4, micro_batch_size=1, global_batch_size=4)
-    events = hierarchical_events(32, small_model(), plan, small_cluster(num_nodes=1))
-    assert [e.id for e in events] == ["disp:fwd:intra", "disp:bwd:intra"]
-    assert all(e.dependencies == () for e in events)
-
-
-def test_tp_exposed_time_tiling():
-    assert tp_exposed_time(8.0, 4) == pytest.approx(2.0)
-    assert tp_exposed_time(8.0, 1) == pytest.approx(8.0)
-    with pytest.raises(ValueError):
-        tp_exposed_time(1.0, 0)

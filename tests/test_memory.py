@@ -23,6 +23,7 @@ from moesim.memory import (
     candidate_plans,
     in_flight_micro_batches,
     memory_report,
+    plan_time_cost,
     select_memory_plan,
     static_memory,
 )
@@ -125,6 +126,23 @@ def test_activation_peak_kv_only_sits_between():
     assert kv == pytest.approx(64 * (160 + 3 * 400))
     assert qkv == pytest.approx(64 * (96 + 3 * 336))
     assert qkv < kv < none
+
+
+def test_unset_global_batch_falls_back():
+    """With no global batch the micro batch count is unknown: the peak keeps
+    the full 1F1B depth and recompute is charged for one micro batch."""
+    cfg = tiny_config()
+
+    def two_stage(gbs):
+        return ParallelPlan(tp=1, pp=2, vpp=1, ep=1, dp=1, micro_batch_size=1, global_batch_size=gbs)
+
+    assert activation_peak(cfg, two_stage(0), MemoryPlan()) == activation_peak(
+        cfg, two_stage(8), MemoryPlan()
+    )
+    full = MemoryPlan(full_layer=True)
+    cost = plan_time_cost(cfg, two_stage(0), small_hw(), full)
+    assert cost > 0
+    assert cost == plan_time_cost(cfg, two_stage(1), small_hw(), full)
 
 
 def test_in_flight_micro_batches():

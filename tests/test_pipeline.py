@@ -1,6 +1,14 @@
 """Schedule construction and timeline simulation."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import moesim
 
 from moesim.cluster import HardwareDescription
 from moesim.comm import CommEvent
@@ -8,6 +16,7 @@ from moesim.model import MlaDims, ModelConfig, flops_per_token
 from moesim.parallel import ParallelPlan
 from moesim.pipeline import (
     SERIALIZED,
+    ChunkCost,
     OverlapPolicy,
     ScheduleSlot,
     analytic_bubble_ratio,
@@ -295,3 +304,127 @@ def test_summarize_rejects_bad_inputs():
 
 def test_slot_id_format():
     assert slot_id(ScheduleSlot(3, 1, 7, "bwd")) == "bwd:p3:v1:m7"
+
+
+def random_program(rng):
+    """A random timeline input in the style of test_c08, extended with
+    events on devices that have no pipeline stage, collectives with
+    group_size > 1, host dispatch, and a shuffled event list (so dependents
+    may precede their dependencies)."""
+    p = rng.randint(1, 4)
+    v = rng.randint(1, 3)
+    m = p * rng.randint(1, 2) if v > 1 else rng.randint(1, 4)
+    schedule = build_1f1b_schedule(p, m, v)
+    costs = {
+        (s, c): ChunkCost(
+            fwd=rng.choice([0.0, rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)]),
+            bwd=rng.choice([0.0, rng.uniform(0.5, 6.0), rng.uniform(0.5, 6.0)]),
+        )
+        for s in range(p)
+        for c in range(v)
+    }
+    hw = HardwareDescription(
+        name="rand",
+        peak_flops={"bf16": 1e12},
+        hbm_capacity=16e9,
+        hbm_bandwidth=1e12,
+        intra_node_bandwidth=100e9,
+        intra_node_latency=1e-6,
+        inter_node_bandwidth=20e9,
+        inter_node_latency=5e-6,
+        devices_per_node=8,
+        num_nodes=1,
+        host_dispatch_time=rng.choice([0.0, 0.05]),
+    )
+    all_slots = [sl for slots in schedule for sl in slots]
+    events = []
+    for j in range(rng.randint(0, 8)):
+        draw = rng.random()
+        if draw < 0.25 and events and events[-1].feeds is not None:
+            # Two-phase pattern: a follow-up transfer into the same slot.
+            prev = events[-1]
+            device, deps, feeds = prev.device, (prev.id,), prev.feeds
+        elif draw > 0.85:
+            # A device without a pipeline stage: it may wait on any slot
+            # but feeds none, so its serial chains cannot form a cycle.
+            device = p + rng.randint(0, 1)
+            deps = (slot_id(rng.choice(all_slots)),) if draw < 0.95 else ()
+            feeds = None
+        else:
+            sl = rng.choice(all_slots)
+            device = sl.pp_stage
+            parent = dataflow_parent(sl, p, v)
+            deps = (slot_id(parent),) if draw < 0.55 and parent is not None else ()
+            feeds = None if draw > 0.8 else slot_id(sl)
+        group = rng.choice([0, 1, 2, 4, 8])
+        events.append(
+            CommEvent(
+                id=f"e{j}",
+                kind=rng.choice(["p2p", "allgather", "alltoall"]) if group > 1 else "p2p",
+                resource=rng.choice(["inter_link", "intra_link"]),
+                bytes=rng.uniform(1e9, 5e11),
+                dependencies=deps,
+                device=device,
+                group_size=group,
+                feeds=feeds,
+            )
+        )
+    rng.shuffle(events)
+    policy = OverlapPolicy(
+        overlap_comm=rng.random() < 0.5,
+        decouple_dw=rng.random() < 0.5,
+        dw_fraction=rng.choice([0.0, 0.3, 0.5]),
+        host_gmm_first=rng.random() < 0.5,
+    )
+    return schedule, costs, events, policy, hw
+
+
+# (step_time, bubble_ratio, comm_overlap_rate, exposed_comm_time,
+# host_idle_time, per_stage_busy) of random_program(random.Random(seed)),
+# recorded before the timeline derived its chains and host order from one
+# program per device.
+PINNED_REPORTS = {
+    0: (128.48774667504262, 0.7929179302987366, 0.0, 91.6463914623686, 0, (26.79032280220253, 23.067719705381652, 44.69637192214144, 11.875619621152197)),
+    1: (41.06763929065834, 0.5616116452653159, 0.3250063221302272, 39.78217882336105, 0, (11.247330847582628, 24.759818795355734)),
+    2: (2.515576092773161, 0.6332016980913829, 0.0, 3.7937753683869397, 0, (0.9227090391511092,)),
+    13: (78.6477846662739, 0.675477166524016, 0.0, 32.1736136495122, 1.400000000000006, (9.068755784368228, 21.330310358895144, 46.16993963626139)),
+    15: (43.04341906627275, 0.9867086058977321, 0.024629474737013858, 43.33280289905584, 10.244907049097943, (0.0, 1.1442140926378044)),
+    24: (99.971641039251, 0.6667967841048412, 0.05239809761477656, 47.689966586275304, 22.70081793205369, (42.464220812462784, 21.244886216908963, 28.675429675493433, 40.85895246551425)),
+    26: (34.355384519651736, 0.3590884251772407, 0.0, 25.563948032819034, 1.099999999999999, (16.711776395713287, 27.325750796549592)),
+    34: (95.83614754801451, 0.6488142927887157, 0.0, 54.841223804573474, 1.549999999999962, (29.343620574110037, 26.81545020903103, 44.809784976022314)),
+    36: (33.46535605045114, 0.8531094254826361, 0.0, 29.18821242948941, 0, (3.400334099436356, 4.754021553699604, 6.592880476900769)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_REPORTS))
+def test_random_program_reports_stay_pinned(seed):
+    step, bubble, rate, exposed, idle, busy = PINNED_REPORTS[seed]
+    rep = simulate_timeline(*random_program(random.Random(seed)))
+    assert rep.step_time == step
+    assert rep.bubble_ratio == bubble
+    assert rep.comm_overlap_rate == rate
+    assert rep.exposed_comm_time == exposed
+    assert rep.per_stage_busy == busy
+    assert rep.host_idle_time == pytest.approx(idle, rel=1e-12)
+
+
+def test_report_does_not_depend_on_string_hash_seed():
+    """Host delays are summed in host order, never in set order, so two
+    interpreters with different hash seeds report the same bits."""
+    code = (
+        "import dataclasses, random\n"
+        "from test_pipeline import random_program\n"
+        "from moesim.pipeline import simulate_timeline\n"
+        "rep = simulate_timeline(*random_program(random.Random(24)))\n"
+        "print(repr(dataclasses.replace(rep, timeline=None)))\n"
+    )
+    path = os.pathsep.join([str(Path(__file__).parent), str(Path(moesim.__file__).parents[1])])
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outs.append(run.stdout)
+    assert outs[0].startswith("StepReport(")
+    assert outs[0] == outs[1]

@@ -142,6 +142,30 @@ def test_dispatch_events_absent_without_expert_parallelism():
     assert slot_dispatch_events(schedule, cfg, plan, bench_cluster()) == []
 
 
+def test_dispatch_events_single_node_are_intra_only():
+    cfg = bench_model()
+    plan = ParallelPlan(tp=1, pp=1, vpp=1, ep=2, dp=4, cp=1, micro_batch_size=1, global_batch_size=16)
+    schedule = build_1f1b_schedule(1, 1, 1)
+    events = slot_dispatch_events(schedule, cfg, plan, bench_cluster(num_nodes=1), "hierarchical")
+    assert [e.id for e in events] == ["disp:fwd:p0:v0:m0:intra", "disp:bwd:p0:v0:m0:intra"]
+    assert all(e.resource == "intra_link" for e in events)
+    # with no inter phase to wait on, each event waits on the slot's parent
+    assert [e.dependencies for e in events] == [(), ("fwd:p0:v0:m0",)]
+
+
+@pytest.mark.parametrize(
+    "mechanism, group_size, kind",
+    [("allgather", 4, "allgather"), ("alltoall", 2, "alltoall"), ("hierarchical", 2, "allgather")],
+)
+def test_dispatch_inter_event_group_and_kind(mechanism, group_size, kind):
+    # tp=2, ep=2: only allgather spans the whole tp*ep group across nodes
+    plan = ParallelPlan(tp=2, pp=1, vpp=1, ep=2, dp=4, cp=1, micro_batch_size=1, global_batch_size=16)
+    schedule = build_1f1b_schedule(1, 1, 1)
+    events = slot_dispatch_events(schedule, bench_model(), plan, bench_cluster(), mechanism)
+    inter = {e.id: e for e in events}["disp:fwd:p0:v0:m0:inter"]
+    assert (inter.resource, inter.group_size, inter.kind) == ("inter_link", group_size, kind)
+
+
 def test_training_report_basics():
     rep = training_report(bench_model(), bench_plan(), bench_cluster())
     assert rep.mode == "training"
