@@ -253,21 +253,8 @@ def capacity_drop_stats(trace: RoutingTrace, capacity_factor: float) -> DropStat
     if math.isinf(capacity_factor):
         return DropStats(0.0, np.zeros(n, dtype=np.int64), math.inf)
     cap = math.ceil(capacity_factor * t * k / n)
-    dropped = np.zeros(n, dtype=np.int64)
-    total = 0
-    for s in range(trace.steps):
-        ids = trace.experts[s].ravel()  # token-major arrival order
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-        start = 0
-        for end in list(boundaries) + [len(sorted_ids)]:
-            if end > start:
-                over = max(0, (end - start) - cap)
-                dropped[sorted_ids[start]] += over
-                total += over
-            start = end
-    return DropStats(total / (trace.steps * t * k), dropped, float(cap))
+    over = np.maximum(trace.expert_counts() - cap, 0)
+    return DropStats(int(over.sum()) / (trace.steps * t * k), over.sum(axis=0), float(cap))
 
 
 def device_load_stats(loads) -> float:

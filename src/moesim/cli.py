@@ -25,7 +25,6 @@ import numpy as np
 from .balance import RoutingTrace, aux_loss, generate_trace, run_balance_simulation, trace_statistics
 from .configio import load_cluster, load_model, load_plan, load_space, load_trace_spec
 from .errors import MoesimError
-from .model import model_id
 from .parallel import validate_plan
 from .search import SimulationFeatures, inference_report, search_space, training_report
 

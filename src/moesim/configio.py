@@ -86,7 +86,3 @@ def load_space(path) -> DesignSpace:
 
 def load_trace_spec(path) -> TraceSpec:
     return _build(TraceSpec, _read_json(path), "trace_spec")
-
-
-def model_to_dict(cfg: ModelConfig) -> dict:
-    return dataclasses.asdict(cfg)

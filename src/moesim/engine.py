@@ -11,11 +11,16 @@ Host modeling: every task may carry a host-side dispatch cost. Dispatches
 run serially per device in the given host order, ahead of device execution
 (asynchronously), except that a task marked sync_host stalls the host until
 that task finishes on the device.
+
+Graph nodes are integers: with n tasks, node i executes task i (in input
+order) and node n + i dispatches it; a dispatch node has edges only when
+its task is in a host order.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import DeadlockError
@@ -64,89 +69,65 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
             if tid not in by_id:
                 raise ValueError(f"chain {key} references unknown task {tid!r}")
 
-    # Graph nodes: "x:" execute nodes, and "d:" dispatch nodes when host
-    # ordering is modeled for the task's device.
-    host_order = host_order or {}
-    edges = {}
-    indeg = {}
-
-    def node(name):
-        if name not in edges:
-            edges[name] = []
-            indeg[name] = 0
-        return name
-
-    def edge(a, b):
-        edges[a].append(b)
-        indeg[b] += 1
-
-    for tid, t in by_id.items():
-        node(f"x:{tid}")
+    items = list(by_id.values())
+    index = {tid: i for i, tid in enumerate(by_id)}
+    n = len(items)
+    succ = [[] for _ in range(2 * n)]
+    for i, t in enumerate(items):
         for dep in t.deps:
-            if dep not in by_id:
-                raise ValueError(f"task {tid!r} depends on unknown task {dep!r}")
-            edge(node(f"x:{dep}"), f"x:{tid}")
+            if dep not in index:
+                raise ValueError(f"task {t.id!r} depends on unknown task {dep!r}")
+            succ[index[dep]].append(i)
     for chain in chains.values():
         for prev, nxt in zip(chain, chain[1:]):
-            edge(f"x:{prev}", f"x:{nxt}")
-    for device, order in host_order.items():
-        for tid in order:
-            if tid not in by_id:
-                raise ValueError(f"host order references unknown task {tid!r}")
-            edge(node(f"d:{tid}"), f"x:{tid}")
-        for prev, nxt in zip(order, order[1:]):
-            edge(f"d:{prev}", f"d:{nxt}")
-            if by_id[prev].sync_host:
-                edge(f"x:{prev}", f"d:{nxt}")
-
-    start = {}
-    end = {}
-    dispatch_end = {}
-    ready_without_host = {}
-
-    finish = {}  # node -> completion time
-    order = deque(n for n in edges if indeg[n] == 0)
-    seen = 0
-    node_start = {n: 0.0 for n in edges}
-    while order:
-        n = order.popleft()
-        seen += 1
-        t0 = node_start[n]
-        tid = n[2:]
-        t = by_id[tid]
-        if n.startswith("d:"):
-            length = t.host_time
-        else:
-            length = t.duration
-        done = t0 + length
-        finish[n] = done
-        if n.startswith("x:"):
-            start[tid] = t0
-            end[tid] = done
-        else:
-            dispatch_end[tid] = done
-        for nxt in edges[n]:
-            # Track the latest non-host constraint on execute nodes so the
-            # host-attributable delay can be reported.
-            if nxt.startswith("x:") and not n.startswith("d:"):
-                ready_without_host[nxt] = max(ready_without_host.get(nxt, 0.0), done)
-            if done > node_start[nxt]:
-                node_start[nxt] = done
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                order.append(nxt)
-    if seen != len(edges):
-        raise DeadlockError("dependency cycle in timeline task graph")
-
-    # Filled in host order, not set order, so sums over it do not depend on
-    # string hashing.
-    host_delay = {}
+            succ[index[prev]].append(index[nxt])
+    host_order = host_order or {}
     for order in host_order.values():
         for tid in order:
-            base = ready_without_host.get(f"x:{tid}", 0.0)
-            host_delay[tid] = max(0.0, dispatch_end[tid] - base)
+            if tid not in index:
+                raise ValueError(f"host order references unknown task {tid!r}")
+        pos = [index[tid] for tid in order]
+        for i in pos:
+            succ[n + i].append(i)
+        for prev, nxt in zip(pos, pos[1:]):
+            succ[n + prev].append(n + nxt)
+            if items[prev].sync_host:
+                succ[prev].append(n + nxt)
 
-    makespan = max(end.values(), default=0.0)
+    length = [t.duration for t in items] + [t.host_time for t in items]
+    indeg = [0] * (2 * n)
+    for out in succ:
+        for v in out:
+            indeg[v] += 1
+    ready = [u for u in range(2 * n) if indeg[u] == 0]
+    begin = [0.0] * (2 * n)
+    # Latest finish over execute -> execute edges, i.e. ignoring dispatch.
+    ready_without_host = [0.0] * n
+    seen = 0
+    while ready:
+        u = ready.pop()
+        seen += 1
+        done = begin[u] + length[u]
+        for v in succ[u]:
+            if u < n and v < n and done > ready_without_host[v]:
+                ready_without_host[v] = done
+            if done > begin[v]:
+                begin[v] = done
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    if seen != 2 * n:
+        raise DeadlockError("dependency cycle in timeline task graph")
+
+    start = dict(zip(by_id, begin))
+    end = {tid: begin[i] + length[i] for i, tid in enumerate(by_id)}
+    dispatch_end = {tid: begin[n + i] + length[n + i] for i, tid in enumerate(by_id) if succ[n + i]}
+    # In host order, so sums over it are the same under any hash seed.
+    host_delay = {
+        tid: max(0.0, dispatch_end[tid] - ready_without_host[index[tid]])
+        for order in host_order.values()
+        for tid in order
+    }
     return TimelineResult(
         start=start,
         end=end,
@@ -154,7 +135,7 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
         host_delay=host_delay,
         tasks=by_id,
         chains={k: list(v) for k, v in chains.items()},
-        makespan=makespan,
+        makespan=max(end.values(), default=0.0),
     )
 
 
@@ -179,11 +160,11 @@ def merged_busy_intervals(result: TimelineResult, device: int, kinds=None):
 
 def overlap_with(intervals, s: float, e: float) -> float:
     """Length of [s, e] covered by the sorted disjoint intervals."""
+    # Start at the first interval ending after s; those before add nothing.
+    i = bisect_right(intervals, (s, math.inf))
+    if i and intervals[i - 1][1] > s:
+        i -= 1
     covered = 0.0
-    for a, b in intervals:
-        if b <= s:
-            continue
-        if a >= e:
-            break
+    for a, b in intervals[i : bisect_left(intervals, (e,))]:
         covered += min(b, e) - max(a, s)
     return covered

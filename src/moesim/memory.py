@@ -19,12 +19,12 @@ alive under the 1F1B schedule (stage 0 is the worst).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cluster import HardwareDescription, kernel_time
 from .errors import InfeasibleMemoryError, NonDivisibleError
-from .model import ModelConfig, count_parameters, flops_per_token, _attention_params, _layer_norm_params
-from .parallel import ChunkWeights, ParallelPlan, assign_chunks, micro_batch_count
+from .model import ModelConfig, flops_per_token, _attention_params, _layer_norm_params
+from .parallel import ParallelPlan, assign_chunks, micro_batch_count
 
 RECOMPUTE_OPTIONS = ("mla_qkv", "mla_kv_only", "permute", "swiglu_activation")
 SWAP_OPTIONS = ("probs",)

@@ -16,7 +16,7 @@ i // pp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .cluster import HardwareDescription
 from .errors import InfeasibleChunkingError, NonDivisibleError, PlanError

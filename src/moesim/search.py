@@ -30,7 +30,6 @@ from .parallel import ParallelPlan, assign_chunks, micro_batch_count, require_va
 from .pipeline import (
     ChunkCost,
     OverlapPolicy,
-    StepReport,
     build_1f1b_schedule,
     dataflow_parent,
     simulate_timeline,
