@@ -60,7 +60,6 @@ from .model import (
     model_id,
 )
 from .parallel import (
-    ChunkWeights,
     ParallelPlan,
     PlanCheck,
     assign_chunks,

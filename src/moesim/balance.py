@@ -63,6 +63,9 @@ class RoutingTrace:
             raise ValueError("experts and scores shapes differ")
         if self.tasks.shape != self.experts.shape[:2]:
             raise ValueError("tasks shape must be (steps, tokens)")
+        if self.experts.size and (self.experts.min() < 0 or self.experts.max() >= self.num_experts):
+            bad = self.experts[(self.experts < 0) | (self.experts >= self.num_experts)][0]
+            raise ValueError(f"expert id {bad} outside [0, num_experts={self.num_experts})")
 
     @property
     def steps(self) -> int:

@@ -3,14 +3,16 @@
 Every loader maps a JSON object onto a frozen dataclass and rejects keys
 the dataclass does not declare, so a typo fails loudly with the offending
 path instead of silently falling back to a default. Booleans are rejected
-where numbers are expected (JSON `true` is not a count), and nested
-objects recurse with a dotted path in error messages.
+where numbers are expected (JSON `true` is not a count), as are NaN,
+infinities and literals too large for a float, and nested objects
+recurse with a dotted path in error messages.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 from .balance import TraceSpec
 from .cluster import HardwareDescription
@@ -31,6 +33,14 @@ _BOOL_FIELDS = {
 }
 
 
+def _reject_non_finite(value, path: str) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"{path} must be a finite number, got {value}")
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _reject_non_finite(item, f"{path}.{key}")
+
+
 def _build(cls, data, where: str):
     if not isinstance(data, dict):
         raise ParseError(f"{where} must be an object, got {type(data).__name__}")
@@ -43,6 +53,7 @@ def _build(cls, data, where: str):
         if key in _NESTED and isinstance(value, dict):
             kwargs[key] = _build(_NESTED[key], value, path)
             continue
+        _reject_non_finite(value, path)
         if isinstance(value, bool) and key not in _BOOL_FIELDS.get(cls, ()):
             raise ParseError(f"{path} must be a number, got a boolean")
         if isinstance(value, list) and key in _TUPLE_FIELDS:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .cluster import HardwareDescription, kernel_time
 from .errors import InfeasibleMemoryError, NonDivisibleError
 from .model import ModelConfig, flops_per_token, _attention_params, _layer_norm_params
-from .parallel import ParallelPlan, assign_chunks, micro_batch_count
+from .parallel import ParallelPlan, StageAssignment, assign_chunks, item_kind, micro_batch_count, tokens_per_device
 
 RECOMPUTE_OPTIONS = ("mla_qkv", "mla_kv_only", "permute", "swiglu_activation")
 SWAP_OPTIONS = ("probs",)
@@ -72,14 +72,14 @@ class MemoryReport:
         return self.capacity_bytes - self.total_bytes
 
 
-def _item_params_per_device(cfg: ModelConfig, plan: ParallelPlan, name: str) -> float:
-    """Parameters one device owns for a single layer item."""
+def _item_params_per_device(cfg: ModelConfig, plan: ParallelPlan, kind: str) -> float:
+    """Parameters one device owns for a single layer item of ``kind``."""
     h = cfg.hidden_size
     attn = (_attention_params(cfg) + _layer_norm_params(cfg)) / plan.tp
     expert = cfg.expert_param_count
-    if name.startswith("dense_"):
+    if kind == "dense":
         return attn + 3 * h * cfg.dense_ffn_intermediate_size / plan.tp
-    if name.startswith("moe_") or name.startswith("mtp_"):
+    if kind in ("moe", "mtp"):
         held = cfg.num_routed_experts // (plan.tp * plan.ep)
         value = (
             attn
@@ -87,23 +87,22 @@ def _item_params_per_device(cfg: ModelConfig, plan: ParallelPlan, name: str) -> 
             + held * expert
             + cfg.num_shared_experts * expert / plan.tp
         )
-        if name.startswith("mtp_"):
+        if kind == "mtp":
             value += (2 * h * h + 2 * h) / plan.tp
         return value
-    if name == "head_loss":
+    if kind == "head":
         return h * cfg.vocab_size / plan.tp
-    raise ValueError(f"unknown layer item {name!r}")
+    raise ValueError(f"unknown layer item kind {kind!r}")
 
 
-def static_memory(cfg: ModelConfig, plan: ParallelPlan) -> float:
+def static_memory(cfg: ModelConfig, plan: ParallelPlan, assignment: StageAssignment) -> float:
     """Worst per-device static bytes (weights, grads, optimizer shard)."""
     if plan.dp < 1:
         raise ValueError("plan.dp must be resolved (>= 1)")
-    assignment = assign_chunks(cfg, plan)
     per_stage = [0.0] * plan.pp
     for chunk in assignment.chunks:
         for name, _ in chunk.items:
-            per_stage[chunk.pp_stage] += _item_params_per_device(cfg, plan, name)
+            per_stage[chunk.pp_stage] += _item_params_per_device(cfg, plan, item_kind(name))
     per_stage[0] += cfg.vocab_size * cfg.hidden_size / plan.tp  # input embedding
     worst = max(per_stage)
     return 2 * cfg.dtype_bytes * worst + 12.0 * worst / plan.dp
@@ -169,27 +168,26 @@ def in_flight_micro_batches(plan: ParallelPlan, stage: int, m: int | None = None
     return peak
 
 
-def _tokens_per_device(cfg: ModelConfig, plan: ParallelPlan) -> float:
-    return plan.micro_batch_size * cfg.seq_len / (plan.tp * plan.cp)
-
-
-def activation_peak(cfg: ModelConfig, plan: ParallelPlan, mem_plan: MemoryPlan) -> float:
+def activation_peak(
+    cfg: ModelConfig,
+    plan: ParallelPlan,
+    assignment: StageAssignment,
+    mem_plan: MemoryPlan,
+) -> float:
     """Peak activation bytes on the worst (first) pipeline stage."""
     try:
         m = micro_batch_count(plan)
     except NonDivisibleError:
         m = None
-    assignment = assign_chunks(cfg, plan)
-    tokens = _tokens_per_device(cfg, plan)
+    tokens = tokens_per_device(cfg, plan)
     stage_chunks = [c for c in assignment.chunks if c.pp_stage == 0]
     per_mb = 0.0
     for chunk in stage_chunks:
         for name, _ in chunk.items:
-            if name.startswith("dense_"):
-                per_mb += _kept_bytes_per_token(cfg, "dense", mem_plan) * tokens
-            elif name.startswith(("moe_", "mtp_")):
-                per_mb += _kept_bytes_per_token(cfg, "moe", mem_plan) * tokens
-            # head_loss: logits freed within the micro batch, not accumulated
+            kind = item_kind(name)
+            # the head's logits are freed within the micro batch, not accumulated
+            if kind != "head":
+                per_mb += _kept_bytes_per_token(cfg, kind, mem_plan) * tokens
     per_chunk = per_mb / max(1, len(stage_chunks))
     return in_flight_micro_batches(plan, 0, m) * per_chunk
 
@@ -205,16 +203,16 @@ def plan_time_cost(
         m = micro_batch_count(plan)
     except NonDivisibleError:
         m = 1
-    tokens = _tokens_per_device(cfg, plan)
+    tokens = tokens_per_device(cfg, plan)
     layers_per_stage = math.ceil((cfg.num_layers + cfg.num_mtp_layers) / plan.pp)
     moe_fraction = cfg.num_moe_layers / max(1, cfg.num_layers)
     b = cfg.dtype_bytes
     h = cfg.hidden_size
+    layer_fwd = kernel_time(flops_per_token(cfg).per_layer["moe"] * tokens, 0.0, hw, dtype_bytes=b)
 
     per_layer = 0.0
     if mem_plan.full_layer:
-        fwd_flops = flops_per_token(cfg).per_layer["moe"] * tokens
-        per_layer += kernel_time(fwd_flops, 0.0, hw, dtype_bytes=b)
+        per_layer += layer_fwd
     if "mla_qkv" in mem_plan.recompute:
         per_layer += kernel_time(2.0 * _attention_params(cfg) * tokens, 0.0, hw, dtype_bytes=b)
     elif "mla_kv_only" in mem_plan.recompute:
@@ -235,12 +233,6 @@ def plan_time_cost(
     if "probs" in mem_plan.swap:
         transfer = 2.0 * cfg.num_routed_experts * 4.0 * tokens * moe_fraction
         transfer_time = transfer / hw.host_to_device_bandwidth
-        layer_fwd = kernel_time(
-            flops_per_token(cfg).per_layer["moe"] * tokens,
-            0.0,
-            hw,
-            dtype_bytes=b,
-        )
         slack = 2.0 * layer_fwd
         per_layer += max(0.0, transfer_time - slack)
     return per_layer * layers_per_stage * m
@@ -249,13 +241,14 @@ def plan_time_cost(
 def memory_report(
     cfg: ModelConfig,
     plan: ParallelPlan,
+    assignment: StageAssignment,
     hw: HardwareDescription,
     mem_plan: MemoryPlan,
     capacity: float | None = None,
 ) -> MemoryReport:
     cap = hw.hbm_capacity if capacity is None else capacity
-    static = static_memory(cfg, plan)
-    act = activation_peak(cfg, plan, mem_plan)
+    static = static_memory(cfg, plan, assignment)
+    act = activation_peak(cfg, plan, assignment, mem_plan)
     return MemoryReport(
         static_bytes=static,
         activation_bytes=act,
@@ -293,13 +286,14 @@ def select_memory_plan(
     the full attention path, then option names. Raises
     InfeasibleMemoryError when even the maximal set does not fit.
     """
+    assignment = assign_chunks(cfg, plan)
     reports = []
     for mp in candidate_plans():
-        rep = memory_report(cfg, plan, hw, mp, capacity)
+        rep = memory_report(cfg, plan, assignment, hw, mp, capacity)
         if rep.feasible:
             reports.append(rep)
     if not reports:
-        full = memory_report(cfg, plan, hw, MemoryPlan.everything(), capacity)
+        full = memory_report(cfg, plan, assignment, hw, MemoryPlan.everything(), capacity)
         raise InfeasibleMemoryError(
             f"static {full.static_bytes:.3e} + activations {full.activation_bytes:.3e} "
             f"exceed capacity {full.capacity_bytes:.3e} even with every option enabled"

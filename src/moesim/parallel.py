@@ -126,21 +126,6 @@ def micro_batch_count(plan: ParallelPlan) -> int:
 
 
 @dataclass(frozen=True)
-class ChunkWeights:
-    """Relative step-time weight of each layer item kind.
-
-    Every transformer layer counts as one unit by default, dense included;
-    the extra-prediction block and the loss head carry their published
-    relative costs. Callers can discount dense layers when their measured
-    step share is known."""
-
-    moe: float = 1.0
-    dense: float = 1.0
-    mtp_body: float = 1.05
-    head_loss: float = 1.5
-
-
-@dataclass(frozen=True)
 class ChunkAssignment:
     pp_stage: int
     vpp_stage: int
@@ -210,23 +195,34 @@ def partition_contiguous(weights, num_chunks: int) -> list[list[int]]:
     return chunks
 
 
-def layer_items(cfg: ModelConfig, weights: ChunkWeights | None = None) -> list[tuple]:
+# Every transformer layer weighs one unit in the chunk partition, dense
+# included; the extra-prediction block and the loss head carry their
+# published relative costs.
+MTP_WEIGHT = 1.05
+HEAD_WEIGHT = 1.5
+
+
+def item_kind(name: str) -> str:
+    """Kind of a layer item: "dense", "moe", "mtp" or "head"."""
+    return "head" if name == "head_loss" else name.split("_", 1)[0]
+
+
+def tokens_per_device(cfg: ModelConfig, plan: ParallelPlan) -> float:
+    """Tokens one device holds per micro batch."""
+    return plan.micro_batch_size * cfg.seq_len / (plan.tp * plan.cp)
+
+
+def layer_items(cfg: ModelConfig) -> list[tuple]:
     """Ordered (name, weight) items entering the chunk partition."""
-    w = weights or ChunkWeights()
-    items = [(f"dense_{i}", w.dense) for i in range(cfg.num_dense_layers)]
-    items += [(f"moe_{i}", w.moe) for i in range(cfg.num_moe_layers)]
-    items += [(f"mtp_{i}", w.mtp_body) for i in range(cfg.num_mtp_layers)]
-    items.append(("head_loss", w.head_loss))
+    items = [(f"dense_{i}", 1.0) for i in range(cfg.num_dense_layers)]
+    items += [(f"moe_{i}", 1.0) for i in range(cfg.num_moe_layers)]
+    items += [(f"mtp_{i}", MTP_WEIGHT) for i in range(cfg.num_mtp_layers)]
+    items.append(("head_loss", HEAD_WEIGHT))
     return items
 
 
-def assign_chunks(
-    cfg: ModelConfig,
-    plan: ParallelPlan,
-    weights: ChunkWeights | None = None,
-) -> StageAssignment:
-    w = weights or ChunkWeights()
-    items = layer_items(cfg, w)
+def assign_chunks(cfg: ModelConfig, plan: ParallelPlan) -> StageAssignment:
+    items = layer_items(cfg)
     num_chunks = plan.pp * plan.vpp
     runs = partition_contiguous([wt for _, wt in items], num_chunks)
     chunks = []
@@ -241,5 +237,5 @@ def assign_chunks(
             )
         )
     max_weight = max(c.weight for c in chunks)
-    baseline = math.ceil(len(items) / num_chunks) * w.moe
+    baseline = float(math.ceil(len(items) / num_chunks))
     return StageAssignment(tuple(chunks), max_weight, baseline)

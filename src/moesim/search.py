@@ -18,15 +18,11 @@ from dataclasses import dataclass
 from .cluster import HardwareDescription, kernel_time
 from .comm import CommEvent, dispatch_volumes
 from .errors import MoesimError
-from .memory import (
-    MemoryPlan,
-    MemoryReport,
-    memory_report,
-    select_memory_plan,
-    _item_params_per_device,
-)
+from .memory import MemoryPlan, MemoryReport, memory_report, select_memory_plan, _item_params_per_device
 from .model import DesignSpace, ModelConfig, count_parameters, enumerate_design_space, flops_per_token, model_id
-from .parallel import ParallelPlan, assign_chunks, micro_batch_count, require_valid
+from .parallel import (
+    ParallelPlan, StageAssignment, assign_chunks, item_kind, micro_batch_count, require_valid, tokens_per_device,
+)
 from .pipeline import (
     ChunkCost,
     OverlapPolicy,
@@ -69,28 +65,23 @@ class CostReport:
     memory: MemoryReport | None = None
 
 
-def _item_kind(name: str) -> str:
-    if name == "head_loss":
-        return "head"
-    return name.split("_", 1)[0]
-
-
 def chunk_costs_from_model(
     cfg: ModelConfig,
     plan: ParallelPlan,
+    assignment: StageAssignment,
     hw: HardwareDescription,
 ) -> dict:
     """Roofline forward/backward seconds for every (pp, vpp) chunk."""
     profile = flops_per_token(cfg)
-    tokens_dev = plan.micro_batch_size * cfg.seq_len / (plan.tp * plan.cp)
-    assignment = assign_chunks(cfg, plan)
+    tokens_dev = tokens_per_device(cfg, plan)
     costs = {}
     for chunk in assignment.chunks:
         flops = 0.0
         weight_bytes = 0.0
         for name, _ in chunk.items:
-            flops += profile.per_layer[_item_kind(name)] * tokens_dev
-            weight_bytes += _item_params_per_device(cfg, plan, name) * cfg.dtype_bytes
+            kind = item_kind(name)
+            flops += profile.per_layer[kind] * tokens_dev
+            weight_bytes += _item_params_per_device(cfg, plan, kind) * cfg.dtype_bytes
         act_bytes = 2.0 * cfg.hidden_size * cfg.dtype_bytes * tokens_dev * max(1, len(chunk.items))
         fwd = kernel_time(flops, weight_bytes + act_bytes, hw, dtype_bytes=cfg.dtype_bytes)
         costs[(chunk.pp_stage, chunk.vpp_stage)] = ChunkCost(fwd=fwd, bwd=2.0 * fwd)
@@ -114,7 +105,7 @@ def boundary_transfer_events(
     When the model trains an extra next-token prediction stream, its hidden
     state rides along with the main one, doubling the payload.
     """
-    tokens_dev = plan.micro_batch_size * cfg.seq_len / (plan.tp * plan.cp)
+    tokens_dev = tokens_per_device(cfg, plan)
     streams = 2 if cfg.num_mtp_layers > 0 else 1
     volume = tokens_dev * cfg.hidden_size * cfg.dtype_bytes * streams
     resource = _stage_crossing_resource(plan, hw)
@@ -144,6 +135,7 @@ def slot_dispatch_events(
     schedule,
     cfg: ModelConfig,
     plan: ParallelPlan,
+    assignment: StageAssignment,
     hw: HardwareDescription,
     mechanism: str = "hierarchical",
 ) -> list:
@@ -156,14 +148,13 @@ def slot_dispatch_events(
     """
     if plan.ep == 1:
         return []
-    assignment = assign_chunks(cfg, plan)
-    tokens_dev = int(plan.micro_batch_size * cfg.seq_len / (plan.tp * plan.cp))
+    tokens_dev = int(tokens_per_device(cfg, plan))
     vols = dispatch_volumes(
         mechanism, tokens_dev, cfg.hidden_size, cfg.dtype_bytes, cfg.top_k, plan.tp, plan.ep
     )
     routed = {}
     for chunk in assignment.chunks:
-        n = sum(1 for name, _ in chunk.items if _item_kind(name) in ("moe", "mtp"))
+        n = sum(1 for name, _ in chunk.items if item_kind(name) in ("moe", "mtp"))
         routed[(chunk.pp_stage, chunk.vpp_stage)] = n
     inter_group = plan.ep * plan.tp if mechanism == "allgather" else plan.ep
     inter_kind = "alltoall" if mechanism == "alltoall" else "allgather"
@@ -221,15 +212,16 @@ def training_report(
     """Simulate one training step and summarize throughput and MFU."""
     features = features or SimulationFeatures()
     plan = require_valid(plan, cfg, hw)
+    assignment = assign_chunks(cfg, plan)
     if features.fine_grained_memory:
         mem = select_memory_plan(cfg, plan, hw)
     else:
-        mem = memory_report(cfg, plan, hw, MemoryPlan(full_layer=True))
+        mem = memory_report(cfg, plan, assignment, hw, MemoryPlan(full_layer=True))
     m = micro_batch_count(plan)
     schedule = build_1f1b_schedule(plan.pp, m, plan.vpp)
-    costs = chunk_costs_from_model(cfg, plan, hw)
+    costs = chunk_costs_from_model(cfg, plan, assignment, hw)
     events = boundary_transfer_events(schedule, cfg, plan, hw)
-    events += slot_dispatch_events(schedule, cfg, plan, hw, features.dispatch_mechanism)
+    events += slot_dispatch_events(schedule, cfg, plan, assignment, hw, features.dispatch_mechanism)
     report = simulate_timeline(schedule, costs, events, policy=features.policy(), hw=hw)
     step_time = report.step_time + mem.time_added
     mfu, tps = summarize(step_time, cfg, plan, hw)

@@ -31,7 +31,7 @@ from moesim.cli import main
 from moesim.comm import CommEvent, dispatch_volumes
 from moesim.configio import load_cluster, load_model, load_plan, load_trace_spec
 from moesim.model import count_parameters
-from moesim.parallel import ChunkWeights, assign_chunks, partition_contiguous
+from moesim.parallel import assign_chunks, partition_contiguous
 from moesim.pipeline import (
     OverlapPolicy,
     analytic_bubble_ratio,
@@ -234,7 +234,7 @@ def test_c06_chunk_balancing_point_and_partition_oracle():
     cfg = load_model(str(CONFIGS / "model_reference.json"))
     plan = load_plan(str(CONFIGS / "plan_reference.json"))
     assert cfg.num_layers == 61 and plan.pp == 16 and plan.vpp == 2
-    assignment = assign_chunks(cfg, plan, ChunkWeights(mtp_body=1.05, head_loss=1.5))
+    assignment = assign_chunks(cfg, plan)
     assert assignment.max_chunk_weight == pytest.approx(2.05, abs=1e-12)
     assert assignment.overflow_ratio == pytest.approx(1.025, abs=1e-12)
     assert assignment.overflow_ratio <= 1.05

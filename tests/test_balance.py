@@ -302,6 +302,12 @@ def test_trace_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.scores, trace.scores)
 
 
+@pytest.mark.parametrize("bad", [16, -1])
+def test_trace_rejects_expert_ids_out_of_range(bad):
+    with pytest.raises(ValueError, match=rf"expert id {bad} outside \[0, num_experts=16\)"):
+        make_trace([(0, 15), (3, bad), (bad, 4)], 16)
+
+
 def test_trace_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("step,token\n0,0\n")

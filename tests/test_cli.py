@@ -8,6 +8,7 @@ same seed and requires byte-identical output.
 
 import json
 
+import numpy as np
 import pytest
 
 from moesim.balance import RoutingTrace
@@ -316,6 +317,47 @@ def test_trace_stats_reads_a_saved_trace(tmp_path, capsys):
     assert "steps 30 tokens/step 256 top_k 2" in out
     assert "aux loss" in out
     assert "hottest expert share" in out
+
+
+def test_trace_stats_rejects_out_of_range_expert_id(tmp_path, capsys):
+    trace_file = tmp_path / "trace.csv"
+    experts = np.array([[[0, 15], [3, 4]]], dtype=np.int64)
+    RoutingTrace(16, experts, np.full(experts.shape, 0.5), np.zeros((1, 2), dtype=np.int64)).save(trace_file)
+    text = trace_file.read_text()
+    assert text.count(",0 15,") == 1
+    trace_file.write_text(text.replace(",0 15,", ",0 16,"))
+    rc = main(["trace-stats", "--trace", str(trace_file)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "expert id 16" in captured.err
+
+
+@pytest.mark.parametrize(
+    "path, literal",
+    [
+        ("hbm_bandwidth", "NaN"),
+        ("inter_node_latency", "-Infinity"),
+        ("hbm_capacity", "1e999"),
+        ("peak_flops.bf16", "Infinity"),
+    ],
+)
+def test_non_finite_cluster_value_is_named_in_the_error(tmp_path, capsys, path, literal):
+    paths = write_configs(tmp_path)
+    cluster = json.loads(json.dumps(CLUSTER))
+    owner = cluster
+    *parents, key = path.split(".")
+    for name in parents:
+        owner = owner[name]
+    owner[key] = "PLACEHOLDER"
+    bad = tmp_path / "cluster_bad.json"
+    bad.write_text(json.dumps(cluster).replace('"PLACEHOLDER"', literal))
+    rc = main(["simulate", "--model", paths["model"], "--cluster", str(bad), "--plan", paths["plan"]])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert f"cluster.{path} must be a finite number" in captured.err
 
 
 def test_every_command_is_byte_identical_across_reruns(tmp_path, capsys):

@@ -28,7 +28,7 @@ from moesim.memory import (
     static_memory,
 )
 from moesim.model import MlaDims, ModelConfig
-from moesim.parallel import ParallelPlan
+from moesim.parallel import ParallelPlan, assign_chunks
 
 
 def tiny_config():
@@ -72,10 +72,11 @@ def small_hw(**overrides):
 
 def test_static_memory_optimizer_sharding():
     cfg = tiny_config()
+    layout = assign_chunks(cfg, single_stage_plan())
     # dtype grads and weights cost 4 bytes per weight, the fp32 master and
     # both moments cost 12 more, sharded across dp
-    assert static_memory(cfg, single_stage_plan(dp=1)) == pytest.approx(16 * 13032)
-    assert static_memory(cfg, single_stage_plan(dp=4)) == pytest.approx(7 * 13032)
+    assert static_memory(cfg, single_stage_plan(dp=1), layout) == pytest.approx(16 * 13032)
+    assert static_memory(cfg, single_stage_plan(dp=4), layout) == pytest.approx(7 * 13032)
 
 
 def test_static_memory_two_stage_split():
@@ -83,7 +84,7 @@ def test_static_memory_two_stage_split():
     plan = ParallelPlan(tp=1, pp=2, vpp=1, ep=1, dp=1, micro_batch_size=1, global_batch_size=2)
     # best contiguous split is [dense, moe, moe | mtp, head]; stage 0 also
     # holds the input embedding: 1122 + 2722 + 2722 + 1600 = 8166
-    assert static_memory(cfg, plan) == pytest.approx(16 * 8166)
+    assert static_memory(cfg, plan, assign_chunks(cfg, plan)) == pytest.approx(16 * 8166)
 
 
 def test_static_memory_tensor_parallel_sharding():
@@ -96,23 +97,27 @@ def test_static_memory_tensor_parallel_sharding():
     moe = 369 + 64 + 768 + 192
     mtp = moe + 272
     total = dense + 2 * moe + mtp + 800 + 800
-    assert static_memory(cfg, plan) == pytest.approx(16 * total)
-    assert static_memory(cfg, plan) < static_memory(cfg, single_stage_plan())
+    static = static_memory(cfg, plan, assign_chunks(cfg, plan))
+    assert static == pytest.approx(16 * total)
+    single = single_stage_plan()
+    assert static < static_memory(cfg, single, assign_chunks(cfg, single))
 
 
 def test_activation_peak_keep_everything():
     cfg = tiny_config()
     # per token: boundary 64, attention kv 52 + rest 64, permute 160,
     # expert ffn 96, probs 16; dense layer keeps 212, moe/mtp keep 452
-    act = activation_peak(cfg, single_stage_plan(), MemoryPlan())
+    plan = single_stage_plan()
+    act = activation_peak(cfg, plan, assign_chunks(cfg, plan), MemoryPlan())
     assert act == pytest.approx(64 * (212 + 3 * 452))
 
 
 def test_activation_peak_all_options_hits_boundary_floor():
     cfg = tiny_config()
     plan = single_stage_plan()
-    floor = activation_peak(cfg, plan, MemoryPlan(full_layer=True))
-    everything = activation_peak(cfg, plan, MemoryPlan.everything())
+    layout = assign_chunks(cfg, plan)
+    floor = activation_peak(cfg, plan, layout, MemoryPlan(full_layer=True))
+    everything = activation_peak(cfg, plan, layout, MemoryPlan.everything())
     assert floor == pytest.approx(64 * 4 * 64)
     assert everything == pytest.approx(floor)
 
@@ -120,9 +125,10 @@ def test_activation_peak_all_options_hits_boundary_floor():
 def test_activation_peak_kv_only_sits_between():
     cfg = tiny_config()
     plan = single_stage_plan()
-    none = activation_peak(cfg, plan, MemoryPlan())
-    kv = activation_peak(cfg, plan, MemoryPlan(recompute=frozenset(("mla_kv_only",))))
-    qkv = activation_peak(cfg, plan, MemoryPlan(recompute=frozenset(("mla_qkv",))))
+    layout = assign_chunks(cfg, plan)
+    none = activation_peak(cfg, plan, layout, MemoryPlan())
+    kv = activation_peak(cfg, plan, layout, MemoryPlan(recompute=frozenset(("mla_kv_only",))))
+    qkv = activation_peak(cfg, plan, layout, MemoryPlan(recompute=frozenset(("mla_qkv",))))
     assert kv == pytest.approx(64 * (160 + 3 * 400))
     assert qkv == pytest.approx(64 * (96 + 3 * 336))
     assert qkv < kv < none
@@ -136,8 +142,9 @@ def test_unset_global_batch_falls_back():
     def two_stage(gbs):
         return ParallelPlan(tp=1, pp=2, vpp=1, ep=1, dp=1, micro_batch_size=1, global_batch_size=gbs)
 
-    assert activation_peak(cfg, two_stage(0), MemoryPlan()) == activation_peak(
-        cfg, two_stage(8), MemoryPlan()
+    layout = assign_chunks(cfg, two_stage(0))
+    assert activation_peak(cfg, two_stage(0), layout, MemoryPlan()) == activation_peak(
+        cfg, two_stage(8), layout, MemoryPlan()
     )
     full = MemoryPlan(full_layer=True)
     cost = plan_time_cost(cfg, two_stage(0), small_hw(), full)
@@ -159,7 +166,7 @@ def test_in_flight_micro_batches():
 def test_report_totals_and_headroom():
     cfg = tiny_config()
     plan = single_stage_plan()
-    rep = memory_report(cfg, plan, small_hw(), MemoryPlan(), capacity=400_000.0)
+    rep = memory_report(cfg, plan, assign_chunks(cfg, plan), small_hw(), MemoryPlan(), capacity=400_000.0)
     assert rep.total_bytes == pytest.approx(rep.static_bytes + rep.activation_bytes)
     assert rep.headroom_bytes == pytest.approx(400_000.0 - rep.total_bytes)
     assert rep.static_bytes == pytest.approx(16 * 13032)
@@ -170,15 +177,16 @@ def test_feasibility_boundary_is_inclusive():
     cfg = tiny_config()
     plan = single_stage_plan()
     hw = small_hw()
-    exact = memory_report(cfg, plan, hw, MemoryPlan()).total_bytes
-    assert memory_report(cfg, plan, hw, MemoryPlan(), capacity=exact).feasible
-    assert not memory_report(cfg, plan, hw, MemoryPlan(), capacity=exact - 1).feasible
+    layout = assign_chunks(cfg, plan)
+    exact = memory_report(cfg, plan, layout, hw, MemoryPlan()).total_bytes
+    assert memory_report(cfg, plan, layout, hw, MemoryPlan(), capacity=exact).feasible
+    assert not memory_report(cfg, plan, layout, hw, MemoryPlan(), capacity=exact - 1).feasible
 
 
 def test_probs_swap_costs_no_time_at_this_scale():
     cfg = tiny_config()
     plan = single_stage_plan()
-    rep = memory_report(cfg, plan, small_hw(), MemoryPlan(swap=frozenset(("probs",))))
+    rep = memory_report(cfg, plan, assign_chunks(cfg, plan), small_hw(), MemoryPlan(swap=frozenset(("probs",))))
     # two transfers of 3 kB hide easily behind the expert matmuls
     assert rep.time_added == 0.0
 
@@ -207,10 +215,11 @@ def test_select_matches_brute_force_ranking():
     plan = single_stage_plan()
     hw = small_hw()
     static = 16 * 13032
+    layout = assign_chunks(cfg, plan)
     for cap in [static + 17_000, static + 70_000, static + 90_000, static + 101_000]:
         want = None
         for mp in candidate_plans():
-            rep = memory_report(cfg, plan, hw, mp, capacity=cap)
+            rep = memory_report(cfg, plan, layout, hw, mp, capacity=cap)
             if not rep.feasible:
                 continue
             names = sorted(rep.plan.recompute | rep.plan.swap)

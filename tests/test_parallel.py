@@ -9,7 +9,6 @@ from moesim.cluster import HardwareDescription
 from moesim.errors import NonDivisibleError, PlanError
 from moesim.model import ModelConfig
 from moesim.parallel import (
-    ChunkWeights,
     ParallelPlan,
     assign_chunks,
     layer_items,
@@ -126,7 +125,7 @@ def test_layer_items_order_and_weights():
         num_mtp_layers=1,
         mla=__import__("moesim").MlaDims(q_rank=12, kv_rank=6, head_dim=4, rope_dim=2),
     )
-    items = layer_items(cfg, ChunkWeights(moe=1.0, dense=0.6, mtp_body=1.05, head_loss=1.5))
+    items = layer_items(cfg)
     assert [name for name, _ in items] == [
         "dense_0",
         "dense_1",
@@ -135,7 +134,7 @@ def test_layer_items_order_and_weights():
         "mtp_0",
         "head_loss",
     ]
-    assert [w for _, w in items] == [0.6, 0.6, 1.0, 1.0, 1.05, 1.5]
+    assert [w for _, w in items] == [1.0, 1.0, 1.0, 1.0, 1.05, 1.5]
 
 
 def test_validate_plan_resolves_dp():

@@ -1,13 +1,17 @@
 """Cost reports for single configurations and design space ranking."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import moesim.memory
+import moesim.search
 from moesim.cluster import HardwareDescription
+from moesim.configio import load_cluster, load_model, load_plan
 from moesim.errors import PlanError
 from moesim.model import DesignSpace, MlaDims, ModelConfig, count_parameters, model_id
-from moesim.parallel import ParallelPlan
+from moesim.parallel import ParallelPlan, assign_chunks
 from moesim.pipeline import build_1f1b_schedule
 from moesim.search import (
     SimulationFeatures,
@@ -64,7 +68,7 @@ def bench_plan():
 def test_chunk_costs_cover_every_chunk():
     cfg = bench_model()
     plan = ParallelPlan(tp=1, pp=2, vpp=1, ep=2, dp=4, cp=1, micro_batch_size=1, global_batch_size=16)
-    costs = chunk_costs_from_model(cfg, plan, bench_cluster())
+    costs = chunk_costs_from_model(cfg, plan, assign_chunks(cfg, plan), bench_cluster())
     assert set(costs) == {(0, 0), (1, 0)}
     for cost in costs.values():
         assert cost.fwd > 0
@@ -74,8 +78,9 @@ def test_chunk_costs_cover_every_chunk():
 def test_chunk_costs_scale_with_load():
     plan = ParallelPlan(tp=1, pp=1, vpp=1, ep=2, dp=8, cp=1, micro_batch_size=1, global_batch_size=16)
     hw = bench_cluster()
-    small = chunk_costs_from_model(bench_model(), plan, hw)[(0, 0)]
-    deep = chunk_costs_from_model(bench_model(num_layers=8), plan, hw)[(0, 0)]
+    small_cfg, deep_cfg = bench_model(), bench_model(num_layers=8)
+    small = chunk_costs_from_model(small_cfg, plan, assign_chunks(small_cfg, plan), hw)[(0, 0)]
+    deep = chunk_costs_from_model(deep_cfg, plan, assign_chunks(deep_cfg, plan), hw)[(0, 0)]
     assert deep.fwd > small.fwd
 
 
@@ -115,7 +120,7 @@ def test_dispatch_events_two_tiers_with_dependency():
     cfg = bench_model()
     plan = ParallelPlan(tp=1, pp=1, vpp=1, ep=2, dp=8, cp=1, micro_batch_size=1, global_batch_size=16)
     schedule = build_1f1b_schedule(1, 1, 1)
-    events = slot_dispatch_events(schedule, cfg, plan, bench_cluster(), "hierarchical")
+    events = slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), bench_cluster(), "hierarchical")
     assert [e.id for e in events] == [
         "disp:fwd:p0:v0:m0:inter",
         "disp:fwd:p0:v0:m0:intra",
@@ -139,14 +144,15 @@ def test_dispatch_events_absent_without_expert_parallelism():
     cfg = bench_model()
     plan = ParallelPlan(tp=1, pp=1, vpp=1, ep=1, dp=8, cp=1, micro_batch_size=1, global_batch_size=16)
     schedule = build_1f1b_schedule(1, 1, 1)
-    assert slot_dispatch_events(schedule, cfg, plan, bench_cluster()) == []
+    assert slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), bench_cluster()) == []
 
 
 def test_dispatch_events_single_node_are_intra_only():
     cfg = bench_model()
     plan = ParallelPlan(tp=1, pp=1, vpp=1, ep=2, dp=4, cp=1, micro_batch_size=1, global_batch_size=16)
     schedule = build_1f1b_schedule(1, 1, 1)
-    events = slot_dispatch_events(schedule, cfg, plan, bench_cluster(num_nodes=1), "hierarchical")
+    layout = assign_chunks(cfg, plan)
+    events = slot_dispatch_events(schedule, cfg, plan, layout, bench_cluster(num_nodes=1), "hierarchical")
     assert [e.id for e in events] == ["disp:fwd:p0:v0:m0:intra", "disp:bwd:p0:v0:m0:intra"]
     assert all(e.resource == "intra_link" for e in events)
     # with no inter phase to wait on, each event waits on the slot's parent
@@ -161,7 +167,8 @@ def test_dispatch_inter_event_group_and_kind(mechanism, group_size, kind):
     # tp=2, ep=2: only allgather spans the whole tp*ep group across nodes
     plan = ParallelPlan(tp=2, pp=1, vpp=1, ep=2, dp=4, cp=1, micro_batch_size=1, global_batch_size=16)
     schedule = build_1f1b_schedule(1, 1, 1)
-    events = slot_dispatch_events(schedule, bench_model(), plan, bench_cluster(), mechanism)
+    cfg = bench_model()
+    events = slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), bench_cluster(), mechanism)
     inter = {e.id: e for e in events}["disp:fwd:p0:v0:m0:inter"]
     assert (inter.resource, inter.group_size, inter.kind) == ("inter_link", group_size, kind)
 
@@ -287,3 +294,76 @@ def test_features_policy_mapping():
     assert policy.decouple_dw is False
     assert policy.host_gmm_first is False
     assert SimulationFeatures().policy().overlap_comm is True
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# repr of the full report for the reference model, cluster and plan at
+# m = 16 (global_batch_size 1536), recorded before the layer layout was
+# passed through the pricing functions
+PINNED_REPORTS = {
+    "hierarchical_host_dispatch": (
+        "CostReport(model='L61d3-h7680-a128-E256x2048-K8s1-mtp1', mode='training',"
+        " step_time=9.074848433901561, tps=1386569.9346551194, mfu=0.29941638708483265,"
+        " bubble_ratio=0.4556065689366674, comm_overlap_rate=0.7054319423369502,"
+        " exposed_comm_time=5.34974549223897,"
+        " memory=MemoryReport(static_bytes=7031414880.0, activation_bytes=50767855616.0,"
+        " capacity_bytes=64000000000.0, feasible=True,"
+        " plan=MemoryPlan(recompute=frozenset(), swap=frozenset(), full_layer=False),"
+        " time_added=0.0))"
+    ),
+    "alltoall_no_decouple_no_gmm_first": (
+        "CostReport(model='L61d3-h7680-a128-E256x2048-K8s1-mtp1', mode='training',"
+        " step_time=10.597547013813182, tps=1187341.9371104492, mfu=0.25639502498829453,"
+        " bubble_ratio=0.5338272272940096, comm_overlap_rate=0.6521100182897576,"
+        " exposed_comm_time=10.790158166400442,"
+        " memory=MemoryReport(static_bytes=7031414880.0, activation_bytes=50767855616.0,"
+        " capacity_bytes=64000000000.0, feasible=True,"
+        " plan=MemoryPlan(recompute=frozenset(), swap=frozenset(), full_layer=False),"
+        " time_added=0.0))"
+    ),
+    "allgather_full_layer": (
+        "CostReport(model='L61d3-h7680-a128-E256x2048-K8s1-mtp1', mode='training',"
+        " step_time=19.611364234278245, tps=641613.293684415, mfu=0.13855019461991328,"
+        " bubble_ratio=0.7252240653742491, comm_overlap_rate=0.2988236388348727,"
+        " exposed_comm_time=105.15646815789631,"
+        " memory=MemoryReport(static_bytes=7031414880.0, activation_bytes=4026531840.0,"
+        " capacity_bytes=64000000000.0, feasible=True,"
+        " plan=MemoryPlan(recompute=frozenset(), swap=frozenset(), full_layer=True),"
+        " time_added=1.6320317936839481))"
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_REPORTS))
+def test_reference_training_report_is_pinned(variant):
+    cfg = load_model(CONFIGS / "model_reference.json")
+    hw = load_cluster(CONFIGS / "cluster_6144.json")
+    plan = replace(load_plan(CONFIGS / "plan_reference.json"), global_batch_size=1536)
+    if variant == "hierarchical_host_dispatch":
+        hw = replace(hw, host_dispatch_time=3e-6)
+        features = SimulationFeatures()
+    elif variant == "alltoall_no_decouple_no_gmm_first":
+        features = SimulationFeatures(
+            dispatch_mechanism="alltoall", decouple_dw=False, host_gmm_first=False
+        )
+    else:
+        features = SimulationFeatures(dispatch_mechanism="allgather", fine_grained_memory=False)
+    assert repr(training_report(cfg, plan, hw, features)) == PINNED_REPORTS[variant]
+
+
+@pytest.mark.parametrize("fine_grained, calls", [(True, 2), (False, 1)])
+def test_training_report_derives_the_layout_once(monkeypatch, fine_grained, calls):
+    """The step derives the layer layout once and the memory plan search
+    once more; every pricing function reuses it."""
+    count = [0]
+
+    def counted(cfg, plan):
+        count[0] += 1
+        return assign_chunks(cfg, plan)
+
+    monkeypatch.setattr(moesim.search, "assign_chunks", counted)
+    monkeypatch.setattr(moesim.memory, "assign_chunks", counted)
+    features = SimulationFeatures(fine_grained_memory=fine_grained)
+    training_report(bench_model(), bench_plan(), bench_cluster(), features)
+    assert count[0] == calls
