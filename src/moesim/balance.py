@@ -11,7 +11,6 @@ placement against a static one.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ import numpy as np
 from .errors import EmptyWindowError, ParseError, SlotMismatchError, ZeroMeanError
 
 TRACE_HEADER = "# moesim-trace v1"
+TRACE_COLUMNS = "step,token,task,experts,scores"
 
 OPTIMIZER_BYTES_PER_PARAM = 14  # bf16 weight + fp32 master + two fp32 moments
 
@@ -81,64 +81,87 @@ class RoutingTrace:
 
     def expert_counts(self, step: int | None = None) -> np.ndarray:
         """Tokens routed to each expert, per step or for one step."""
-        if step is None:
-            out = np.zeros((self.steps, self.num_experts), dtype=np.int64)
-            for s in range(self.steps):
-                out[s] = np.bincount(
-                    self.experts[s].ravel(), minlength=self.num_experts
-                )
-            return out
-        return np.bincount(
-            self.experts[step].ravel(), minlength=self.num_experts
-        )
+        n = self.num_experts
+        if step is not None:
+            return np.bincount(self.experts[step].ravel(), minlength=n)
+        offsets = np.arange(self.steps)[:, None, None] * n
+        return np.bincount((self.experts + offsets).ravel(), minlength=self.steps * n).reshape(self.steps, n)
 
     def save(self, path) -> None:
+        """One row per (step, token) in order; ids and scores space-separated,
+        scores as `repr(float)`, rows ending in CRLF."""
+        rows = (
+            f"{s},{t},{task},{' '.join(map(str, ids))},{' '.join(map(repr, weights))}\r\n"
+            for s in range(self.steps)
+            for t, (task, ids, weights) in enumerate(
+                zip(self.tasks[s].tolist(), self.experts[s].tolist(), self.scores[s].tolist())
+            )
+        )
         with open(path, "w", newline="") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            fh.write(f"# num_experts={self.num_experts}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["step", "token", "task", "experts", "scores"])
-            for s in range(self.steps):
-                for t in range(self.tokens_per_step):
-                    writer.writerow(
-                        [
-                            s,
-                            t,
-                            int(self.tasks[s, t]),
-                            " ".join(str(int(e)) for e in self.experts[s, t]),
-                            " ".join(repr(float(x)) for x in self.scores[s, t]),
-                        ]
-                    )
+            fh.write(f"{TRACE_HEADER}\n# num_experts={self.num_experts}\n{TRACE_COLUMNS}\r\n")
+            fh.writelines(rows)
 
     @staticmethod
     def load(path) -> "RoutingTrace":
+        """Read a trace `save` wrote. Rejects, naming the first bad step and
+        token: missing, repeated or out-of-order rows, rows whose id and score
+        columns do not all hold the same k >= 1 values, step, token, task or
+        expert fields that are not integers in [0, 2**53), and scores that
+        are not finite or do not sum to 1 within 1e-6."""
         with open(path, newline="") as fh:
             first = fh.readline().rstrip("\n")
             if first != TRACE_HEADER:
-                raise ParseError(f"not a routing trace file: header {first!r}")
+                raise ParseError(f"{path}: not a routing trace file: header {first!r}")
             meta = fh.readline().rstrip("\n")
             if not meta.startswith("# num_experts="):
-                raise ParseError("missing num_experts line")
+                raise ParseError(f"{path}: missing num_experts line")
             num_experts = int(meta.split("=", 1)[1])
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["step", "token", "task", "experts", "scores"]:
-                raise ParseError("unexpected trace columns")
-            rows = list(reader)
+            if fh.readline().rstrip("\r\n") != TRACE_COLUMNS:
+                raise ParseError(f"{path}: unexpected trace columns")
+            rows = fh.read().splitlines()
         if not rows:
-            raise ParseError("trace has no rows")
-        steps = int(rows[-1][0]) + 1
-        tokens = int(rows[-1][1]) + 1
-        k = len(rows[0][3].split())
-        experts = np.zeros((steps, tokens, k), dtype=np.int64)
-        scores = np.zeros((steps, tokens, k), dtype=np.float64)
-        tasks = np.zeros((steps, tokens), dtype=np.int64)
-        for row in rows:
-            s, t = int(row[0]), int(row[1])
-            tasks[s, t] = int(row[2])
-            experts[s, t] = [int(x) for x in row[3].split()]
-            scores[s, t] = [float(x) for x in row[4].split()]
-        return RoutingTrace(num_experts, experts, scores, tasks)
+            raise ParseError(f"{path}: trace has no rows")
+
+        def reject(i, problem):
+            where = "step {} token {}".format(*(rows[i].split(",") + ["?", "?"])[:2]) if i < len(rows) else "end"
+            raise ParseError(f"{path}: {where}: {problem}")
+
+        def count(sub, *span):
+            return np.fromiter(map(str.count, rows, itertools.repeat(sub), *span), np.int64, len(rows))
+
+        # A row with k ids and k scores has 4 commas and 2 (k - 1) spaces,
+        # k - 1 of them after the last comma, among the scores.
+        score_gaps = count(" ", map(str.rfind, rows, itertools.repeat(",")))
+        k = int(score_gaps[0]) + 1
+        ragged = (count(",") != 4) | (count(" ") != 2 * (k - 1)) | (score_gaps != k - 1)
+        if ragged.any():
+            reject(int(ragged.argmax()), f"expected 5 columns with {k} expert ids and {k} scores")
+        spaced = map(str.replace, rows, itertools.repeat(" "), itertools.repeat(","))
+        try:
+            table = np.loadtxt(spaced, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+        ids, scores = table[:, : 3 + k], table[:, 3 + k :]
+        bad = ~((ids >= 0) & (ids < 2**53) & (ids == np.floor(ids))).all(axis=1)
+        if bad.any():
+            reject(int(bad.argmax()), "step, token, task and expert ids must be integers in [0, 2**53)")
+        ids = ids.astype(np.int64)
+        steps, tokens = (int(x) + 1 for x in ids[:, :2].max(axis=0))
+        cell = np.arange(len(rows))
+        bad = (ids[:, 0] != cell // tokens) | (ids[:, 1] != cell % tokens)
+        if bad.any() or len(rows) != steps * tokens:
+            i = int(bad.argmax()) if bad.any() else len(rows)
+            due = f"step {i // tokens} token {i % tokens}"
+            reject(i, f"rows must hold each step and token once, in order; {due} is due")
+        bad = ~(np.abs(scores.sum(axis=1) - 1.0) <= 1e-6)
+        if bad.any():
+            reject(int(bad.argmax()), "scores must be finite and sum to 1")
+        return RoutingTrace(
+            num_experts,
+            ids[:, 3:].reshape(steps, tokens, k),
+            scores.reshape(steps, tokens, k),
+            ids[:, 2].reshape(steps, tokens),
+        )
 
 
 def generate_trace(spec: TraceSpec, seed: int = 0) -> RoutingTrace:
@@ -517,29 +540,26 @@ class BalanceRunResult:
 
 
 def run_balance_simulation(
-    spec: TraceSpec,
+    trace: RoutingTrace,
     num_devices: int,
     replan_interval: int = 1,
     history_window: int = 1,
-    seed: int = 0,
     bytes_per_expert: float = 0.0,
 ) -> BalanceRunResult:
     """Replay a trace against a static placement and a managed one that
     replans from recent load history every `replan_interval` steps."""
-    if spec.num_experts % num_devices != 0:
-        raise SlotMismatchError(
-            f"{spec.num_experts} experts do not split evenly over {num_devices} devices"
-        )
-    slots = spec.num_experts // num_devices
-    trace = generate_trace(spec, seed)
+    n = trace.num_experts
+    if n % num_devices != 0:
+        raise SlotMismatchError(f"{n} experts do not split evenly over {num_devices} devices")
+    slots = n // num_devices
     counts = trace.expert_counts()
-    static = contiguous_placement(spec.num_experts, num_devices)
+    static = contiguous_placement(n, num_devices)
     managed = static.copy()
-    static_cv = np.zeros(spec.steps)
-    managed_cv = np.zeros(spec.steps)
+    static_cv = np.zeros(trace.steps)
+    managed_cv = np.zeros(trace.steps)
     replans = []
     swap_total = 0.0
-    for s in range(spec.steps):
+    for s in range(trace.steps):
         if s > 0 and s % replan_interval == 0:
             pred = predict_loads(counts[:s], history_window)
             placed = greedy_place(

@@ -31,29 +31,6 @@ from .search import SimulationFeatures, inference_report, search_space, training
 CSV_HEADER = "# moesim-csv v1"
 
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    model: str | None = None
-    cluster: str | None = None
-    plan: str | None = None
-    space: str | None = None
-    trace: str | None = None
-    spec: str | None = None
-    out: str | None = None
-    mode: str = "training"
-    batch: int | None = None
-    top: int | None = None
-    workers: int = 1
-    seed: int = 0
-    devices: int = 8
-    interval: int = 1
-    window: int = 1
-    save_trace: str | None = None
-    dispatch: str = "hierarchical"
-    no_overlap: bool = False
-
-
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -78,21 +55,21 @@ def _write_json(path: str, payload) -> None:
         fh.write(text)
 
 
-def _features(manifest: RunManifest) -> SimulationFeatures:
-    if manifest.no_overlap:
+def _features(args: argparse.Namespace) -> SimulationFeatures:
+    if args.no_overlap:
         return SimulationFeatures(
             comm_overlap=False,
             decouple_dw=False,
             host_gmm_first=False,
-            dispatch_mechanism=manifest.dispatch,
+            dispatch_mechanism=args.dispatch,
         )
-    return SimulationFeatures(dispatch_mechanism=manifest.dispatch)
+    return SimulationFeatures(dispatch_mechanism=args.dispatch)
 
 
-def _cmd_validate(manifest: RunManifest) -> int:
-    cfg = load_model(manifest.model)
-    hw = load_cluster(manifest.cluster)
-    plan = load_plan(manifest.plan)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    cfg = load_model(args.model)
+    hw = load_cluster(args.cluster)
+    plan = load_plan(args.plan)
     check = validate_plan(plan, cfg, hw)
     if not check.ok:
         for err in check.errors:
@@ -104,24 +81,23 @@ def _cmd_validate(manifest: RunManifest) -> int:
         f"dp={r.dp} micro_batch_size={r.micro_batch_size} "
         f"world={hw.world_size}"
     )
-    if manifest.out:
-        _write_json(manifest.out, {"ok": True, "plan": r})
+    if args.out:
+        _write_json(args.out, {"ok": True, "plan": r})
     return 0
 
 
-def _cmd_simulate(manifest: RunManifest) -> int:
-    cfg = load_model(manifest.model)
-    hw = load_cluster(manifest.cluster)
-    features = _features(manifest)
-    if manifest.mode == "inference":
-        report = inference_report(cfg, hw, batch=manifest.batch, features=features)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    cfg = load_model(args.model)
+    hw = load_cluster(args.cluster)
+    if args.mode == "inference":
+        report = inference_report(cfg, hw) if args.batch is None else inference_report(cfg, hw, args.batch)
         print(f"model {report.model}")
         print(f"decode step {report.step_time:.6f} s")
         print(f"tokens/s {report.tps:.6e}")
         print(f"mfu {report.mfu:.4f}")
     else:
-        plan = load_plan(manifest.plan)
-        report = training_report(cfg, plan, hw, features)
+        plan = load_plan(args.plan)
+        report = training_report(cfg, plan, hw, _features(args))
         print(f"model {report.model}")
         print(f"step {report.step_time:.6f} s")
         print(f"tokens/s {report.tps:.6e}")
@@ -133,8 +109,8 @@ def _cmd_simulate(manifest: RunManifest) -> int:
             f"memory {mem.total_bytes / 1e9:.2f} GB of {mem.capacity_bytes / 1e9:.2f} GB, "
             f"plan [{', '.join(sorted(mem.plan.recompute | mem.plan.swap)) or 'none'}]"
         )
-    if manifest.out:
-        _write_json(manifest.out, report)
+    if args.out:
+        _write_json(args.out, report)
     return 0
 
 
@@ -144,18 +120,18 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _cmd_search(manifest: RunManifest) -> int:
-    space = load_space(manifest.space)
-    hw = load_cluster(manifest.cluster)
-    plan = load_plan(manifest.plan)
+def _cmd_search(args: argparse.Namespace) -> int:
+    space = load_space(args.space)
+    hw = load_cluster(args.cluster)
+    plan = load_plan(args.plan)
     outcome = search_space(
         space,
         plan,
         hw,
-        features=_features(manifest),
-        mode=manifest.mode if manifest.mode in ("both", "training", "inference") else "both",
-        top=manifest.top,
-        workers=manifest.workers,
+        features=_features(args),
+        mode=args.mode,
+        top=args.top,
+        workers=args.workers,
     )
     for i, cand in enumerate(outcome.ranked, start=1):
         t = f"train {cand.training.tps:.3e} tok/s" if cand.training else ""
@@ -164,9 +140,9 @@ def _cmd_search(manifest: RunManifest) -> int:
         print(f"{i:3d}. {cand.model} score {cand.score:.4f} {parts}")
     for name, reason in outcome.skipped:
         print(f"skipped {name}: {reason}")
-    if manifest.out:
-        _write_json(manifest.out, outcome)
-        csv_path = manifest.out[: -len(".json")] + ".csv" if manifest.out.endswith(".json") else manifest.out + ".csv"
+    if args.out:
+        _write_json(args.out, outcome)
+        csv_path = args.out[: -len(".json")] + ".csv" if args.out.endswith(".json") else args.out + ".csv"
         rows = [
             CSV_HEADER,
             "rank,model,score,train_tps,train_mfu,train_step_time,inference_tps,inference_mfu",
@@ -196,24 +172,23 @@ def _cmd_search(manifest: RunManifest) -> int:
     return 0
 
 
-def _cmd_balance(manifest: RunManifest) -> int:
-    spec = load_trace_spec(manifest.spec)
+def _cmd_balance(args: argparse.Namespace) -> int:
+    trace = generate_trace(load_trace_spec(args.spec), args.seed)
     result = run_balance_simulation(
-        spec,
-        manifest.devices,
-        replan_interval=manifest.interval,
-        history_window=manifest.window,
-        seed=manifest.seed,
+        trace,
+        args.devices,
+        replan_interval=args.interval,
+        history_window=args.window,
     )
     print(f"static mean cv  {result.static_cv.mean():.4f}")
     print(f"managed mean cv {result.managed_cv.mean():.4f}")
     print(f"cv reduction    {result.mean_cv_reduction:.4f}")
     print(f"replans         {len(result.replan_steps)}")
-    if manifest.save_trace:
-        generate_trace(spec, manifest.seed).save(manifest.save_trace)
-    if manifest.out:
+    if args.save_trace:
+        trace.save(args.save_trace)
+    if args.out:
         _write_json(
-            manifest.out,
+            args.out,
             {
                 "static_mean_cv": float(result.static_cv.mean()),
                 "managed_mean_cv": float(result.managed_cv.mean()),
@@ -226,8 +201,8 @@ def _cmd_balance(manifest: RunManifest) -> int:
     return 0
 
 
-def _cmd_trace_stats(manifest: RunManifest) -> int:
-    trace = RoutingTrace.load(manifest.trace)
+def _cmd_trace_stats(args: argparse.Namespace) -> int:
+    trace = RoutingTrace.load(args.trace)
     loss = aux_loss(trace)
     stats = trace_statistics(trace)
     counts = trace.expert_counts().sum(axis=0)
@@ -235,9 +210,9 @@ def _cmd_trace_stats(manifest: RunManifest) -> int:
     print(f"experts {trace.num_experts}")
     print(f"aux loss {loss.mean_loss:.6f}")
     print(f"hottest expert share {counts.max() / counts.sum():.4f} (uniform {stats.uniform_share:.4f})")
-    if manifest.out:
+    if args.out:
         _write_json(
-            manifest.out,
+            args.out,
             {
                 "aux_loss": loss.mean_loss,
                 "expert_token_counts": counts,
@@ -255,17 +230,6 @@ _COMMANDS = {
     "balance": _cmd_balance,
     "trace-stats": _cmd_trace_stats,
 }
-
-
-def run(manifest: RunManifest) -> int:
-    try:
-        return _COMMANDS[manifest.command](manifest)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MoesimError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,17 +281,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    fields = {f.name for f in dataclasses.fields(RunManifest)}
-    data = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return RunManifest(**data)
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "simulate" and args.mode == "training" and not args.plan:
-        build_parser().error("simulate --mode training requires --plan")
-    return run(manifest_from_args(args))
+        parser.error("simulate --mode training requires --plan")
+    try:
+        return _COMMANDS[args.command](args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MoesimError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ referenced from CommEvent dependencies and ``feeds``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import engine
 from .cluster import CommGroup, HardwareDescription, collective_time
@@ -207,62 +207,69 @@ def simulate_timeline(
     v = 1 + max((sl.vpp_stage for slots in schedule for sl in slots), default=0)
     host_time = hw.host_dispatch_time if hw is not None else 0.0
 
-    # Every device runs one program, cut into segments keyed
-    # (device, slot index, side): side 0 holds the comm events spliced in
-    # before the slot, side 1 the slot's compute tasks, side 2 the comm
-    # events spliced in after it. The tail segment follows every slot.
-    segments = {}
-    tasks = []
+    def parts_of(sl):
+        return _slot_parts(sl.phase, chunk_costs[(sl.pp_stage, sl.vpp_stage)], policy, host_time > 0)
+
     # slot id -> (first task id, task id downstream deps wait on, device, slot index)
     anchors = {}
     for s, slots in enumerate(schedule):
         for idx, sl in enumerate(slots):
             sid = slot_id(sl)
-            cost = chunk_costs[(sl.pp_stage, sl.vpp_stage)]
-            parts = _slot_parts(sl.phase, cost, policy, host_time > 0)
-            ids = []
-            for suffix, dur, kind, sync in parts:
-                ids.append(sid + suffix)
+            parts = parts_of(sl)
+            # Downstream work never waits on a deferred weight gradient.
+            wait = parts[-2][0] if parts[-1][2] == "bwd_dw" else parts[-1][0]
+            anchors[sid] = (sid + parts[0][0], sid + wait, s, idx)
+
+    feeders = {}  # task id -> comm events that feed it, in event order
+    for ev in comm_events:
+        if ev.feeds is not None:
+            target = anchors[ev.feeds][0] if ev.feeds in anchors else ev.feeds
+            feeders.setdefault(target, []).append(ev.id)
+
+    # Every device runs one program, cut into segments keyed
+    # (device, slot index, side): side 0 holds the comm events spliced in
+    # before the slot, side 1 the slot's compute tasks, side 2 the comm
+    # events spliced in after it. The tail segment follows every slot.
+    # Each task is built once, with all its deps. Deriving the slot parts
+    # again keeps them out of memory while the engine runs.
+    segments = {}
+    tasks = []
+    for s, slots in enumerate(schedule):
+        for idx, sl in enumerate(slots):
+            sid = slot_id(sl)
+            parent = dataflow_parent(sl, p, v)
+            upstream = anchors.get(slot_id(parent)) if parent is not None else None
+            parts = parts_of(sl)
+            ids = [sid + suffix for suffix, _, _, _ in parts]
+            for tid, (_, dur, kind, sync) in zip(ids, parts):
+                deps = (upstream[1],) if upstream is not None and tid == ids[0] else ()
                 tasks.append(
                     engine.Task(
-                        sid + suffix,
+                        tid,
                         device=s,
                         resources=("compute",),
                         duration=dur,
+                        deps=deps + tuple(feeders.get(tid, ())),
                         kind=kind,
                         host_time=host_time,
                         sync_host=sync,
                     )
                 )
-            # Downstream work never waits on a deferred weight gradient.
-            wait = ids[-2] if parts[-1][2] == "bwd_dw" else ids[-1]
-            anchors[sid] = (ids[0], wait, s, idx)
             segments[(s, idx, 1)] = ids
 
-    extra_deps = {}  # task id -> ids it waits on beyond its own deps
-    for slots in schedule:
-        for sl in slots:
-            parent = dataflow_parent(sl, p, v)
-            if parent is not None and slot_id(parent) in anchors:
-                first = anchors[slot_id(sl)][0]
-                extra_deps.setdefault(first, []).append(anchors[slot_id(parent)][1])
-
-    comm_tasks = []
-    for ev in comm_events:
-        comm_tasks.append(
-            engine.Task(
-                ev.id,
-                device=ev.device,
-                resources=(ev.resource,) if policy.overlap_comm else ("compute", ev.resource),
-                duration=_comm_seconds(ev, hw),
-                deps=tuple(anchors[d][1] if d in anchors else d for d in ev.dependencies),
-                kind="comm",
-                host_time=host_time,
-            )
+    comm_tasks = [
+        engine.Task(
+            ev.id,
+            device=ev.device,
+            resources=(ev.resource,) if policy.overlap_comm else ("compute", ev.resource),
+            duration=_comm_seconds(ev, hw),
+            deps=tuple(anchors[d][1] if d in anchors else d for d in ev.dependencies)
+            + tuple(feeders.get(ev.id, ())),
+            kind="comm",
+            host_time=host_time,
         )
-        if ev.feeds is not None:
-            target = anchors[ev.feeds][0] if ev.feeds in anchors else ev.feeds
-            extra_deps.setdefault(target, []).append(ev.id)
+        for ev in comm_events
+    ]
 
     def segment(ev):
         """Just before the same-device slot the event feeds, else just after
@@ -298,10 +305,7 @@ def simulate_timeline(
     for (dev, _, _), ids in sorted(segments.items()):
         programs.setdefault(dev, []).extend(ids)
 
-    all_tasks = [
-        replace(t, deps=t.deps + tuple(extra_deps[t.id])) if t.id in extra_deps else t
-        for t in tasks + comm_tasks
-    ]
+    all_tasks = tasks + comm_tasks
     # Each serial resource runs its share of the program in program order;
     # the host launches the whole program in that order.
     resources = {t.id: t.resources for t in all_tasks}

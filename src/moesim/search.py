@@ -42,7 +42,6 @@ class SimulationFeatures:
     fine_grained_memory: bool = True
     host_gmm_first: bool = True
     dispatch_mechanism: str = "hierarchical"
-    inference_batch: int = 4096
 
     def policy(self) -> OverlapPolicy:
         return OverlapPolicy(
@@ -241,8 +240,7 @@ def training_report(
 def inference_report(
     cfg: ModelConfig,
     hw: HardwareDescription,
-    batch: int | None = None,
-    features: SimulationFeatures | None = None,
+    batch: int = 4096,
 ) -> CostReport:
     """Cluster-level decode roofline: batched single-token steps.
 
@@ -250,8 +248,6 @@ def inference_report(
     compressed per-token cache; traffic is one sweep of the weights plus
     the cache reads. The slower of the two bounds sets the step time.
     """
-    features = features or SimulationFeatures()
-    b = batch if batch is not None else features.inference_batch
     params = count_parameters(cfg)
     ctx = cfg.seq_len
     heads = cfg.num_attention_heads
@@ -259,12 +255,12 @@ def inference_report(
     attn_flops_tok = 2.0 * heads * (mla.kv_rank + mla.rope_dim) * ctx + 2.0 * heads * mla.kv_rank * ctx
     flops_tok = 2.0 * params.activated_matmul + attn_flops_tok * cfg.num_layers
     weight_bytes = params.total * cfg.dtype_bytes
-    cache_bytes = float(b) * cfg.num_layers * ctx * (mla.kv_rank + mla.rope_dim) * cfg.dtype_bytes
+    cache_bytes = float(batch) * cfg.num_layers * ctx * (mla.kv_rank + mla.rope_dim) * cfg.dtype_bytes
     peak = hw.world_size * hw.peak_for_dtype_bytes(cfg.dtype_bytes) * hw.matmul_efficiency
     bw = hw.world_size * hw.hbm_bandwidth
-    step = max(b * flops_tok / peak, (weight_bytes + cache_bytes) / bw)
-    tps = b / step
-    mfu = b * flops_tok / (step * hw.world_size * hw.peak_for_dtype_bytes(cfg.dtype_bytes))
+    step = max(batch * flops_tok / peak, (weight_bytes + cache_bytes) / bw)
+    tps = batch / step
+    mfu = batch * flops_tok / (step * hw.world_size * hw.peak_for_dtype_bytes(cfg.dtype_bytes))
     return CostReport(
         model=model_id(cfg),
         mode="inference",
@@ -296,7 +292,7 @@ def _score_one(args):
     name = model_id(cfg)
     try:
         train = training_report(cfg, plan, hw, features) if mode in ("both", "training") else None
-        infer = inference_report(cfg, hw, features=features) if mode in ("both", "inference") else None
+        infer = inference_report(cfg, hw) if mode in ("both", "inference") else None
         return (name, train, infer, None)
     except MoesimError as exc:
         return (name, None, None, f"{type(exc).__name__}: {exc}")
@@ -308,7 +304,6 @@ def search_space(
     hw: HardwareDescription,
     features: SimulationFeatures | None = None,
     mode: str = "both",
-    weights: tuple = (0.5, 0.5),
     top: int | None = None,
     workers: int = 1,
 ) -> SearchOutcome:
@@ -316,7 +311,7 @@ def search_space(
 
     Candidates whose plan or memory is infeasible are collected with the
     failure reason instead of aborting the search. Ranking normalizes each
-    axis to the best candidate so the weights compare like with like; ties
+    axis to the best candidate and weighs the two 0.5 each; ties
     break on the model id, making the order total and deterministic.
     """
     if mode not in ("both", "training", "inference"):
@@ -337,14 +332,13 @@ def search_space(
 
     max_train = max((t.tps for _, t, _ in scored if t), default=0.0)
     max_inf = max((i.tps for _, _, i in scored if i), default=0.0)
-    w_train, w_inf = weights
     ranked = []
     for name, train, infer in scored:
         score = 0.0
         if train and max_train > 0:
-            score += w_train * train.tps / max_train
+            score += 0.5 * train.tps / max_train
         if infer and max_inf > 0:
-            score += w_inf * infer.tps / max_inf
+            score += 0.5 * infer.tps / max_inf
         if mode == "training" and max_train > 0:
             score = train.tps / max_train
         elif mode == "inference" and max_inf > 0:

@@ -219,7 +219,7 @@ def test_c05_placement_optimality_and_replanning_benchmark():
     spec = load_trace_spec(str(CONFIGS / "balance_demo.json"))
     assert (spec.num_experts, spec.steps, spec.top_k) == (64, 200, 8)
     assert (spec.concentration, spec.autocorr) == (0.3, 0.9)
-    result = run_balance_simulation(spec, 8, seed=0)
+    result = run_balance_simulation(generate_trace(spec, 0), 8)
     assert result.mean_cv_reduction >= 0.50
     print(
         f"replanning cut mean device-load CV by {result.mean_cv_reduction:.1%} "

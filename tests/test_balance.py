@@ -1,11 +1,17 @@
 """Routing traces, balance metrics, placement, and the replanning loop."""
 
+import csv
 import itertools
 import math
 import random
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moesim.balance import (
     AuxLossReport,
@@ -26,6 +32,7 @@ from moesim.balance import (
     run_balance_simulation,
     trace_statistics,
 )
+from moesim.cli import main
 from moesim.errors import EmptyWindowError, ParseError, SlotMismatchError, ZeroMeanError
 
 
@@ -315,6 +322,130 @@ def test_trace_load_rejects_foreign_file(tmp_path):
         RoutingTrace.load(path)
 
 
+def reference_save(trace, path):
+    """The csv.writer loop `RoutingTrace.save` replaced, kept as its byte oracle."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# moesim-trace v1" + "\n")
+        fh.write(f"# num_experts={trace.num_experts}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["step", "token", "task", "experts", "scores"])
+        for s in range(trace.steps):
+            for t in range(trace.tokens_per_step):
+                writer.writerow(
+                    [
+                        s,
+                        t,
+                        int(trace.tasks[s, t]),
+                        " ".join(str(int(e)) for e in trace.experts[s, t]),
+                        " ".join(repr(float(x)) for x in trace.scores[s, t]),
+                    ]
+                )
+
+
+@st.composite
+def routing_traces(draw):
+    steps, tokens, k = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    n = draw(st.integers(k, 12))
+    cells = steps * tokens
+    experts = draw(st.lists(st.integers(0, n - 1), min_size=cells * k, max_size=cells * k))
+    tasks = draw(st.lists(st.integers(0, 5), min_size=cells, max_size=cells))
+    # Weights spanning subnormals to 1, one of them lifted so no row is all zero.
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=cells * k, max_size=cells * k))).reshape(cells, k)
+    raw[np.arange(cells), draw(st.lists(st.integers(0, k - 1), min_size=cells, max_size=cells))] += 1.0
+    scores = raw / raw.sum(axis=1, keepdims=True)
+    return RoutingTrace(
+        n,
+        np.array(experts, dtype=np.int64).reshape(steps, tokens, k),
+        scores.reshape(steps, tokens, k),
+        np.array(tasks, dtype=np.int64).reshape(steps, tokens),
+    )
+
+
+@settings(database=None, derandomize=True, max_examples=80, deadline=None)
+@given(routing_traces())
+def test_trace_save_matches_csv_writer_and_loads_back_exactly(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, oracle = Path(tmp) / "ours.csv", Path(tmp) / "oracle.csv"
+        trace.save(ours)
+        reference_save(trace, oracle)
+        assert ours.read_bytes() == oracle.read_bytes()
+        back = RoutingTrace.load(ours)
+    assert back.num_experts == trace.num_experts
+    for name in ("experts", "scores", "tasks"):
+        got, want = getattr(back, name), getattr(trace, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_expert_counts_match_per_step_bincount():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        steps, tokens, k = rng.integers(1, 6), rng.integers(1, 40), rng.integers(1, 5)
+        n = int(rng.integers(k, 20))
+        experts = rng.integers(0, n, size=(steps, tokens, k))
+        trace = RoutingTrace(n, experts, np.full(experts.shape, 1.0 / k), np.zeros((steps, tokens), dtype=np.int64))
+        counts = trace.expert_counts()
+        assert counts.shape == (steps, n)
+        for s in range(steps):
+            assert np.array_equal(counts[s], np.bincount(experts[s].ravel(), minlength=n))
+            assert np.array_equal(trace.expert_counts(s), counts[s])
+
+
+# A 2-step, 3-token, k = 2 trace body and edits that each break one rule.
+GOOD_ROWS = [
+    "0,0,0,0 1,0.5 0.5",
+    "0,1,1,2 3,0.25 0.75",
+    "0,2,0,1 2,0.5 0.5",
+    "1,0,0,3 0,0.5 0.5",
+    "1,1,1,0 2,0.5 0.5",
+    "1,2,0,1 3,0.5 0.5",
+]
+BAD_BODIES = {
+    "missing row": (GOOD_ROWS[:1] + GOOD_ROWS[2:], "step 0 token 2: .*step 0 token 1 is due"),
+    "missing last row": (GOOD_ROWS[:-1], "end: .*step 1 token 2 is due"),
+    "repeated row": (GOOD_ROWS[:2] + GOOD_ROWS[1:], "step 0 token 1: .*step 0 token 2 is due"),
+    "out-of-order rows": ([GOOD_ROWS[1], GOOD_ROWS[0]] + GOOD_ROWS[2:], "step 0 token 1: .*step 0 token 0 is due"),
+    "ragged k": (GOOD_ROWS[:4] + ["1,1,1,0 2 3,0.5 0.25 0.25"] + GOOD_ROWS[5:], "step 1 token 1: .*2 expert ids and 2 scores"),
+    "ids and scores of unequal k": (GOOD_ROWS[:4] + ["1,1,1,0 2 3,1.0"] + GOOD_ROWS[5:], "step 1 token 1: .*2 expert ids"),
+    "non-integer expert id": (GOOD_ROWS[:2] + ["0,2,0,1.5 2,0.5 0.5"] + GOOD_ROWS[3:], "step 0 token 2: .*integers"),
+    "inf in the step column": (GOOD_ROWS[:3] + ["inf,0,0,3 0,0.5 0.5"] + GOOD_ROWS[4:], "step inf token 0: .*integers"),
+    "negative task": (GOOD_ROWS[:1] + ["0,1,-1,2 3,0.25 0.75"] + GOOD_ROWS[2:], "step 0 token 1: .*integers"),
+    "nan score": (GOOD_ROWS[:5] + ["1,2,0,1 3,nan 0.5"], "step 1 token 2: .*finite and sum to 1"),
+    "scores summing to 0.9": (GOOD_ROWS[:1] + ["0,1,1,2 3,0.25 0.65"] + GOOD_ROWS[2:], "step 0 token 1: .*sum to 1"),
+    "text in a field": (GOOD_ROWS[:1] + ["0,1,x,2 3,0.25 0.75"] + GOOD_ROWS[2:], "could not convert"),
+    "empty body": ([], "trace has no rows"),
+}
+
+
+def write_rows(path, rows):
+    head = "# moesim-trace v1\n# num_experts=4\nstep,token,task,experts,scores\r\n"
+    path.write_bytes((head + "".join(row + "\r\n" for row in rows)).encode())
+    return path
+
+
+def test_trace_load_reads_the_unbroken_rows(tmp_path):
+    trace = RoutingTrace.load(write_rows(tmp_path / "trace.csv", GOOD_ROWS))
+    assert (trace.steps, trace.tokens_per_step, trace.top_k, trace.num_experts) == (2, 3, 2, 4)
+    assert trace.experts[1, 0].tolist() == [3, 0]
+    assert trace.scores[0, 1].tolist() == [0.25, 0.75]
+    assert trace.tasks.tolist() == [[0, 1, 0], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("case", list(BAD_BODIES))
+def test_trace_load_rejects_malformed_rows(tmp_path, capsys, case):
+    rows, message = BAD_BODIES[case]
+    path = write_rows(tmp_path / "trace.csv", rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=message) as info:
+            RoutingTrace.load(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert main(["trace-stats", "--trace", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_trace_statistics_hand_case():
     trace = make_trace([(0, 1), (0, 2)], num_experts=3)
     stats = trace_statistics(trace)
@@ -331,7 +462,7 @@ def test_replanning_tracks_a_drifting_trace():
         num_experts=32, tokens_per_step=1024, steps=60, top_k=4,
         concentration=0.3, autocorr=0.9,
     )
-    res = run_balance_simulation(spec, num_devices=8, seed=0, bytes_per_expert=384.0)
+    res = run_balance_simulation(generate_trace(spec, 0), num_devices=8, bytes_per_expert=384.0)
     assert res.mean_cv_reduction > 0.4
     assert res.managed_cv.mean() < res.static_cv.mean()
     assert len(res.replan_steps) > 0
@@ -343,7 +474,7 @@ def test_replanning_tracks_a_drifting_trace():
 def test_replanning_requires_even_expert_split():
     spec = TraceSpec(num_experts=10, tokens_per_step=16, steps=2, top_k=2)
     with pytest.raises(SlotMismatchError):
-        run_balance_simulation(spec, num_devices=4)
+        run_balance_simulation(generate_trace(spec, 0), num_devices=4)
 
 
 def test_spec_validation():

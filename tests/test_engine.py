@@ -2,21 +2,14 @@
 dispatch case, properties on random DAGs, and `overlap_with`."""
 
 import random
-import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
-from hypothesis import configuration, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moesim.engine import Task, overlap_with, run_tasks
 from moesim.errors import DeadlockError
-
-# Even with no example database, Hypothesis caches the constants it finds in
-# local source files under its home directory, `.hypothesis/` in the working
-# directory by default. It does so while pytest collects, hence at import.
-configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "moesim-hypothesis")
 
 
 def compute(tid, device=0, duration=1.0, **kw):

@@ -188,6 +188,28 @@ def test_comm_fully_hidden_behind_backward():
     assert rep.exposed_comm_time == pytest.approx(0.0, abs=1e-15)
 
 
+def test_task_deps_are_own_then_dataflow_parent_then_feeding_events():
+    """A slot's first task waits on its dataflow parent, then on the events
+    feeding it in event order; an event waits on its own dependencies, then
+    on the events feeding it. Later tasks of a slot get no dataflow dep."""
+    sched = build_1f1b_schedule(2, 1, 1)
+    costs = uniform_chunk_costs(2, 1, 1e-3, 2e-3)
+
+    def event(eid, deps, device, feeds):
+        return CommEvent(eid, "p2p", "inter_link", 1e3, dependencies=deps, device=device, feeds=feeds)
+
+    events = [
+        event("b", ("fwd:p0:v0:m0",), 1, "fwd:p1:v0:m0"),
+        event("a", ("fwd:p0:v0:m0",), 1, "fwd:p1:v0:m0"),
+        event("c", ("fwd:p0:v0:m0",), 0, "a"),
+    ]
+    tasks = simulate_timeline(sched, costs, events, hw=flat_cluster()).timeline.tasks
+    assert tasks["fwd:p1:v0:m0"].deps == ("fwd:p0:v0:m0", "b", "a")
+    assert tasks["a"].deps == ("fwd:p0:v0:m0", "c")
+    assert tasks["bwd:p0:v0:m0:dx"].deps == ("bwd:p1:v0:m0:dx",)
+    assert tasks["bwd:p0:v0:m0:dw"].deps == ()
+
+
 def test_comm_serialized_is_fully_exposed():
     rep = hidden_comm_case(SERIALIZED)
     assert rep.step_time == pytest.approx(14e-3, abs=1e-12)
