@@ -7,7 +7,6 @@ from .balance import (
     BalanceRunResult,
     DropStats,
     Placement,
-    RebalanceController,
     RoutingTrace,
     TraceSpec,
     TraceStats,
@@ -15,7 +14,6 @@ from .balance import (
     balance_window_tokens,
     capacity_drop_stats,
     contiguous_placement,
-    controller_replan_steps,
     device_load_stats,
     generate_trace,
     greedy_place,

@@ -59,6 +59,8 @@ class RoutingTrace:
     tasks: np.ndarray  # (steps, tokens) int
 
     def __post_init__(self):
+        if self.experts.ndim != 3 or not self.experts.shape[2]:
+            raise ValueError("experts must be a (steps, tokens, k >= 1) array")
         if self.experts.shape != self.scores.shape:
             raise ValueError("experts and scores shapes differ")
         if self.tasks.shape != self.experts.shape[:2]:
@@ -66,6 +68,14 @@ class RoutingTrace:
         if self.experts.size and (self.experts.min() < 0 or self.experts.max() >= self.num_experts):
             bad = self.experts[(self.experts < 0) | (self.experts >= self.num_experts)][0]
             raise ValueError(f"expert id {bad} outside [0, num_experts={self.num_experts})")
+        if self.tasks.size and self.tasks.min() < 0:
+            raise ValueError(f"task id {self.tasks.min()} is negative")
+        repeated = np.zeros(self.tasks.shape, dtype=bool)
+        for a, b in itertools.combinations(range(self.top_k), 2):
+            repeated |= self.experts[:, :, a] == self.experts[:, :, b]
+        if repeated.any():
+            step, token = np.argwhere(repeated)[0]
+            raise ValueError(f"step {step} token {token}: an expert id appears twice")
 
     @property
     def steps(self) -> int:
@@ -106,8 +116,11 @@ class RoutingTrace:
         """Read a trace `save` wrote. Rejects, naming the first bad step and
         token: missing, repeated or out-of-order rows, rows whose id and score
         columns do not all hold the same k >= 1 values, step, token, task or
-        expert fields that are not integers in [0, 2**53), and scores that
-        are not finite or do not sum to 1 within 1e-6."""
+        expert fields that are not integers in [0, 2**53), scores that are
+        not finite or do not sum to 1 within 1e-6, and an expert id repeated
+        within a token. Every error names the file, including a
+        `num_experts` line that is not an integer >= 1 and an expert id
+        outside [0, num_experts)."""
         with open(path, newline="") as fh:
             first = fh.readline().rstrip("\n")
             if first != TRACE_HEADER:
@@ -115,7 +128,10 @@ class RoutingTrace:
             meta = fh.readline().rstrip("\n")
             if not meta.startswith("# num_experts="):
                 raise ParseError(f"{path}: missing num_experts line")
-            num_experts = int(meta.split("=", 1)[1])
+            value = meta.split("=", 1)[1]
+            if not value.isdecimal() or int(value) < 1:
+                raise ParseError(f"{path}: num_experts must be an integer >= 1, got {value!r}")
+            num_experts = int(value)
             if fh.readline().rstrip("\r\n") != TRACE_COLUMNS:
                 raise ParseError(f"{path}: unexpected trace columns")
             rows = fh.read().splitlines()
@@ -156,12 +172,15 @@ class RoutingTrace:
         bad = ~(np.abs(scores.sum(axis=1) - 1.0) <= 1e-6)
         if bad.any():
             reject(int(bad.argmax()), "scores must be finite and sum to 1")
-        return RoutingTrace(
-            num_experts,
-            ids[:, 3:].reshape(steps, tokens, k),
-            scores.reshape(steps, tokens, k),
-            ids[:, 2].reshape(steps, tokens),
-        )
+        try:
+            return RoutingTrace(
+                num_experts,
+                ids[:, 3:].reshape(steps, tokens, k),
+                scores.reshape(steps, tokens, k),
+                ids[:, 2].reshape(steps, tokens),
+            )
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def generate_trace(spec: TraceSpec, seed: int = 0) -> RoutingTrace:
@@ -292,24 +311,11 @@ def device_load_stats(loads) -> float:
     return float(arr.std() / mean)
 
 
-def predict_loads(
-    history: np.ndarray,
-    window: int,
-    num_experts: int | None = None,
-    expected_tokens: float | None = None,
-) -> np.ndarray:
-    """Mean per-expert load over the last `window` observed steps.
-
-    With no history yet, falls back to a uniform prior, which requires
-    num_experts and expected_tokens.
-    """
+def predict_loads(history: np.ndarray, window: int) -> np.ndarray:
+    """Mean per-expert load over the last `window` observed steps."""
     hist = np.asarray(history, dtype=np.float64)
-    if hist.size == 0:
-        if num_experts is None or expected_tokens is None:
-            raise ValueError("uniform prior needs num_experts and expected_tokens")
-        return np.full(num_experts, expected_tokens / num_experts)
-    if hist.ndim != 2:
-        raise ValueError("history must be (steps, num_experts)")
+    if hist.ndim != 2 or not hist.shape[0]:
+        raise ValueError("history must be (steps >= 1, num_experts)")
     return hist[-window:].mean(axis=0)
 
 
@@ -382,27 +388,23 @@ def _lpt_place(arr: np.ndarray, num_devices: int, slots: int) -> np.ndarray:
     then pairwise swaps while any swap reduces the sum of squared device
     loads (the mean is fixed, so this descends directly on the CV)."""
     n = arr.shape[0]
-    order = sorted(range(n), key=lambda i: (-arr[i], i))
     device_of = np.zeros(n, dtype=np.int64)
     dev_load = np.zeros(num_devices)
     dev_free = np.full(num_devices, slots, dtype=np.int64)
-    for i in order:
-        best = min(
-            (d for d in range(num_devices) if dev_free[d] > 0),
-            key=lambda d: (dev_load[d], d),
-        )
+    for i in np.argsort(-arr, kind="stable"):
+        best = np.where(dev_free > 0, dev_load, np.inf).argmin()
         device_of[i] = best
         dev_load[best] += arr[i]
         dev_free[best] -= 1
 
     # Swapping experts i and j changes the squared-load sum by
     # 2*delta*(L[di] - L[dj]) + 2*delta^2 with delta = arr[j] - arr[i].
+    delta = arr[None, :] - arr[:, None]
+    lower = np.tri(n, dtype=bool)
     for _ in range(4 * n):
-        delta = arr[None, :] - arr[:, None]
         per_dev = dev_load[device_of]
         gain = 2.0 * delta * (per_dev[:, None] - per_dev[None, :]) + 2.0 * delta * delta
-        gain[device_of[:, None] == device_of[None, :]] = np.inf
-        gain[np.tril_indices(n)] = np.inf
+        gain[lower | (device_of[:, None] == device_of[None, :])] = np.inf
         flat = int(np.argmin(gain))
         i, j = divmod(flat, n)
         if gain[i, j] >= -1e-12:
@@ -455,43 +457,6 @@ def placement_loads(counts: np.ndarray, device_of_expert: np.ndarray, num_device
     )
 
 
-class RebalanceController:
-    """Decides when to pay for an expert replacement.
-
-    mode "pretrain": replan when the observed imbalance has grown more than
-    `threshold` above its value at the last replan. mode "sft": replan once
-    on the first observation and never again.
-    """
-
-    def __init__(self, mode: str = "pretrain", threshold: float = 0.1):
-        if mode not in ("pretrain", "sft"):
-            raise ValueError(f"unknown controller mode {mode!r}")
-        self.mode = mode
-        self.threshold = threshold
-        self._baseline: float | None = None
-        self._fired = False
-
-    def observe(self, cv: float) -> bool:
-        if self.mode == "sft":
-            if not self._fired:
-                self._fired = True
-                return True
-            return False
-        if self._baseline is None:
-            self._baseline = cv
-            return False
-        if cv - self._baseline > self.threshold:
-            self._baseline = cv
-            return True
-        return False
-
-
-def controller_replan_steps(series, mode: str = "pretrain", threshold: float = 0.1) -> list:
-    """1-based steps at which the controller fires for a CV series."""
-    ctl = RebalanceController(mode, threshold)
-    return [i + 1 for i, cv in enumerate(series) if ctl.observe(cv)]
-
-
 @dataclass(frozen=True)
 class TraceStats:
     coactivation: np.ndarray
@@ -506,24 +471,22 @@ def trace_statistics(trace: RoutingTrace) -> TraceStats:
     over tokens. task_expert_share[t, i] is the fraction of task t's
     routed slots that went to expert i; a perfectly uniform router puts
     every entry at 1/N (= top_k / (N * top_k))."""
-    n = trace.num_experts
-    flat_e = trace.experts.reshape(-1, trace.top_k)
-    onehot = np.zeros((flat_e.shape[0], n), dtype=np.float64)
-    rows = np.repeat(np.arange(flat_e.shape[0]), trace.top_k)
-    onehot[rows, flat_e.ravel()] = 1.0
-    joint = onehot.T @ onehot
-    selected = np.diag(joint).copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coact = np.where(selected[:, None] > 0, joint / selected[:, None], 0.0)
+    n, k = trace.num_experts, trace.top_k
+    slot_ids = np.ascontiguousarray(trace.experts.reshape(-1, k).T)  # (k, tokens)
+    # Ids within a token are distinct, so slot pair (a, a) counts each
+    # expert's selections (the diagonal) and pairs a != b count co-selections.
+    joint = np.zeros(n * n, dtype=np.int64)
+    rows = slot_ids * n
+    for a, b in itertools.product(range(k), repeat=2):
+        joint += np.bincount(rows[a] + slot_ids[b], minlength=n * n)
+    joint = joint.reshape(n, n)
+    # An expert never selected, or a task with no tokens, has an all-zero
+    # row; dividing it by 1 keeps it at 0.
+    coact = joint / np.maximum(np.diag(joint), 1)[:, None]
     flat_t = trace.tasks.ravel()
-    num_tasks = int(flat_t.max()) + 1 if flat_t.size else 1
-    share = np.zeros((num_tasks, n))
-    for t in range(num_tasks):
-        mask = flat_t == t
-        if mask.any():
-            ids = flat_e[mask].ravel()
-            counts = np.bincount(ids, minlength=n).astype(np.float64)
-            share[t] = counts / counts.sum()
+    num_tasks = int(flat_t.max(initial=0)) + 1
+    counts = np.bincount((flat_t * n + slot_ids).ravel(), minlength=num_tasks * n).reshape(num_tasks, n)
+    share = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
     return TraceStats(coact, share, 1.0 / n)
 
 
@@ -548,6 +511,10 @@ def run_balance_simulation(
 ) -> BalanceRunResult:
     """Replay a trace against a static placement and a managed one that
     replans from recent load history every `replan_interval` steps."""
+    args = {"num_devices": num_devices, "replan_interval": replan_interval, "history_window": history_window}
+    for name, value in args.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     n = trace.num_experts
     if n % num_devices != 0:
         raise SlotMismatchError(f"{n} experts do not split evenly over {num_devices} devices")

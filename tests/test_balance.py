@@ -14,16 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moesim.balance import (
+    _EXACT_PLACEMENT_LIMIT,
+    OPTIMIZER_BYTES_PER_PARAM,
     AuxLossReport,
     Placement,
-    RebalanceController,
     RoutingTrace,
     TraceSpec,
+    TraceStats,
+    _exact_assignment_count,
+    _exact_place,
     aux_loss,
     balance_window_tokens,
     capacity_drop_stats,
     contiguous_placement,
-    controller_replan_steps,
     device_load_stats,
     generate_trace,
     greedy_place,
@@ -195,14 +198,12 @@ def test_device_load_cv_oracle():
         device_load_stats([0.0, 0.0])
 
 
-def test_predict_loads_window_mean_and_prior():
+def test_predict_loads_window_mean():
     hist = np.array([[4.0, 0.0], [2.0, 2.0], [0.0, 4.0]])
     assert np.allclose(predict_loads(hist, 2), [1.0, 3.0])
     assert np.allclose(predict_loads(hist, 10), [2.0, 2.0])
-    prior = predict_loads(np.empty((0, 0)), 3, num_experts=4, expected_tokens=8.0)
-    assert np.allclose(prior, [2.0, 2.0, 2.0, 2.0])
-    with pytest.raises(ValueError):
-        predict_loads(np.empty((0, 0)), 3)
+    with pytest.raises(ValueError, match="steps >= 1"):
+        predict_loads(np.empty((0, 4)), 3)
 
 
 def test_contiguous_placement_blocks():
@@ -273,28 +274,100 @@ def test_swap_accounting_against_previous_layout():
     assert stay.swap_bytes == 0.0
 
 
+def reference_lpt_place(arr, num_devices, slots):
+    """`_lpt_place` before its device choice and swap mask were vectorised."""
+    n = arr.shape[0]
+    order = sorted(range(n), key=lambda i: (-arr[i], i))
+    device_of = np.zeros(n, dtype=np.int64)
+    dev_load = np.zeros(num_devices)
+    dev_free = np.full(num_devices, slots, dtype=np.int64)
+    for i in order:
+        best = min(
+            (d for d in range(num_devices) if dev_free[d] > 0),
+            key=lambda d: (dev_load[d], d),
+        )
+        device_of[i] = best
+        dev_load[best] += arr[i]
+        dev_free[best] -= 1
+
+    # Swapping experts i and j changes the squared-load sum by
+    # 2*delta*(L[di] - L[dj]) + 2*delta^2 with delta = arr[j] - arr[i].
+    for _ in range(4 * n):
+        delta = arr[None, :] - arr[:, None]
+        per_dev = dev_load[device_of]
+        gain = 2.0 * delta * (per_dev[:, None] - per_dev[None, :]) + 2.0 * delta * delta
+        gain[device_of[:, None] == device_of[None, :]] = np.inf
+        gain[np.tril_indices(n)] = np.inf
+        flat = int(np.argmin(gain))
+        i, j = divmod(flat, n)
+        if gain[i, j] >= -1e-12:
+            break
+        di, dj = device_of[i], device_of[j]
+        dev_load[di] += arr[j] - arr[i]
+        dev_load[dj] -= arr[j] - arr[i]
+        device_of[i], device_of[j] = dj, di
+    return device_of
+
+
+def reference_greedy_place(loads, num_devices, slots_per_device, previous=None, bytes_per_expert=0.0):
+    """`greedy_place` as it was, calling `reference_lpt_place`."""
+    arr = np.asarray(loads, dtype=np.float64)
+    n = arr.shape[0]
+    if num_devices * slots_per_device != n:
+        raise SlotMismatchError(
+            f"{num_devices} devices x {slots_per_device} slots != {n} experts"
+        )
+    if _exact_assignment_count(n, num_devices, slots_per_device) <= _EXACT_PLACEMENT_LIMIT:
+        device_of = _exact_place(arr, num_devices, slots_per_device)
+    else:
+        device_of = reference_lpt_place(arr, num_devices, slots_per_device)
+    dev_load = np.bincount(device_of, weights=arr, minlength=num_devices)
+    base = previous if previous is not None else contiguous_placement(n, num_devices)
+    moved = int(np.count_nonzero(device_of != np.asarray(base)))
+    return Placement(
+        device_of_expert=device_of,
+        device_loads=dev_load,
+        moved_experts=moved,
+        swap_bytes=moved * bytes_per_expert * OPTIMIZER_BYTES_PER_PARAM
+        if bytes_per_expert
+        else 0.0,
+    )
+
+
+# (devices, slots): the first four are solved exactly, the rest by the
+# heaviest-first greedy with swap refinement.
+PLACEMENT_SHAPES = [(1, 4), (2, 2), (2, 3), (3, 2), (2, 10), (3, 6), (4, 4), (6, 3), (8, 2), (5, 5), (8, 8)]
+
+
+@st.composite
+def placement_instances(draw):
+    devices, slots = draw(st.sampled_from(PLACEMENT_SHAPES))
+    # Few distinct values, so equal loads and equal device totals are common.
+    value = st.one_of(st.integers(0, 6).map(lambda x: x / 2), st.floats(0.0, 1e3))
+    loads = draw(st.lists(value, min_size=devices * slots, max_size=devices * slots))
+    previous = draw(st.permutations(contiguous_placement(devices * slots, devices).tolist()))
+    return loads, devices, slots, np.array(previous)
+
+
+def test_placement_shapes_cover_both_solvers():
+    exact = [_exact_assignment_count(d * s, d, s) <= _EXACT_PLACEMENT_LIMIT for d, s in PLACEMENT_SHAPES]
+    assert exact == [True] * 4 + [False] * (len(PLACEMENT_SHAPES) - 4)
+
+
+@settings(database=None, derandomize=True, max_examples=150, deadline=None)
+@given(placement_instances())
+def test_greedy_place_matches_the_reference_copy(instance):
+    loads, devices, slots, previous = instance
+    got = greedy_place(loads, devices, slots, previous=previous, bytes_per_expert=3.0)
+    want = reference_greedy_place(loads, devices, slots, previous=previous, bytes_per_expert=3.0)
+    assert np.array_equal(got.device_of_expert, want.device_of_expert)
+    assert np.array_equal(got.device_loads, want.device_loads)
+    assert (got.moved_experts, got.swap_bytes) == (want.moved_experts, want.swap_bytes)
+
+
 def test_placement_loads_aggregation():
     loads = placement_loads(np.array([5, 1, 2, 2]), np.array([0, 1, 1, 0]), 2)
     assert list(loads) == [7.0, 3.0]
-
-
-def test_controller_pretrain_fires_on_drift():
-    assert controller_replan_steps([0.1, 0.1, 0.25]) == [3]
-    # the baseline moves to the value that triggered the replan
-    assert controller_replan_steps([0.1, 0.25, 0.3, 0.46]) == [2, 4]
-    assert controller_replan_steps([0.5, 0.5, 0.55]) == []
-
-
-def test_controller_sft_fires_exactly_once():
-    assert controller_replan_steps([0.5, 0.9, 1.4], mode="sft") == [1]
-    ctl = RebalanceController("sft")
-    assert ctl.observe(0.2) is True
-    assert ctl.observe(9.9) is False
-
-
-def test_controller_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        RebalanceController("online")
 
 
 def test_trace_round_trip_is_exact(tmp_path):
@@ -347,7 +420,8 @@ def routing_traces(draw):
     steps, tokens, k = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
     n = draw(st.integers(k, 12))
     cells = steps * tokens
-    experts = draw(st.lists(st.integers(0, n - 1), min_size=cells * k, max_size=cells * k))
+    token_ids = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    experts = draw(st.lists(token_ids, min_size=cells, max_size=cells))
     tasks = draw(st.lists(st.integers(0, 5), min_size=cells, max_size=cells))
     # Weights spanning subnormals to 1, one of them lifted so no row is all zero.
     raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=cells * k, max_size=cells * k))).reshape(cells, k)
@@ -382,7 +456,7 @@ def test_expert_counts_match_per_step_bincount():
         rng = np.random.default_rng(seed)
         steps, tokens, k = rng.integers(1, 6), rng.integers(1, 40), rng.integers(1, 5)
         n = int(rng.integers(k, 20))
-        experts = rng.integers(0, n, size=(steps, tokens, k))
+        experts = rng.random((steps, tokens, n)).argsort(axis=2)[:, :, :k]
         trace = RoutingTrace(n, experts, np.full(experts.shape, 1.0 / k), np.zeros((steps, tokens), dtype=np.int64))
         counts = trace.expert_counts()
         assert counts.shape == (steps, n)
@@ -457,6 +531,56 @@ def test_trace_statistics_hand_case():
     assert stats.uniform_share == pytest.approx(1.0 / 3.0)
 
 
+def reference_trace_statistics(trace):
+    """`trace_statistics` as it was: a dense one-hot, its Gram matrix and a
+    loop over tasks."""
+    n = trace.num_experts
+    flat_e = trace.experts.reshape(-1, trace.top_k)
+    onehot = np.zeros((flat_e.shape[0], n), dtype=np.float64)
+    rows = np.repeat(np.arange(flat_e.shape[0]), trace.top_k)
+    onehot[rows, flat_e.ravel()] = 1.0
+    joint = onehot.T @ onehot
+    selected = np.diag(joint).copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coact = np.where(selected[:, None] > 0, joint / selected[:, None], 0.0)
+    flat_t = trace.tasks.ravel()
+    num_tasks = int(flat_t.max()) + 1 if flat_t.size else 1
+    share = np.zeros((num_tasks, n))
+    for t in range(num_tasks):
+        mask = flat_t == t
+        if mask.any():
+            ids = flat_e[mask].ravel()
+            counts = np.bincount(ids, minlength=n).astype(np.float64)
+            share[t] = counts / counts.sum()
+    return TraceStats(coact, share, 1.0 / n)
+
+
+@settings(database=None, derandomize=True, max_examples=150, deadline=None)
+@given(routing_traces())
+def test_trace_statistics_matches_the_reference_copy(trace):
+    got, want = trace_statistics(trace), reference_trace_statistics(trace)
+    for name in ("coactivation", "task_expert_share"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.uniform_share == want.uniform_share
+
+
+def test_trace_rejects_an_expert_repeated_within_a_token():
+    with pytest.raises(ValueError, match="step 0 token 2: an expert id appears twice"):
+        make_trace([(0, 1, 2), (3, 1, 0), (2, 3, 2)], num_experts=4)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 0), (1, 2)])
+def test_trace_rejects_experts_without_a_k_axis(shape):
+    with pytest.raises(ValueError, match=r"\(steps, tokens, k >= 1\)"):
+        RoutingTrace(4, np.zeros(shape, dtype=np.int64), np.zeros(shape), np.zeros((1, 2), dtype=np.int64))
+
+
+def test_trace_rejects_negative_task_ids():
+    with pytest.raises(ValueError, match="task id -1"):
+        make_trace([(0, 1), (2, 3)], num_experts=4, tasks=np.array([[0, -1]]))
+
+
 def test_replanning_tracks_a_drifting_trace():
     spec = TraceSpec(
         num_experts=32, tokens_per_step=1024, steps=60, top_k=4,
@@ -475,6 +599,22 @@ def test_replanning_requires_even_expert_split():
     spec = TraceSpec(num_experts=10, tokens_per_step=16, steps=2, top_k=2)
     with pytest.raises(SlotMismatchError):
         run_balance_simulation(generate_trace(spec, 0), num_devices=4)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"num_devices": 0}, "num_devices"),
+        ({"num_devices": -4}, "num_devices"),
+        ({"num_devices": 4, "replan_interval": 0}, "replan_interval"),
+        ({"num_devices": 4, "history_window": 0}, "history_window"),
+        ({"num_devices": 4, "history_window": -2}, "history_window"),
+    ],
+)
+def test_replanning_rejects_counts_below_one(kwargs, name):
+    trace = generate_trace(TraceSpec(num_experts=8, tokens_per_step=16, steps=3, top_k=2), 0)
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got -?\d+$"):
+        run_balance_simulation(trace, **kwargs)
 
 
 def test_spec_validation():

@@ -334,6 +334,53 @@ def test_trace_stats_rejects_out_of_range_expert_id(tmp_path, capsys):
     assert "expert id 16" in captured.err
 
 
+def assert_rejected(capsys, argv, *fragments):
+    """The command exits 1 with one `error:` line naming each fragment and
+    prints nothing to stdout."""
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in captured.err
+
+
+def write_trace(path, meta, rows):
+    path.write_text(f"# moesim-trace v1\n{meta}\nstep,token,task,experts,scores\r\n" + "".join(r + "\r\n" for r in rows))
+    return str(path)
+
+
+def test_trace_stats_rejects_an_expert_repeated_within_a_token(tmp_path, capsys):
+    trace_file = write_trace(tmp_path / "trace.csv", "# num_experts=4", ["0,0,0,2 3,0.5 0.5", "0,1,0,1 1,0.5 0.5"])
+    assert_rejected(capsys, ["trace-stats", "--trace", trace_file], f"{trace_file}: step 0 token 1:", "twice")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "", "4.0", " 4"])
+def test_trace_stats_names_the_file_on_a_bad_num_experts_line(tmp_path, capsys, value):
+    trace_file = write_trace(tmp_path / "trace.csv", f"# num_experts={value}", ["0,0,0,0 1,0.5 0.5"])
+    assert_rejected(capsys, ["trace-stats", "--trace", trace_file], f"{trace_file}: num_experts", repr(value))
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--interval", "0", "replan_interval"),
+        ("--devices", "0", "num_devices"),
+        ("--devices", "-8", "num_devices"),
+        ("--window", "0", "history_window"),
+        ("--window", "-2", "history_window"),
+    ],
+)
+def test_balance_rejects_counts_below_one(tmp_path, capsys, flag, value, name):
+    paths = write_configs(tmp_path)
+    out_file = tmp_path / "balance.json"
+    argv = ["balance", "--spec", paths["spec"], flag, value, "--out", str(out_file)]
+    assert_rejected(capsys, argv, f"{name} must be >= 1, got {value}")
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize(
     "path, literal",
     [
