@@ -56,14 +56,10 @@ def _write_json(path: str, payload) -> None:
 
 
 def _features(args: argparse.Namespace) -> SimulationFeatures:
-    if args.no_overlap:
-        return SimulationFeatures(
-            comm_overlap=False,
-            decouple_dw=False,
-            host_gmm_first=False,
-            dispatch_mechanism=args.dispatch,
-        )
-    return SimulationFeatures(dispatch_mechanism=args.dispatch)
+    overlap = not args.no_overlap
+    return SimulationFeatures(
+        comm_overlap=overlap, decouple_dw=overlap, host_gmm_first=overlap, dispatch_mechanism=args.dispatch
+    )
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -125,13 +121,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     hw = load_cluster(args.cluster)
     plan = load_plan(args.plan)
     outcome = search_space(
-        space,
-        plan,
-        hw,
-        features=_features(args),
-        mode=args.mode,
-        top=args.top,
-        workers=args.workers,
+        space, plan, hw, features=_features(args), mode=args.mode, top=args.top, workers=args.workers
     )
     for i, cand in enumerate(outcome.ranked, start=1):
         t = f"train {cand.training.tps:.3e} tok/s" if cand.training else ""
@@ -148,22 +138,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "rank,model,score,train_tps,train_mfu,train_step_time,inference_tps,inference_mfu",
         ]
         for i, cand in enumerate(outcome.ranked, start=1):
-            t = cand.training
-            d = cand.inference
-            rows.append(
-                ",".join(
-                    [
-                        str(i),
-                        cand.model,
-                        _csv_cell(cand.score),
-                        _csv_cell(t.tps) if t else "",
-                        _csv_cell(t.mfu) if t else "",
-                        _csv_cell(t.step_time) if t else "",
-                        _csv_cell(d.tps) if d else "",
-                        _csv_cell(d.mfu) if d else "",
-                    ]
-                )
-            )
+            t, d = cand.training, cand.inference
+            cells = [cand.score, *((t.tps, t.mfu, t.step_time) if t else ("",) * 3)]
+            cells += (d.tps, d.mfu) if d else ("",) * 2
+            rows.append(",".join([str(i), cand.model] + [_csv_cell(c) for c in cells]))
         with open(csv_path, "w") as fh:
             fh.write("\n".join(rows) + "\n")
     if not outcome.ranked:
@@ -174,12 +152,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_balance(args: argparse.Namespace) -> int:
     trace = generate_trace(load_trace_spec(args.spec), args.seed)
-    result = run_balance_simulation(
-        trace,
-        args.devices,
-        replan_interval=args.interval,
-        history_window=args.window,
-    )
+    result = run_balance_simulation(trace, args.devices, replan_interval=args.interval, history_window=args.window)
     print(f"static mean cv  {result.static_cv.mean():.4f}")
     print(f"managed mean cv {result.managed_cv.mean():.4f}")
     print(f"cv reduction    {result.mean_cv_reduction:.4f}")

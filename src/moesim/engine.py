@@ -12,15 +12,18 @@ run serially per device in the given host order, ahead of device execution
 (asynchronously), except that a task marked sync_host stalls the host until
 that task finishes on the device.
 
-Graph nodes are integers: with n tasks, node i executes task i (in input
-order) and node n + i dispatches it; a dispatch node has edges only when
-its task is in a host order.
+The core, `run_columns`, takes the tasks as flat columns indexed by task
+position. Graph nodes are integers: with n tasks, node i executes task i
+and node n + i dispatches it; a dispatch node has edges only when its task
+is in a host order. `run_tasks` is the adapter for tasks named by string
+ids.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import DeadlockError
@@ -38,15 +41,106 @@ class Task:
     sync_host: bool = False
 
 
-@dataclass
+# Tasks as one list per field, indexed by task position. deps[i] lists the
+# positions task i waits on, chains maps (device, resource) and host_order
+# maps device to positions in execution or launch order.
+TaskColumns = namedtuple(
+    "TaskColumns", "duration host_time device resources kind sync_host deps chains host_order"
+)
+
+
 class TimelineResult:
-    start: dict
-    end: dict
-    dispatch_end: dict
-    host_delay: dict
-    tasks: dict
-    chains: dict
-    makespan: float
+    """Times of one run, held by task position: `begin` for every graph
+    node, `finish` for every task. The views keyed by task id (`start`,
+    `end`, `dispatch_end`, `host_delay`, `tasks`, `chains`) are built
+    together on first read; `host_delay` follows host order, the others
+    task order.
+    """
+
+    def __init__(self, columns: TaskColumns, names, begin: list, finish: list):
+        self.columns, self.begin, self.finish = columns, begin, finish
+        self._names = names  # () -> task ids by position
+        self.makespan = max(finish, default=0.0)
+
+    def __getattr__(self, name):
+        if name not in ("start", "end", "dispatch_end", "host_delay", "tasks", "chains"):
+            raise AttributeError(name)
+        c, ids, n = self.columns, self._names(), len(self.finish)
+        hosted = [i for order in c.host_order.values() for i in order]
+        self.start = dict(zip(ids, self.begin))
+        self.end = dict(zip(ids, self.finish))
+        self.dispatch_end = {ids[i]: self.begin[n + i] + c.host_time[i] for i in sorted(set(hosted))}
+        self.host_delay = dict(zip([ids[i] for i in hosted], self.host_delays()))
+        self.tasks = {
+            tid: Task(tid, c.device[i], c.resources[i], c.duration[i], tuple(ids[d] for d in c.deps[i]),
+                      c.kind[i], c.host_time[i], c.sync_host[i])
+            for i, tid in enumerate(ids)
+        }
+        self.chains = {key: [ids[i] for i in chain] for key, chain in c.chains.items()}
+        return getattr(self, name)
+
+    def host_delays(self) -> list:
+        """Per task in host order: how long its dispatch ended after its
+        latest execute -> execute predecessor finished, at least 0."""
+        c, finish, n = self.columns, self.finish, len(self.finish)
+        hosted = [i for order in c.host_order.values() for i in order]
+        ready = [0.0] * n
+        if hosted:
+            for chain in c.chains.values():
+                for prev, nxt in zip(chain, chain[1:]):
+                    ready[nxt] = max(ready[nxt], finish[prev])
+            for i, deps in enumerate(c.deps):
+                for d in deps:
+                    ready[i] = max(ready[i], finish[d])
+        return [max(0.0, self.begin[n + i] + c.host_time[i] - ready[i]) for i in hosted]
+
+
+def run_columns(columns: TaskColumns, names) -> TimelineResult:
+    """Compute start and end times for tasks given as columns.
+
+    names is a zero-argument function returning the task ids by position;
+    it runs only when a view keyed by id is read. Raises DeadlockError
+    when the combined graph has a cycle.
+    """
+    duration, sync = columns.duration, columns.sync_host
+    n = len(duration)
+    hosted = any(columns.host_order.values())
+    size = 2 * n if hosted else n
+    length = duration + columns.host_time if hosted else duration
+    succ = [[] for _ in range(size)]
+    for i, deps in enumerate(columns.deps):
+        for d in deps:
+            succ[d].append(i)
+    for chain in columns.chains.values():
+        for prev, nxt in zip(chain, chain[1:]):
+            succ[prev].append(nxt)
+    for order in columns.host_order.values():
+        for i in order:
+            succ[n + i].append(i)
+        for prev, nxt in zip(order, order[1:]):
+            succ[n + prev].append(n + nxt)
+            if sync[prev]:
+                succ[prev].append(n + nxt)
+    indeg = [0] * size
+    for out in succ:
+        for v in out:
+            indeg[v] += 1
+
+    begin = [0.0] * size
+    # Kahn's algorithm; the loop visits the nodes it appends.
+    visit = [u for u in range(size) if not indeg[u]]
+    for u in visit:
+        done = begin[u] + length[u]
+        for v in succ[u]:
+            if done > begin[v]:
+                begin[v] = done
+            indeg[v] -= 1
+            if not indeg[v]:
+                visit.append(v)
+    if len(visit) != size:
+        raise DeadlockError("dependency cycle in timeline task graph")
+    finish = [b + d for b, d in zip(begin, duration)]
+    return TimelineResult(columns, names, begin, finish)
 
 
 def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
@@ -68,93 +162,37 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
         for tid in chain:
             if tid not in by_id:
                 raise ValueError(f"chain {key} references unknown task {tid!r}")
-
-    items = list(by_id.values())
     index = {tid: i for i, tid in enumerate(by_id)}
-    n = len(items)
-    succ = [[] for _ in range(2 * n)]
-    for i, t in enumerate(items):
+    items = list(by_id.values())
+    for t in items:
         for dep in t.deps:
             if dep not in index:
                 raise ValueError(f"task {t.id!r} depends on unknown task {dep!r}")
-            succ[index[dep]].append(i)
-    for chain in chains.values():
-        for prev, nxt in zip(chain, chain[1:]):
-            succ[index[prev]].append(index[nxt])
     host_order = host_order or {}
     for order in host_order.values():
         for tid in order:
             if tid not in index:
                 raise ValueError(f"host order references unknown task {tid!r}")
-        pos = [index[tid] for tid in order]
-        for i in pos:
-            succ[n + i].append(i)
-        for prev, nxt in zip(pos, pos[1:]):
-            succ[n + prev].append(n + nxt)
-            if items[prev].sync_host:
-                succ[prev].append(n + nxt)
-
-    length = [t.duration for t in items] + [t.host_time for t in items]
-    indeg = [0] * (2 * n)
-    for out in succ:
-        for v in out:
-            indeg[v] += 1
-    ready = [u for u in range(2 * n) if indeg[u] == 0]
-    begin = [0.0] * (2 * n)
-    # Latest finish over execute -> execute edges, i.e. ignoring dispatch.
-    ready_without_host = [0.0] * n
-    seen = 0
-    while ready:
-        u = ready.pop()
-        seen += 1
-        done = begin[u] + length[u]
-        for v in succ[u]:
-            if u < n and v < n and done > ready_without_host[v]:
-                ready_without_host[v] = done
-            if done > begin[v]:
-                begin[v] = done
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    if seen != 2 * n:
-        raise DeadlockError("dependency cycle in timeline task graph")
-
-    start = dict(zip(by_id, begin))
-    end = {tid: begin[i] + length[i] for i, tid in enumerate(by_id)}
-    dispatch_end = {tid: begin[n + i] + length[n + i] for i, tid in enumerate(by_id) if succ[n + i]}
-    # In host order, so sums over it are the same under any hash seed.
-    host_delay = {
-        tid: max(0.0, dispatch_end[tid] - ready_without_host[index[tid]])
-        for order in host_order.values()
-        for tid in order
-    }
-    return TimelineResult(
-        start=start,
-        end=end,
-        dispatch_end=dispatch_end,
-        host_delay=host_delay,
-        tasks=by_id,
-        chains={k: list(v) for k, v in chains.items()},
-        makespan=max(end.values(), default=0.0),
+    ids = list(by_id)
+    fields = ("duration", "host_time", "device", "resources", "kind", "sync_host")
+    columns = TaskColumns(
+        *([getattr(t, field) for t in items] for field in fields),
+        deps=[[index[d] for d in t.deps] for t in items],
+        chains={key: [index[tid] for tid in chain] for key, chain in chains.items()},
+        host_order={dev: [index[tid] for tid in order] for dev, order in host_order.items()},
     )
+    return run_columns(columns, lambda: ids)
 
 
-def merged_busy_intervals(result: TimelineResult, device: int, kinds=None):
-    """Union of execution intervals of the device's compute chain tasks."""
-    raw = []
-    for tid in result.chains.get((device, "compute"), ()):
-        t = result.tasks[tid]
-        if kinds is not None and t.kind not in kinds:
-            continue
-        if result.end[tid] > result.start[tid]:
-            raw.append((result.start[tid], result.end[tid]))
-    raw.sort()
+def merged_intervals(spans):
+    """Sorted union of the non-empty (start, end) spans."""
     merged = []
-    for s, e in raw:
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
+    for s, e in sorted(spans):
+        if e > s:
+            if merged and s <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
+            else:
+                merged.append((s, e))
     return merged
 
 

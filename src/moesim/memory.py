@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .cluster import HardwareDescription, kernel_time
-from .errors import InfeasibleMemoryError, NonDivisibleError
+from .errors import InfeasibleMemoryError
 from .model import ModelConfig, flops_per_token, _attention_params, _layer_norm_params
 from .parallel import ParallelPlan, StageAssignment, assign_chunks, item_kind, micro_batch_count, tokens_per_device
 
@@ -168,6 +168,15 @@ def in_flight_micro_batches(plan: ParallelPlan, stage: int, m: int | None = None
     return peak
 
 
+def _micro_batches(plan: ParallelPlan) -> int | None:
+    """The micro batch count, or None while the global batch is unset or
+    does not split evenly into dp * micro_batch_size sequences."""
+    denom = plan.dp * plan.micro_batch_size
+    if plan.global_batch_size > 0 and denom > 0 and plan.global_batch_size % denom == 0:
+        return micro_batch_count(plan)
+    return None
+
+
 def activation_peak(
     cfg: ModelConfig,
     plan: ParallelPlan,
@@ -175,10 +184,7 @@ def activation_peak(
     mem_plan: MemoryPlan,
 ) -> float:
     """Peak activation bytes on the worst (first) pipeline stage."""
-    try:
-        m = micro_batch_count(plan)
-    except NonDivisibleError:
-        m = None
+    m = _micro_batches(plan)
     tokens = tokens_per_device(cfg, plan)
     stage_chunks = [c for c in assignment.chunks if c.pp_stage == 0]
     per_mb = 0.0
@@ -199,10 +205,7 @@ def plan_time_cost(
     mem_plan: MemoryPlan,
 ) -> float:
     """Seconds one device adds per step for recompute and swap traffic."""
-    try:
-        m = micro_batch_count(plan)
-    except NonDivisibleError:
-        m = 1
+    m = _micro_batches(plan) or 1  # one micro batch while the count is unknown
     tokens = tokens_per_device(cfg, plan)
     layers_per_stage = math.ceil((cfg.num_layers + cfg.num_mtp_layers) / plan.pp)
     moe_fraction = cfg.num_moe_layers / max(1, cfg.num_layers)

@@ -13,12 +13,15 @@ launches the whole program in that order. The report gives step time,
 bubble fraction, communication overlap, and host-induced idle time.
 
 Slot ids follow ``{phase}:p{stage}:v{chunk}:m{micro_batch}`` and may be
-referenced from CommEvent dependencies and ``feeds``.
+referenced from CommEvent dependencies and ``feeds``. The program runs on
+integer task positions; task ids are spelled out only when a timeline view
+keyed by id is read.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import engine
@@ -32,6 +35,13 @@ from .parallel import ParallelPlan
 PREPROCESS_FRACTION = 0.05
 PERMUTE_FRACTION = 0.15
 GMM_FRACTION = 0.80
+
+COMPUTE = ("compute",)
+COMPUTE_KINDS = frozenset({"fwd", "bwd", "bwd_dx", "bwd_dw", "preprocess", "permute", "gmm"})
+
+# A slot's compute tasks in launch order, and the index of the one
+# downstream work waits on: never a deferred weight gradient.
+_Parts = namedtuple("_Parts", "suffixes durations kinds syncs wait")
 
 
 @dataclass(frozen=True)
@@ -98,57 +108,45 @@ def _interleaved_order(i: int, p: int, v: int, backward: bool):
 
 
 def build_1f1b_schedule(p: int, m: int, v: int = 1) -> list:
-    """Per-stage slot sequences for the (interleaved) 1F1B schedule."""
+    """Per-stage slot sequences for the (interleaved) 1F1B schedule: each
+    stage runs its warm-up forwards, then alternates one forward with one
+    backward, then drains the remaining backwards."""
     if min(p, m, v) < 1:
         raise ValueError("p, m, and v must be >= 1")
     if v > 1 and m % p:
         raise ValueError("interleaved schedule requires micro_batches % pp == 0")
     total = m * v
+    fwd_order = [_interleaved_order(i, p, v, False) for i in range(total)]
+    bwd_order = [_interleaved_order(i, p, v, True) for i in range(total)]
     stages = []
     for s in range(p):
-        if v == 1:
-            warmup = min(p - s - 1, m)
-            fwd_order = [(0, mb) for mb in range(m)]
-            bwd_order = [(0, mb) for mb in range(m)]
-        else:
-            warmup = min((p - s - 1) * 2 + (v - 1) * p, total)
-            fwd_order = [_interleaved_order(i, p, v, False) for i in range(total)]
-            bwd_order = [_interleaved_order(i, p, v, True) for i in range(total)]
-        slots = []
-        fi = bi = 0
-        while fi < warmup:
-            c, mb = fwd_order[fi]
-            fi += 1
-            slots.append(ScheduleSlot(s, c, mb, "fwd"))
-        while fi < total:
-            c, mb = fwd_order[fi]
-            fi += 1
-            slots.append(ScheduleSlot(s, c, mb, "fwd"))
-            c, mb = bwd_order[bi]
-            bi += 1
-            slots.append(ScheduleSlot(s, c, mb, "bwd"))
-        while bi < total:
-            c, mb = bwd_order[bi]
-            bi += 1
-            slots.append(ScheduleSlot(s, c, mb, "bwd"))
-        stages.append(slots)
+        warmup = min(p - s - 1, m) if v == 1 else min((p - s - 1) * 2 + (v - 1) * p, total)
+        phases = ["fwd"] * warmup + ["fwd", "bwd"] * (total - warmup) + ["bwd"] * warmup
+        order = {"fwd": iter(fwd_order), "bwd": iter(bwd_order)}
+        stages.append([ScheduleSlot(s, *next(order[ph]), ph) for ph in phases])
     return stages
+
+
+def _parent_key(s: int, c: int, mb: int, phase: str, p: int, v: int):
+    """(pp_stage, vpp_stage, micro_batch, phase) of the slot whose completion
+    feeds this one, or None for graph sources."""
+    if phase == "fwd":
+        if s > 0:
+            return (s - 1, c, mb, "fwd")
+        if c > 0:
+            return (p - 1, c - 1, mb, "fwd")
+        return None
+    if s < p - 1:
+        return (s + 1, c, mb, "bwd")
+    if c < v - 1:
+        return (0, c + 1, mb, "bwd")
+    return (p - 1, v - 1, mb, "fwd")
 
 
 def dataflow_parent(slot: ScheduleSlot, p: int, v: int) -> ScheduleSlot | None:
     """The slot whose completion feeds this one, or None for graph sources."""
-    s, c, mb = slot.pp_stage, slot.vpp_stage, slot.micro_batch
-    if slot.phase == "fwd":
-        if s > 0:
-            return ScheduleSlot(s - 1, c, mb, "fwd")
-        if c > 0:
-            return ScheduleSlot(p - 1, c - 1, mb, "fwd")
-        return None
-    if s < p - 1:
-        return ScheduleSlot(s + 1, c, mb, "bwd")
-    if c < v - 1:
-        return ScheduleSlot(0, c + 1, mb, "bwd")
-    return ScheduleSlot(p - 1, v - 1, mb, "fwd")
+    key = _parent_key(slot.pp_stage, slot.vpp_stage, slot.micro_batch, slot.phase, p, v)
+    return None if key is None else ScheduleSlot(*key)
 
 
 def uniform_chunk_costs(p: int, v: int, fwd: float, bwd: float) -> dict:
@@ -203,156 +201,175 @@ def simulate_timeline(
     policy = policy or OverlapPolicy()
     if comm_events and hw is None:
         raise ValueError("hw is required when comm events are present")
+    events = tuple(comm_events)
     p = len(schedule)
     v = 1 + max((sl.vpp_stage for slots in schedule for sl in slots), default=0)
     host_time = hw.host_dispatch_time if hw is not None else 0.0
 
-    def parts_of(sl):
-        return _slot_parts(sl.phase, chunk_costs[(sl.pp_stage, sl.vpp_stage)], policy, host_time > 0)
-
-    # slot id -> (first task id, task id downstream deps wait on, device, slot index)
-    anchors = {}
+    # Task positions: each slot's compute tasks in schedule order, then the
+    # events in event order. Parts are derived once per (phase, stage, chunk).
+    templates, slot_named, slot_at, stage_slots = {}, {}, {}, {}
+    sids, tpl_of, where, first = [], [], [], []  # by slot number
+    duration, kind, sync, device = [], [], [], []
     for s, slots in enumerate(schedule):
+        stage_slots[s] = range(len(sids), len(sids) + len(slots))
         for idx, sl in enumerate(slots):
-            sid = slot_id(sl)
-            parts = parts_of(sl)
-            # Downstream work never waits on a deferred weight gradient.
-            wait = parts[-2][0] if parts[-1][2] == "bwd_dw" else parts[-1][0]
-            anchors[sid] = (sid + parts[0][0], sid + wait, s, idx)
+            key = (sl.phase, sl.pp_stage, sl.vpp_stage)
+            if key not in templates:
+                parts = _slot_parts(sl.phase, chunk_costs[key[1:]], policy, host_time > 0)
+                templates[key] = _Parts(*zip(*parts), len(parts) - 1 - (parts[-1][2] == "bwd_dw"))
+            tpl, sid = templates[key], slot_id(sl)
+            if sid in slot_named:
+                raise ValueError(f"duplicate task id {sid + tpl.suffixes[0]!r}")
+            slot_named[sid] = slot_at[(sl.pp_stage, sl.vpp_stage, sl.micro_batch, sl.phase)] = len(sids)
+            sids.append(sid)
+            tpl_of.append(tpl)
+            where.append((s, idx))
+            first.append(len(duration))
+            duration += tpl.durations
+            kind += tpl.kinds
+            sync += tpl.syncs
+        device += [s] * (len(duration) - len(device))
+    base = len(duration)
+    wait = [f + tpl.wait for f, tpl in zip(first, tpl_of)]
+    deps = [()] * base
+    for g, sl in enumerate(sl for slots in schedule for sl in slots):
+        up = slot_at.get(_parent_key(sl.pp_stage, sl.vpp_stage, sl.micro_batch, sl.phase, p, v))
+        if up is not None:
+            deps[first[g]] = (wait[up],)
 
-    feeders = {}  # task id -> comm events that feed it, in event order
-    for ev in comm_events:
-        if ev.feeds is not None:
-            target = anchors[ev.feeds][0] if ev.feeds in anchors else ev.feeds
-            feeders.setdefault(target, []).append(ev.id)
+    def task_named(name):
+        """Position of the compute task with this id, or None."""
+        g, suffix = slot_named.get(name), ""
+        if g is None:
+            head, _, tail = name.rpartition(":")
+            g, suffix = slot_named.get(head), ":" + tail
+        if g is None or suffix not in tpl_of[g].suffixes:
+            return None
+        return first[g] + tpl_of[g].suffixes.index(suffix)
 
-    # Every device runs one program, cut into segments keyed
-    # (device, slot index, side): side 0 holds the comm events spliced in
-    # before the slot, side 1 the slot's compute tasks, side 2 the comm
-    # events spliced in after it. The tail segment follows every slot.
-    # Each task is built once, with all its deps. Deriving the slot parts
-    # again keeps them out of memory while the engine runs.
-    segments = {}
-    tasks = []
-    for s, slots in enumerate(schedule):
-        for idx, sl in enumerate(slots):
-            sid = slot_id(sl)
-            parent = dataflow_parent(sl, p, v)
-            upstream = anchors.get(slot_id(parent)) if parent is not None else None
-            parts = parts_of(sl)
-            ids = [sid + suffix for suffix, _, _, _ in parts]
-            for tid, (_, dur, kind, sync) in zip(ids, parts):
-                deps = (upstream[1],) if upstream is not None and tid == ids[0] else ()
-                tasks.append(
-                    engine.Task(
-                        tid,
-                        device=s,
-                        resources=("compute",),
-                        duration=dur,
-                        deps=deps + tuple(feeders.get(tid, ())),
-                        kind=kind,
-                        host_time=host_time,
-                        sync_host=sync,
-                    )
-                )
-            segments[(s, idx, 1)] = ids
+    event_at = {}  # event id -> event index
+    for j, ev in enumerate(events):
+        if ev.id in event_at or task_named(ev.id) is not None:
+            raise ValueError(f"duplicate task id {ev.id!r}")
+        event_at[ev.id] = j
 
-    comm_tasks = [
-        engine.Task(
-            ev.id,
-            device=ev.device,
-            resources=(ev.resource,) if policy.overlap_comm else ("compute", ev.resource),
-            duration=_comm_seconds(ev, hw),
-            deps=tuple(anchors[d][1] if d in anchors else d for d in ev.dependencies)
-            + tuple(feeders.get(ev.id, ())),
-            kind="comm",
-            host_time=host_time,
-        )
-        for ev in comm_events
-    ]
+    def position(name, of_slot):
+        """The task a name in an event refers to: of_slot[slot number] for
+        a slot id, else the event or task with that id, else None."""
+        g = slot_named.get(name)
+        if g is not None:
+            return of_slot[g]
+        j = event_at.get(name)
+        return base + j if j is not None else task_named(name)
+
+    # Events wait on their own dependencies, then on the events feeding
+    # them. Pricing is pure, so each distinct event shape is priced once.
+    priced = {}
+    resources = [COMPUTE] * base
+    for ev in events:
+        shape = (ev.kind, ev.resource, ev.bytes, ev.group_size)
+        if shape not in priced:
+            priced[shape] = _comm_seconds(ev, hw)
+        duration.append(priced[shape])
+        resources.append((ev.resource,) if policy.overlap_comm else ("compute", ev.resource))
+        device.append(ev.device)
+        kind.append("comm")
+        sync.append(False)
+        own = tuple(position(d, wait) for d in ev.dependencies)
+        if None in own:
+            raise ValueError(f"task {ev.id!r} depends on unknown task {ev.dependencies[own.index(None)]!r}")
+        deps.append(own)
+    for j, ev in enumerate(events):
+        target = None if ev.feeds is None else position(ev.feeds, first)
+        if target is not None:
+            deps[target] += (base + j,)
 
     def segment(ev):
-        """Just before the same-device slot the event feeds, else just after
-        the last same-device slot it consumes from, else the tail."""
-        fed = anchors.get(ev.feeds)
-        if fed is not None and fed[2] == ev.device:
-            return (ev.device, fed[3], 0)
+        """Before the same-device slot the event feeds (side 0), else after
+        the last same-device slot it consumes from (side 2), else the tail."""
+        g = slot_named.get(ev.feeds)
+        if g is not None and where[g][0] == ev.device:
+            return (*where[g], 0)
         for d in reversed(ev.dependencies):
-            if d in anchors and anchors[d][2] == ev.device:
-                return (ev.device, anchors[d][3], 2)
+            g = slot_named.get(d)
+            if g is not None and where[g][0] == ev.device:
+                return (*where[g], 2)
         return (ev.device, math.inf, 0)
 
-    # Same-device event dependencies are pulled into the segment ahead of
-    # their dependents, so every serial chain taken from a program is a
-    # linear extension of the dependency graph whatever order the caller
-    # built the event list in.
-    by_event = {ev.id: ev for ev in comm_events}
-    placed = set()
+    # Every device runs one program: per slot, the events spliced in before
+    # it, its compute tasks and the events spliced in after it; then the
+    # tail. Same-device event dependencies are pulled in ahead of their
+    # dependents, depth first and without recursion, so every serial chain
+    # taken from a program is a linear extension of the dependency graph
+    # whatever order the caller built the event list in.
+    placed = [False] * len(events)
 
-    def emit(ev, ids):
-        if ev.id in placed:
-            return
-        placed.add(ev.id)
-        for d in ev.dependencies:
-            dep = by_event.get(d)
-            if dep is not None and dep.device == ev.device:
-                emit(dep, ids)
-        ids.append(ev.id)
+    def emit(j, program):
+        todo = [(j, False)]  # (event index, dependencies placed), last first
+        while todo:
+            k, ready = todo.pop()
+            if ready:
+                program.append(base + k)
+            elif not placed[k]:
+                placed[k] = True
+                todo.append((k, True))
+                for d in reversed(events[k].dependencies):
+                    if d in event_at and events[event_at[d]].device == events[k].device:
+                        todo.append((event_at[d], False))
 
-    for key, _, ev in sorted((segment(ev), i, ev) for i, ev in enumerate(comm_events)):
-        emit(ev, segments.setdefault(key, []))
+    spliced = {}  # segment -> event indices, in event order
+    for j, ev in enumerate(events):
+        spliced.setdefault(segment(ev), []).append(j)
     programs = {}
-    for (dev, _, _), ids in sorted(segments.items()):
-        programs.setdefault(dev, []).extend(ids)
+    for dev in sorted({s for s, slots in enumerate(schedule) if slots} | {key[0] for key in spliced}):
+        program = programs[dev] = []
+        for idx, g in enumerate(stage_slots.get(dev, ())):
+            for j in spliced.get((dev, idx, 0), ()):
+                emit(j, program)
+            program += range(first[g], first[g] + len(tpl_of[g].kinds))
+            for j in spliced.get((dev, idx, 2), ()):
+                emit(j, program)
+        for j in spliced.get((dev, math.inf, 0), ()):
+            emit(j, program)
 
-    all_tasks = tasks + comm_tasks
     # Each serial resource runs its share of the program in program order;
     # the host launches the whole program in that order.
-    resources = {t.id: t.resources for t in all_tasks}
     chains = {}
     for dev, program in programs.items():
-        for tid in program:
-            for r in resources[tid]:
-                chains.setdefault((dev, r), []).append(tid)
-    result = engine.run_tasks(all_tasks, chains, programs if host_time > 0 else None)
+        for pos in program:
+            for r in resources[pos]:
+                chains.setdefault((dev, r), []).append(pos)
+    columns = engine.TaskColumns(
+        duration, [host_time] * len(duration), device, resources, kind, sync, deps, chains,
+        programs if host_time > 0 else {},
+    )
 
-    compute_kinds = {"fwd", "bwd", "bwd_dx", "bwd_dw", "preprocess", "permute", "gmm"}
-    busy = []
-    for s in range(p):
-        total = sum(
-            result.tasks[tid].duration
-            for tid in result.chains.get((s, "compute"), ())
-            if result.tasks[tid].kind in compute_kinds
-        )
-        busy.append(total)
-    makespan = result.makespan
-    bubble = 0.0
-    if makespan > 0:
-        bubble = 1.0 - sum(busy) / (p * makespan)
+    def names():
+        return [sid + x for sid, tpl in zip(sids, tpl_of) for x in tpl.suffixes] + [ev.id for ev in events]
 
-    total_comm = sum(t.duration for t in comm_tasks)
-    overlapped = 0.0
-    merged = {}
-    for t in comm_tasks:
-        if t.device not in merged:
-            merged[t.device] = engine.merged_busy_intervals(
-                result, t.device, kinds=compute_kinds
+    result = engine.run_columns(columns, names)
+    begin, finish = result.begin, result.finish
+    busy = tuple(
+        sum(duration[i] for i in chains.get((s, "compute"), ()) if kind[i] in COMPUTE_KINDS) for s in range(p)
+    )
+    bubble = 1.0 - sum(busy) / (p * result.makespan) if result.makespan > 0 else 0.0
+    total_comm = sum(duration[base:])
+    overlapped, merged = 0.0, {}
+    for pos, ev in enumerate(events, base):
+        if ev.device not in merged:
+            chain = chains.get((ev.device, "compute"), ())
+            merged[ev.device] = engine.merged_intervals(
+                (begin[i], finish[i]) for i in chain if kind[i] in COMPUTE_KINDS
             )
-        overlapped += engine.overlap_with(
-            merged[t.device], result.start[t.id], result.end[t.id]
-        )
-    exposed = total_comm - overlapped
-    rate = 1.0 if total_comm == 0 else overlapped / total_comm
-
-    host_idle = sum(result.host_delay.values())
-
+        overlapped += engine.overlap_with(merged[ev.device], begin[pos], finish[pos])
     return StepReport(
-        step_time=makespan,
+        step_time=result.makespan,
         bubble_ratio=bubble,
-        comm_overlap_rate=rate,
-        exposed_comm_time=exposed,
-        host_idle_time=host_idle,
-        per_stage_busy=tuple(busy),
+        comm_overlap_rate=1.0 if total_comm == 0 else overlapped / total_comm,
+        exposed_comm_time=total_comm - overlapped,
+        host_idle_time=sum(result.host_delays()),
+        per_stage_busy=busy,
         timeline=result,
     )
 

@@ -24,14 +24,9 @@ from .parallel import (
     ParallelPlan, StageAssignment, assign_chunks, item_kind, micro_batch_count, require_valid, tokens_per_device,
 )
 from .pipeline import (
-    ChunkCost,
-    OverlapPolicy,
-    build_1f1b_schedule,
-    dataflow_parent,
-    simulate_timeline,
-    slot_id,
-    summarize,
+    ChunkCost, OverlapPolicy, build_1f1b_schedule, dataflow_parent, simulate_timeline, slot_id, summarize,
 )
+
 
 @dataclass(frozen=True)
 class SimulationFeatures:
@@ -158,6 +153,13 @@ def slot_dispatch_events(
     inter_group = plan.ep * plan.tp if mechanism == "allgather" else plan.ep
     inter_kind = "alltoall" if mechanism == "alltoall" else "allgather"
     intra_group = min(plan.ep * plan.tp, hw.devices_per_node)
+    # Per network tier: (id suffix, kind, resource, bytes per dispatch, group
+    # size). A slot's intra-node transfer waits for its inter-node one.
+    tiers = []
+    if hw.num_nodes > 1 and vols.inter_node_bytes > 0:
+        tiers.append(("inter", inter_kind, "inter_link", vols.inter_node_bytes, inter_group))
+    if vols.intra_node_bytes > 0:
+        tiers.append(("intra", "alltoall", "intra_link", vols.intra_node_bytes, intra_group))
     events = []
     for slots in schedule:
         for sl in slots:
@@ -166,39 +168,16 @@ def slot_dispatch_events(
                 continue
             sid = slot_id(sl)
             parent = dataflow_parent(sl, len(schedule), plan.vpp)
-            deps = (slot_id(parent),) if parent is not None else ()
+            prior = (slot_id(parent),) if parent is not None else ()
             scale = 2.0 * layers
-            prior = deps
-            if hw.num_nodes > 1 and vols.inter_node_bytes > 0:
-                inter_id = f"disp:{sid}:inter"
+            for tier, kind, resource, volume, group in tiers:
                 events.append(
                     CommEvent(
-                        id=inter_id,
-                        kind=inter_kind,
-                        resource="inter_link",
-                        bytes=vols.inter_node_bytes * scale,
-                        direction=sl.phase,
-                        dependencies=deps,
-                        device=sl.pp_stage,
-                        group_size=inter_group,
-                        feeds=sid,
+                        id=f"disp:{sid}:{tier}", kind=kind, resource=resource, bytes=volume * scale,
+                        direction=sl.phase, dependencies=prior, device=sl.pp_stage, group_size=group, feeds=sid,
                     )
                 )
-                prior = (inter_id,)
-            if vols.intra_node_bytes > 0:
-                events.append(
-                    CommEvent(
-                        id=f"disp:{sid}:intra",
-                        kind="alltoall",
-                        resource="intra_link",
-                        bytes=vols.intra_node_bytes * scale,
-                        direction=sl.phase,
-                        dependencies=prior,
-                        device=sl.pp_stage,
-                        group_size=intra_group,
-                        feeds=sid,
-                    )
-                )
+                prior = (events[-1].id,)
     return events
 
 

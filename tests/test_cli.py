@@ -7,6 +7,7 @@ same seed and requires byte-identical output.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from moesim.balance import RoutingTrace
 from moesim.cli import main
 from moesim.configio import load_cluster, load_model, load_plan
 from moesim.search import SimulationFeatures, training_report
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODEL = {
     "num_layers": 4,
@@ -176,6 +179,25 @@ def test_simulate_training_prints_the_report(tmp_path, capsys):
     assert data["mfu"] == report.mfu
     assert data["step_time"] == report.step_time
     assert data["memory"]["feasible"] is True
+
+
+def readme_block(command):
+    """The output lines of the README example that starts with `command`."""
+    text = (ROOT / "README.md").read_text()
+    block = next(b for b in text.split("```")[1::2] if b.lstrip("\n").startswith(command))
+    lines = block.strip("\n").split("\n")
+    start = next(i for i, line in enumerate(lines) if not line.endswith("\\")) + 1
+    return "".join(line + "\n" for line in lines[start:])
+
+
+def test_readme_simulate_block_is_the_reference_output(capsys):
+    configs = ROOT / "configs"
+    argv = ["simulate", "--model", str(configs / "model_reference.json"),
+            "--cluster", str(configs / "cluster_6144.json"), "--plan", str(configs / "plan_reference.json")]
+    assert main(argv) == 0
+    expected = readme_block("$ moesim simulate")
+    assert "step 28.809454 s\n" in expected and "mfu 0.3773\n" in expected
+    assert capsys.readouterr().out == expected
 
 
 def test_simulate_inference_mode(tmp_path, capsys):

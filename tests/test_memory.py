@@ -139,8 +139,8 @@ def test_unset_global_batch_falls_back():
     the full 1F1B depth and recompute is charged for one micro batch."""
     cfg = tiny_config()
 
-    def two_stage(gbs):
-        return ParallelPlan(tp=1, pp=2, vpp=1, ep=1, dp=1, micro_batch_size=1, global_batch_size=gbs)
+    def two_stage(gbs, mbs=1):
+        return ParallelPlan(tp=1, pp=2, vpp=1, ep=1, dp=1, micro_batch_size=mbs, global_batch_size=gbs)
 
     layout = assign_chunks(cfg, two_stage(0))
     assert activation_peak(cfg, two_stage(0), layout, MemoryPlan()) == activation_peak(
@@ -150,6 +150,12 @@ def test_unset_global_batch_falls_back():
     cost = plan_time_cost(cfg, two_stage(0), small_hw(), full)
     assert cost > 0
     assert cost == plan_time_cost(cfg, two_stage(1), small_hw(), full)
+    # A global batch that dp * micro_batch_size does not divide falls back
+    # the same way, not to the rounded-down count (1 for 3, 2 for 5).
+    for ragged in (two_stage(3, mbs=2), two_stage(5, mbs=2)):
+        peak = activation_peak(cfg, ragged, layout, MemoryPlan())
+        assert peak == activation_peak(cfg, two_stage(0, mbs=2), layout, MemoryPlan())
+        assert plan_time_cost(cfg, ragged, small_hw(), full) == plan_time_cost(cfg, two_stage(2, mbs=2), small_hw(), full)
 
 
 def test_in_flight_micro_batches():

@@ -4,6 +4,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moesim.cluster import HardwareDescription
 from moesim.errors import NonDivisibleError, PlanError
@@ -71,6 +73,38 @@ def test_partition_matches_brute_force_small_instances():
         flat = [i for run in got for i in run]
         assert flat == list(range(n))
         assert len(got) == chunks
+
+
+@st.composite
+def partition_instances(draw):
+    """(weights, chunks): up to 9 weights from a small set, so values repeat
+    and ties are common, and 1 to 4 chunks, never more than the weights.
+    Every sum is exact in binary floating point."""
+    weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=9))
+    return weights, draw(st.integers(1, min(4, len(weights))))
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(partition_instances())
+def test_partition_is_the_earliest_optimal_split(instance):
+    """Among all splits into contiguous non-empty runs, the partition has
+    the least maximum run weight, and of the splits that reach it, the one
+    whose cut positions come first in lexicographic order."""
+    weights, chunks = instance
+    n = len(weights)
+
+    def worst(cuts):
+        bounds = (0,) + cuts + (n,)
+        return max(sum(weights[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    splits = list(itertools.combinations(range(1, n), chunks - 1))
+    best = min(worst(cuts) for cuts in splits)
+    runs = partition_contiguous(weights, chunks)
+    assert [i for run in runs for i in run] == list(range(n))
+    assert all(runs) and len(runs) == chunks
+    cuts = tuple(run[0] for run in runs[1:])
+    assert worst(cuts) == best
+    assert cuts == next(c for c in splits if worst(c) == best)
 
 
 def test_partition_rejects_impossible_split():

@@ -1,5 +1,6 @@
 """Schedule construction and timeline simulation."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -7,11 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moesim
 
 from moesim.cluster import HardwareDescription
 from moesim.comm import CommEvent
+from moesim.engine import run_tasks
 from moesim.model import MlaDims, ModelConfig, flops_per_token
 from moesim.parallel import ParallelPlan
 from moesim.pipeline import (
@@ -208,6 +212,59 @@ def test_task_deps_are_own_then_dataflow_parent_then_feeding_events():
     assert tasks["a"].deps == ("fwd:p0:v0:m0", "c")
     assert tasks["bwd:p0:v0:m0:dx"].deps == ("bwd:p1:v0:m0:dx",)
     assert tasks["bwd:p0:v0:m0:dw"].deps == ()
+
+
+def test_event_names_resolve_like_task_ids():
+    """An event may name any compute task by its id (a slot id stands for
+    the part downstream work waits on, or for the first part when fed); an
+    id that is already taken or a name that is no task is rejected."""
+    sched = build_1f1b_schedule(1, 1, 1)
+    costs = uniform_chunk_costs(1, 1, 1e-3, 2e-3)
+    hw = dataclasses.replace(flat_cluster(), host_dispatch_time=1e-4)
+
+    def run(*events):
+        return simulate_timeline(sched, costs, list(events), hw=hw).timeline.tasks
+
+    def event(eid, deps=(), feeds=None):
+        return CommEvent(eid, "p2p", "inter_link", 1e3, dependencies=deps, feeds=feeds)
+
+    tasks = run(
+        event("a", ("fwd:p0:v0:m0:gmm", "fwd:p0:v0:m0"), "bwd:p0:v0:m0:dw"),
+        event("b", ("a",), "bwd:p0:v0:m0"),
+    )
+    assert tasks["a"].deps == ("fwd:p0:v0:m0:gmm", "fwd:p0:v0:m0:permute")
+    assert tasks["bwd:p0:v0:m0:dw"].deps == ("a",)
+    assert tasks["bwd:p0:v0:m0:dx"].deps == ("fwd:p0:v0:m0:permute", "b")
+    # A split slot's own id names no task, so an event may take it.
+    assert run(event("fwd:p0:v0:m0"))["fwd:p0:v0:m0"].kind == "comm"
+    for taken in ("fwd:p0:v0:m0:pre", "a"):
+        with pytest.raises(ValueError, match=f"duplicate task id '{taken}'"):
+            run(event("a"), event(taken))
+    with pytest.raises(ValueError, match="task 'a' depends on unknown task 'fwd:p0:v0:m0:dx'"):
+        run(event("a", ("fwd:p0:v0:m0:dx",)))
+    with pytest.raises(ValueError, match="duplicate task id 'fwd:p0:v0:m0:pre'"):
+        simulate_timeline([sched[0] * 2], costs, hw=hw)
+
+
+def test_long_same_device_event_chain_listed_dependents_first():
+    """Same-device dependencies are pulled ahead without recursion, so a
+    chain longer than the interpreter's recursion limit still runs in
+    dependency order."""
+    n = sys.getrecursionlimit() + 500
+    events = [
+        CommEvent(f"e{i}", "p2p", "intra_link", 1e3, dependencies=(f"e{i - 1}",) if i else ())
+        for i in range(n)
+    ]
+    sched, costs = build_1f1b_schedule(1, 1, 1), uniform_chunk_costs(1, 1, 1.0, 1.0)
+    rep = simulate_timeline(sched, costs, events[::-1], hw=flat_cluster())
+    assert rep.timeline.chains[(0, "intra_link")] == [f"e{i}" for i in range(n)]
+
+
+def test_timeline_views_are_built_on_first_read():
+    rep = simulate_timeline(*random_program(random.Random(13)))
+    assert not {"start", "end", "tasks"} & vars(rep.timeline).keys()
+    assert max(rep.timeline.end.values()) == rep.step_time
+    assert {"start", "end", "tasks"} <= vars(rep.timeline).keys()
 
 
 def test_comm_serialized_is_fully_exposed():
@@ -450,3 +507,20 @@ def test_report_does_not_depend_on_string_hash_seed():
         outs.append(run.stdout)
     assert outs[0].startswith("StepReport(")
     assert outs[0] == outs[1]
+
+
+@settings(database=None, derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_run_tasks_adapter_agrees_with_the_pipeline(seed, hosted):
+    """The string adapter, given the timeline's own tasks, chains and host
+    order, reproduces every time the pipeline computed, in the same order."""
+    schedule, costs, events, policy, hw = random_program(random.Random(seed))
+    hw = dataclasses.replace(hw, host_dispatch_time=0.05 if hosted else 0.0)
+    tl = simulate_timeline(schedule, costs, events, policy, hw).timeline
+    host_order = {}
+    for tid in tl.host_delay:
+        host_order.setdefault(tl.tasks[tid].device, []).append(tid)
+    again = run_tasks(tl.tasks.values(), tl.chains, host_order)
+    for field in ("start", "end", "dispatch_end", "host_delay"):
+        assert list(getattr(again, field).items()) == list(getattr(tl, field).items()), field
+    assert bool(tl.host_delay) == hosted
