@@ -22,8 +22,6 @@ from .errors import EmptyWindowError, ParseError, SlotMismatchError, ZeroMeanErr
 TRACE_HEADER = "# moesim-trace v1"
 TRACE_COLUMNS = "step,token,task,experts,scores"
 
-OPTIMIZER_BYTES_PER_PARAM = 14  # bf16 weight + fp32 master + two fp32 moments
-
 
 @dataclass(frozen=True)
 class TraceSpec:
@@ -89,11 +87,9 @@ class RoutingTrace:
     def top_k(self) -> int:
         return self.experts.shape[2]
 
-    def expert_counts(self, step: int | None = None) -> np.ndarray:
-        """Tokens routed to each expert, per step or for one step."""
+    def expert_counts(self) -> np.ndarray:
+        """Tokens routed to each expert, per step: a (steps, num_experts) array."""
         n = self.num_experts
-        if step is not None:
-            return np.bincount(self.experts[step].ravel(), minlength=n)
         offsets = np.arange(self.steps)[:, None, None] * n
         return np.bincount((self.experts + offsets).ravel(), minlength=self.steps * n).reshape(self.steps, n)
 
@@ -324,7 +320,6 @@ class Placement:
     device_of_expert: np.ndarray
     device_loads: np.ndarray
     moved_experts: int
-    swap_bytes: float
 
     @property
     def cv(self) -> float:
@@ -421,7 +416,6 @@ def greedy_place(
     num_devices: int,
     slots_per_device: int,
     previous: np.ndarray | None = None,
-    bytes_per_expert: float = 0.0,
 ) -> Placement:
     """Assign experts to devices minimizing the heaviest device.
 
@@ -441,14 +435,7 @@ def greedy_place(
     dev_load = np.bincount(device_of, weights=arr, minlength=num_devices)
     base = previous if previous is not None else contiguous_placement(n, num_devices)
     moved = int(np.count_nonzero(device_of != np.asarray(base)))
-    return Placement(
-        device_of_expert=device_of,
-        device_loads=dev_load,
-        moved_experts=moved,
-        swap_bytes=moved * bytes_per_expert * OPTIMIZER_BYTES_PER_PARAM
-        if bytes_per_expert
-        else 0.0,
-    )
+    return Placement(device_of_expert=device_of, device_loads=dev_load, moved_experts=moved)
 
 
 def placement_loads(counts: np.ndarray, device_of_expert: np.ndarray, num_devices: int) -> np.ndarray:
@@ -495,7 +482,6 @@ class BalanceRunResult:
     static_cv: np.ndarray
     managed_cv: np.ndarray
     replan_steps: tuple
-    total_swap_bytes: float
 
     @property
     def mean_cv_reduction(self) -> float:
@@ -507,7 +493,6 @@ def run_balance_simulation(
     num_devices: int,
     replan_interval: int = 1,
     history_window: int = 1,
-    bytes_per_expert: float = 0.0,
 ) -> BalanceRunResult:
     """Replay a trace against a static placement and a managed one that
     replans from recent load history every `replan_interval` steps."""
@@ -525,17 +510,13 @@ def run_balance_simulation(
     static_cv = np.zeros(trace.steps)
     managed_cv = np.zeros(trace.steps)
     replans = []
-    swap_total = 0.0
     for s in range(trace.steps):
         if s > 0 and s % replan_interval == 0:
             pred = predict_loads(counts[:s], history_window)
-            placed = greedy_place(
-                pred, num_devices, slots, previous=managed, bytes_per_expert=bytes_per_expert
-            )
+            placed = greedy_place(pred, num_devices, slots, previous=managed)
             if placed.moved_experts:
                 replans.append(s)
-                swap_total += placed.swap_bytes
             managed = placed.device_of_expert
         static_cv[s] = device_load_stats(placement_loads(counts[s], static, num_devices))
         managed_cv[s] = device_load_stats(placement_loads(counts[s], managed, num_devices))
-    return BalanceRunResult(static_cv, managed_cv, tuple(replans), swap_total)
+    return BalanceRunResult(static_cv, managed_cv, tuple(replans))

@@ -80,11 +80,6 @@ class HardwareDescription:
             return self.peak_flops["fp16"]
         raise KeyError(f"no peak FLOP rate listed for {dtype_bytes}-byte dtype")
 
-    def comm_group(self, size: int, spans_nodes: bool) -> CommGroup:
-        if spans_nodes:
-            return CommGroup(size, True, self.inter_node_latency, self.inter_node_bandwidth)
-        return CommGroup(size, False, self.intra_node_latency, self.intra_node_bandwidth)
-
     def tier(self, resource: str) -> tuple[float, float]:
         """(latency, bandwidth) of a link tier named by its resource."""
         if resource == "inter_link":

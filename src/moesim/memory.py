@@ -12,12 +12,16 @@ permutation buffers, expert FFN intermediates) plus the router
 probabilities, which can be swapped to host memory instead of recomputed.
 With every option enabled only the layer-boundary activations remain: the
 attention block input and the FFN block input, 2 * hidden * dtype_bytes
-per token per layer. Peak bytes scale with the micro batches a stage keeps
-alive under the 1F1B schedule (stage 0 is the worst).
+per token per layer. Each option is declared once: the buckets it releases
+in `_RELEASES`, its per-layer seconds in `plan_time_cost`'s table. Peak
+bytes scale with the micro batches a stage keeps alive under the 1F1B
+schedule, its warm-up forwards plus one (stage 0 is the worst). The
+capacity is always the cluster's `hbm_capacity`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,9 +29,21 @@ from .cluster import HardwareDescription, kernel_time
 from .errors import InfeasibleMemoryError
 from .model import ModelConfig, flops_per_token, _attention_params, _layer_norm_params
 from .parallel import ParallelPlan, StageAssignment, assign_chunks, item_kind, micro_batch_count, tokens_per_device
+from .pipeline import warmup_forwards
 
 RECOMPUTE_OPTIONS = ("mla_qkv", "mla_kv_only", "permute", "swiglu_activation")
 SWAP_OPTIONS = ("probs",)
+
+# The activation buckets (see `_activation_buckets`) each option releases.
+# Only the layer-boundary bucket is always kept.
+_RELEASES = {
+    "full_layer": ("mla_kv_only", "mla_q_rest", "permute", "swiglu_activation", "probs"),
+    "mla_qkv": ("mla_kv_only", "mla_q_rest"),
+    "mla_kv_only": ("mla_kv_only",),
+    "permute": ("permute",),
+    "swiglu_activation": ("swiglu_activation",),
+    "probs": ("probs",),
+}
 
 
 @dataclass(frozen=True)
@@ -52,6 +68,11 @@ class MemoryPlan:
             recompute=frozenset(("mla_qkv", "permute", "swiglu_activation")),
             swap=frozenset(SWAP_OPTIONS),
         )
+
+
+def _enabled(plan: MemoryPlan) -> frozenset:
+    """Every option `plan` turns on, named as in `_RELEASES`."""
+    return plan.recompute | plan.swap | ({"full_layer"} if plan.full_layer else frozenset())
 
 
 @dataclass(frozen=True)
@@ -136,36 +157,15 @@ def _activation_buckets(cfg: ModelConfig, kind: str) -> dict:
 
 
 def _kept_bytes_per_token(cfg: ModelConfig, kind: str, plan: MemoryPlan) -> float:
-    buckets = _activation_buckets(cfg, kind)
-    if plan.full_layer:
-        return buckets["boundary"]
-    kept = buckets["boundary"]
-    if "mla_qkv" in plan.recompute:
-        pass  # releases both attention buckets
-    elif "mla_kv_only" in plan.recompute:
-        kept += buckets["mla_q_rest"]
-    else:
-        kept += buckets["mla_kv_only"] + buckets["mla_q_rest"]
-    if "permute" not in plan.recompute:
-        kept += buckets["permute"]
-    if "swiglu_activation" not in plan.recompute:
-        kept += buckets["swiglu_activation"]
-    if "probs" not in plan.swap:
-        kept += buckets["probs"]
-    return kept
+    released = {bucket for option in _enabled(plan) for bucket in _RELEASES[option]}
+    return sum(v for bucket, v in _activation_buckets(cfg, kind).items() if bucket not in released)
 
 
 def in_flight_micro_batches(plan: ParallelPlan, stage: int, m: int | None = None) -> int:
     """Forward activations stage ``stage`` holds at the 1F1B peak, counted
-    in chunk units."""
-    p, v = plan.pp, plan.vpp
-    if v == 1:
-        peak = p - stage
-    else:
-        peak = (p - stage - 1) * 2 + (v - 1) * p + 1
-    if m is not None:
-        peak = min(peak, m * v)
-    return peak
+    in chunk units: its warm-up forwards plus the first steady-state one."""
+    peak = warmup_forwards(plan.pp, stage, plan.vpp) + 1
+    return peak if m is None else min(peak, m * plan.vpp)
 
 
 def _micro_batches(plan: ParallelPlan) -> int | None:
@@ -213,31 +213,25 @@ def plan_time_cost(
     h = cfg.hidden_size
     layer_fwd = kernel_time(flops_per_token(cfg).per_layer["moe"] * tokens, 0.0, hw, dtype_bytes=b)
 
+    mla = cfg.mla
+    kv_params = h * mla.kv_rank + h * mla.rope_dim + 2 * mla.kv_rank * cfg.num_attention_heads * mla.head_dim
+    active = cfg.top_k + cfg.num_shared_experts
+    probs_transfer = 2.0 * cfg.num_routed_experts * 4.0 * tokens * moe_fraction
+    seconds = {
+        "full_layer": layer_fwd,
+        "mla_qkv": kernel_time(2.0 * _attention_params(cfg) * tokens, 0.0, hw, dtype_bytes=b),
+        "mla_kv_only": kernel_time(2.0 * kv_params * tokens, 0.0, hw, dtype_bytes=b),
+        "permute": 2 * cfg.top_k * h * b * tokens * moe_fraction / hw.hbm_bandwidth,
+        "swiglu_activation": 3 * active * cfg.expert_intermediate_size * b * tokens * moe_fraction
+        / hw.hbm_bandwidth,
+        # the swap hides behind the forward and backward expert compute
+        "probs": max(0.0, probs_transfer / hw.host_to_device_bandwidth - 2.0 * layer_fwd),
+    }
+    enabled = _enabled(mem_plan)
     per_layer = 0.0
-    if mem_plan.full_layer:
-        per_layer += layer_fwd
-    if "mla_qkv" in mem_plan.recompute:
-        per_layer += kernel_time(2.0 * _attention_params(cfg) * tokens, 0.0, hw, dtype_bytes=b)
-    elif "mla_kv_only" in mem_plan.recompute:
-        mla = cfg.mla
-        kv_params = (
-            cfg.hidden_size * mla.kv_rank
-            + cfg.hidden_size * mla.rope_dim
-            + 2 * mla.kv_rank * cfg.num_attention_heads * mla.head_dim
-        )
-        per_layer += kernel_time(2.0 * kv_params * tokens, 0.0, hw, dtype_bytes=b)
-    if "permute" in mem_plan.recompute:
-        moved = 2 * cfg.top_k * h * b * tokens * moe_fraction
-        per_layer += moved / hw.hbm_bandwidth
-    if "swiglu_activation" in mem_plan.recompute:
-        active = cfg.top_k + cfg.num_shared_experts
-        moved = 3 * active * cfg.expert_intermediate_size * b * tokens * moe_fraction
-        per_layer += moved / hw.hbm_bandwidth
-    if "probs" in mem_plan.swap:
-        transfer = 2.0 * cfg.num_routed_experts * 4.0 * tokens * moe_fraction
-        transfer_time = transfer / hw.host_to_device_bandwidth
-        slack = 2.0 * layer_fwd
-        per_layer += max(0.0, transfer_time - slack)
+    for option, t in seconds.items():  # summed in this order, so the float sum is fixed
+        if option in enabled:
+            per_layer += t
     return per_layer * layers_per_stage * m
 
 
@@ -247,43 +241,33 @@ def memory_report(
     assignment: StageAssignment,
     hw: HardwareDescription,
     mem_plan: MemoryPlan,
-    capacity: float | None = None,
 ) -> MemoryReport:
-    cap = hw.hbm_capacity if capacity is None else capacity
     static = static_memory(cfg, plan, assignment)
     act = activation_peak(cfg, plan, assignment, mem_plan)
     return MemoryReport(
         static_bytes=static,
         activation_bytes=act,
-        capacity_bytes=cap,
-        feasible=static + act <= cap,
+        capacity_bytes=hw.hbm_capacity,
+        feasible=static + act <= hw.hbm_capacity,
         plan=mem_plan,
         time_added=plan_time_cost(cfg, plan, hw, mem_plan),
     )
 
 
 def candidate_plans() -> list:
-    """Every valid fine-grained option combination, deterministic order."""
-    attn_choices = (frozenset(), frozenset(("mla_kv_only",)), frozenset(("mla_qkv",)))
-    toggles = (frozenset(), frozenset(("permute",)))
-    ffn = (frozenset(), frozenset(("swiglu_activation",)))
-    swaps = (frozenset(), frozenset(("probs",)))
-    plans = []
-    for a in attn_choices:
-        for t in toggles:
-            for f in ffn:
-                for s in swaps:
-                    plans.append(MemoryPlan(recompute=a | t | f, swap=s))
-    return plans
+    """Every valid fine-grained option combination, deterministic order:
+    one choice from each of the four groups."""
+    groups = (
+        (frozenset(), frozenset(("mla_kv_only",)), frozenset(("mla_qkv",))),
+        (frozenset(), frozenset(("permute",))),
+        (frozenset(), frozenset(("swiglu_activation",))),
+        (frozenset(), frozenset(("probs",))),
+    )
+    return [MemoryPlan(recompute=a | p | f, swap=s) for a, p, f, s in itertools.product(*groups)]
 
 
-def select_memory_plan(
-    cfg: ModelConfig,
-    plan: ParallelPlan,
-    hw: HardwareDescription,
-    capacity: float | None = None,
-) -> MemoryReport:
-    """Cheapest feasible fine-grained plan.
+def select_memory_plan(cfg: ModelConfig, plan: ParallelPlan, hw: HardwareDescription) -> MemoryReport:
+    """Cheapest feasible fine-grained plan within ``hw.hbm_capacity``.
 
     Ranked by added time, then fewer options, then kv-only preferred over
     the full attention path, then option names. Raises
@@ -292,11 +276,11 @@ def select_memory_plan(
     assignment = assign_chunks(cfg, plan)
     reports = []
     for mp in candidate_plans():
-        rep = memory_report(cfg, plan, assignment, hw, mp, capacity)
+        rep = memory_report(cfg, plan, assignment, hw, mp)
         if rep.feasible:
             reports.append(rep)
     if not reports:
-        full = memory_report(cfg, plan, assignment, hw, MemoryPlan.everything(), capacity)
+        full = memory_report(cfg, plan, assignment, hw, MemoryPlan.everything())
         raise InfeasibleMemoryError(
             f"static {full.static_bytes:.3e} + activations {full.activation_bytes:.3e} "
             f"exceed capacity {full.capacity_bytes:.3e} even with every option enabled"

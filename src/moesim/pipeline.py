@@ -83,8 +83,6 @@ class StepReport:
     exposed_comm_time: float
     host_idle_time: float
     per_stage_busy: tuple
-    mfu: float = 0.0
-    tps: float = 0.0
     timeline: engine.TimelineResult | None = None
 
 
@@ -107,6 +105,15 @@ def _interleaved_order(i: int, p: int, v: int, backward: bool):
     return chunk, group * p + lane
 
 
+def warmup_forwards(p: int, stage: int, v: int = 1) -> int:
+    """Forwards stage ``stage`` runs before its first backward in the
+    (interleaved) 1F1B schedule, before capping at the m * v chunks that
+    exist."""
+    if v == 1:
+        return p - stage - 1
+    return (p - stage - 1) * 2 + (v - 1) * p
+
+
 def build_1f1b_schedule(p: int, m: int, v: int = 1) -> list:
     """Per-stage slot sequences for the (interleaved) 1F1B schedule: each
     stage runs its warm-up forwards, then alternates one forward with one
@@ -120,7 +127,7 @@ def build_1f1b_schedule(p: int, m: int, v: int = 1) -> list:
     bwd_order = [_interleaved_order(i, p, v, True) for i in range(total)]
     stages = []
     for s in range(p):
-        warmup = min(p - s - 1, m) if v == 1 else min((p - s - 1) * 2 + (v - 1) * p, total)
+        warmup = min(warmup_forwards(p, s, v), total)
         phases = ["fwd"] * warmup + ["fwd", "bwd"] * (total - warmup) + ["bwd"] * warmup
         order = {"fwd": iter(fwd_order), "bwd": iter(bwd_order)}
         stages.append([ScheduleSlot(s, *next(order[ph]), ph) for ph in phases])

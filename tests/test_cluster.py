@@ -88,14 +88,6 @@ def test_world_size_and_tier_lookup():
     assert (lat, bw) == (5e-6, 20e9)
 
 
-def test_comm_group_constructor_by_span():
-    hw = make_hw()
-    local = hw.comm_group(4, spans_nodes=False)
-    remote = hw.comm_group(4, spans_nodes=True)
-    assert local.bandwidth == 100e9 and remote.bandwidth == 20e9
-    assert local.latency == 1e-6 and remote.latency == 5e-6
-
-
 def test_peak_for_dtype_bytes():
     hw = make_hw()
     assert hw.peak_for_dtype_bytes(2) == 100e12

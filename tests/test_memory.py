@@ -13,6 +13,9 @@ so a dense item is 1122, a moe item 2722, the mtp item 3266, and a
 single-stage device owns 13032 parameters including the embedding.
 """
 
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from moesim.cluster import HardwareDescription
@@ -29,6 +32,7 @@ from moesim.memory import (
 )
 from moesim.model import MlaDims, ModelConfig
 from moesim.parallel import ParallelPlan, assign_chunks
+from moesim.pipeline import build_1f1b_schedule
 
 
 def tiny_config():
@@ -169,10 +173,29 @@ def test_in_flight_micro_batches():
     assert in_flight_micro_batches(flat, 0, m=2) == 2
 
 
+def test_in_flight_matches_the_schedule_peak():
+    """The depth the memory model charges is the most forwards a stage of
+    the built schedule holds without their backward, on every stage of
+    p <= 6, v <= 3, m <= 24 (interleaving needs p | m)."""
+    cases = 0
+    for p, v, m in itertools.product(range(1, 7), range(1, 4), range(1, 25)):
+        if v > 1 and m % p:
+            continue
+        plan = ParallelPlan(tp=1, pp=p, vpp=v, ep=1, dp=1, micro_batch_size=1)
+        for s, slots in enumerate(build_1f1b_schedule(p, m, v)):
+            held = peak = 0
+            for slot in slots:
+                held += 1 if slot.phase == "fwd" else -1
+                peak = max(peak, held)
+            assert in_flight_micro_batches(plan, s, m) == peak, (p, v, m, s)
+            cases += 1
+    assert cases == 784
+
+
 def test_report_totals_and_headroom():
     cfg = tiny_config()
     plan = single_stage_plan()
-    rep = memory_report(cfg, plan, assign_chunks(cfg, plan), small_hw(), MemoryPlan(), capacity=400_000.0)
+    rep = memory_report(cfg, plan, assign_chunks(cfg, plan), small_hw(hbm_capacity=400_000.0), MemoryPlan())
     assert rep.total_bytes == pytest.approx(rep.static_bytes + rep.activation_bytes)
     assert rep.headroom_bytes == pytest.approx(400_000.0 - rep.total_bytes)
     assert rep.static_bytes == pytest.approx(16 * 13032)
@@ -185,8 +208,8 @@ def test_feasibility_boundary_is_inclusive():
     hw = small_hw()
     layout = assign_chunks(cfg, plan)
     exact = memory_report(cfg, plan, layout, hw, MemoryPlan()).total_bytes
-    assert memory_report(cfg, plan, layout, hw, MemoryPlan(), capacity=exact).feasible
-    assert not memory_report(cfg, plan, layout, hw, MemoryPlan(), capacity=exact - 1).feasible
+    assert memory_report(cfg, plan, layout, replace(hw, hbm_capacity=exact), MemoryPlan()).feasible
+    assert not memory_report(cfg, plan, layout, replace(hw, hbm_capacity=exact - 1), MemoryPlan()).feasible
 
 
 def test_probs_swap_costs_no_time_at_this_scale():
@@ -206,12 +229,10 @@ def test_select_prefers_doing_nothing_when_memory_is_ample():
 
 def test_select_picks_free_swap_under_mild_pressure():
     cfg = tiny_config()
-    plan = single_stage_plan()
-    hw = small_hw()
     static = 16 * 13032
     # room for the probs-swap footprint but not the keep-everything one
     cap = static + 64 * (212 + 3 * 436) + 1
-    rep = select_memory_plan(cfg, plan, hw, capacity=cap)
+    rep = select_memory_plan(cfg, single_stage_plan(), small_hw(hbm_capacity=cap))
     assert rep.plan == MemoryPlan(swap=frozenset(("probs",)))
     assert rep.time_added == 0.0
 
@@ -219,13 +240,13 @@ def test_select_picks_free_swap_under_mild_pressure():
 def test_select_matches_brute_force_ranking():
     cfg = tiny_config()
     plan = single_stage_plan()
-    hw = small_hw()
     static = 16 * 13032
     layout = assign_chunks(cfg, plan)
     for cap in [static + 17_000, static + 70_000, static + 90_000, static + 101_000]:
+        hw = small_hw(hbm_capacity=cap)
         want = None
         for mp in candidate_plans():
-            rep = memory_report(cfg, plan, layout, hw, mp, capacity=cap)
+            rep = memory_report(cfg, plan, layout, hw, mp)
             if not rep.feasible:
                 continue
             names = sorted(rep.plan.recompute | rep.plan.swap)
@@ -237,14 +258,14 @@ def test_select_matches_brute_force_ranking():
             )
             if want is None or key < want[0]:
                 want = (key, rep.plan)
-        got = select_memory_plan(cfg, plan, hw, capacity=cap)
+        got = select_memory_plan(cfg, plan, hw)
         assert got.plan == want[1]
 
 
 def test_select_raises_when_nothing_fits():
     cfg = tiny_config()
     with pytest.raises(InfeasibleMemoryError):
-        select_memory_plan(cfg, single_stage_plan(), small_hw(), capacity=float(16 * 13032))
+        select_memory_plan(cfg, single_stage_plan(), small_hw(hbm_capacity=float(16 * 13032)))
 
 
 def test_candidate_plans_cover_the_lattice_once():

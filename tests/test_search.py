@@ -4,14 +4,17 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moesim.memory
 import moesim.search
 from moesim.cluster import HardwareDescription
+from moesim.comm import MECHANISMS, dispatch_volumes
 from moesim.configio import load_cluster, load_model, load_plan
 from moesim.errors import PlanError
 from moesim.model import DesignSpace, MlaDims, ModelConfig, count_parameters, model_id
-from moesim.parallel import ParallelPlan, assign_chunks
+from moesim.parallel import ParallelPlan, assign_chunks, item_kind, tokens_per_device
 from moesim.pipeline import build_1f1b_schedule
 from moesim.search import (
     SimulationFeatures,
@@ -171,6 +174,43 @@ def test_dispatch_inter_event_group_and_kind(mechanism, group_size, kind):
     events = slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), bench_cluster(), mechanism)
     inter = {e.id: e for e in events}["disp:fwd:p0:v0:m0:inter"]
     assert (inter.resource, inter.group_size, inter.kind) == ("inter_link", group_size, kind)
+
+
+@settings(database=None, derandomize=True, max_examples=120, deadline=None)
+@given(
+    mechanism=st.sampled_from(MECHANISMS),
+    nodes=st.sampled_from((1, 2, 4)),
+    pp=st.integers(1, 2),
+    vpp=st.integers(1, 2),
+    rounds=st.integers(1, 3),
+    tp=st.sampled_from((1, 2)),
+    ep=st.sampled_from((2, 4)),
+    layers=st.integers(4, 8),
+    dense=st.integers(0, 2),
+    mtp=st.integers(0, 1),
+)
+def test_dispatch_bytes_are_conserved_across_tiers(mechanism, nodes, pp, vpp, rounds, tp, ep, layers, dense, mtp):
+    """Each tier carries, over the whole step, 2 (dispatch and combine) *
+    routed layers * that tier's `dispatch_volumes` bytes per slot; the
+    inter-node tier only when the cluster has several nodes."""
+    cfg = bench_model(num_layers=layers, num_dense_layers=dense, num_mtp_layers=mtp, num_routed_experts=8)
+    plan = ParallelPlan(tp=tp, pp=pp, vpp=vpp, ep=ep, dp=ep, micro_batch_size=1)
+    schedule = build_1f1b_schedule(pp, rounds * pp, vpp)
+    layout = assign_chunks(cfg, plan)
+    events = slot_dispatch_events(schedule, cfg, plan, layout, bench_cluster(num_nodes=nodes), mechanism)
+    vols = dispatch_volumes(
+        mechanism, int(tokens_per_device(cfg, plan)), cfg.hidden_size, cfg.dtype_bytes, cfg.top_k, tp, ep
+    )
+    routed = {
+        (c.pp_stage, c.vpp_stage): sum(item_kind(name) in ("moe", "mtp") for name, _ in c.items)
+        for c in layout.chunks
+    }
+    dispatches = sum(2 * routed[(sl.pp_stage, sl.vpp_stage)] for slots in schedule for sl in slots)
+    inter = dispatches * vols.inter_node_bytes if nodes > 1 else 0
+    intra = dispatches * vols.intra_node_bytes
+    by_tier = {res: sum(e.bytes for e in events if e.resource == res) for res in ("inter_link", "intra_link")}
+    assert by_tier == {"inter_link": inter, "intra_link": intra}
+    assert sum(e.bytes for e in events) == inter + intra
 
 
 def test_training_report_basics():
