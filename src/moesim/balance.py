@@ -21,6 +21,7 @@ from .errors import EmptyWindowError, ParseError, SlotMismatchError, ZeroMeanErr
 
 TRACE_HEADER = "# moesim-trace v1"
 TRACE_COLUMNS = "step,token,task,experts,scores"
+TRACE_TABLE_CELLS = 2**26  # the most cells `trace_statistics` gives one table
 
 
 @dataclass(frozen=True)
@@ -457,8 +458,14 @@ def trace_statistics(trace: RoutingTrace) -> TraceStats:
     coactivation[i, j] is P(expert j also selected | expert i selected)
     over tokens. task_expert_share[t, i] is the fraction of task t's
     routed slots that went to expert i; a perfectly uniform router puts
-    every entry at 1/N (= top_k / (N * top_k))."""
+    every entry at 1/N (= top_k / (N * top_k)). A table of more than
+    TRACE_TABLE_CELLS cells raises ValueError before anything is allocated."""
     n, k = trace.num_experts, trace.top_k
+    num_tasks = int(trace.tasks.max(initial=0)) + 1
+    for table, rows in (("coactivation", n), ("task_expert_share", num_tasks)):
+        if rows * n > TRACE_TABLE_CELLS:
+            need = f"{n} experts and task ids up to {num_tasks - 1} need a {rows} x {n} {table} table"
+            raise ValueError(f"{need}, over the {TRACE_TABLE_CELLS}-cell limit")
     slot_ids = np.ascontiguousarray(trace.experts.reshape(-1, k).T)  # (k, tokens)
     # Ids within a token are distinct, so slot pair (a, a) counts each
     # expert's selections (the diagonal) and pairs a != b count co-selections.
@@ -471,7 +478,6 @@ def trace_statistics(trace: RoutingTrace) -> TraceStats:
     # row; dividing it by 1 keeps it at 0.
     coact = joint / np.maximum(np.diag(joint), 1)[:, None]
     flat_t = trace.tasks.ravel()
-    num_tasks = int(flat_t.max(initial=0)) + 1
     counts = np.bincount((flat_t * n + slot_ids).ravel(), minlength=num_tasks * n).reshape(num_tasks, n)
     share = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
     return TraceStats(coact, share, 1.0 / n)

@@ -176,8 +176,11 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 
 def _cmd_trace_stats(args: argparse.Namespace) -> int:
     trace = RoutingTrace.load(args.trace)
+    try:  # first: it refuses oversized tables before anything is allocated
+        stats = trace_statistics(trace)
+    except ValueError as exc:
+        raise MoesimError(f"{args.trace}: {exc}") from None
     loss = aux_loss(trace)
-    stats = trace_statistics(trace)
     counts = trace.expert_counts().sum(axis=0)
     print(f"steps {trace.steps} tokens/step {trace.tokens_per_step} top_k {trace.top_k}")
     print(f"experts {trace.num_experts}")

@@ -19,7 +19,6 @@ COLLECTIVE_KINDS = ("allgather", "reducescatter", "allreduce", "alltoall", "p2p"
 @dataclass(frozen=True)
 class CommGroup:
     size: int
-    spans_nodes: bool
     latency: float
     bandwidth: float
 

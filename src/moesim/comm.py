@@ -18,6 +18,7 @@ Three dispatch mechanisms are modeled:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MECHANISMS = ("allgather", "alltoall", "hierarchical")
 
@@ -33,21 +34,21 @@ class DispatchVolumes:
         return self.inter_node_bytes + self.intra_node_bytes
 
 
-@dataclass(frozen=True)
-class CommEvent:
-    """One communication op for the timeline simulator.
+class CommEvent(NamedTuple):
+    """One communication op for the timeline simulator, as a plain record.
 
-    ``feeds`` optionally names a schedule slot (or another event) that must
-    wait for this event; ``dependencies`` name events or slots this event
-    waits for. ``group_size`` > 1 makes the duration follow the collective
-    cost model; otherwise the event is a plain transfer.
+    ``dependencies`` name events or schedule slots this event waits for;
+    ``feeds`` optionally names the slot or task that must wait for this
+    event, and must name one that exists. ``simulate_timeline`` resolves
+    each of these names once per call. ``group_size`` > 1 makes the
+    duration follow the collective cost model; otherwise the event is a
+    plain transfer.
     """
 
     id: str
     kind: str  # allgather | alltoall | p2p | ...
     resource: str  # inter_link | intra_link
     bytes: float
-    direction: str = "fwd"  # fwd | bwd
     dependencies: tuple = ()
     device: int = 0
     group_size: int = 0

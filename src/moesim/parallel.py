@@ -3,7 +3,8 @@
 A plan factorizes the cluster as tp * pp * dp * cp == world_size, with
 expert parallelism nested inside data parallelism (dp >= ep, ep | dp) and
 experts sharded across tp * ep devices, so num_routed_experts must divide
-evenly by tp * ep.
+evenly by tp * ep, and tp * cp devices hold whole shares of a micro batch's
+micro_batch_size * seq_len tokens.
 
 Chunk assignment splits the ordered layer items (dense layers, expert
 layers, extra-token blocks, then the head+loss) into pp * vpp contiguous
@@ -82,6 +83,9 @@ def validate_plan(plan: ParallelPlan, cfg: ModelConfig, hw: HardwareDescription)
             f"num_routed_experts={cfg.num_routed_experts} not divisible by "
             f"tp*ep={plan.tp * plan.ep}"
         )
+    shards, tokens = plan.tp * plan.cp, plan.micro_batch_size * cfg.seq_len
+    if tokens % shards:
+        errors.append(f"tp*cp={shards} does not divide micro_batch_size*seq_len={tokens}")
     n_items = cfg.num_layers + cfg.num_mtp_layers + 1
     if n_items < plan.pp * plan.vpp:
         errors.append(
@@ -208,7 +212,7 @@ def item_kind(name: str) -> str:
 
 
 def tokens_per_device(cfg: ModelConfig, plan: ParallelPlan) -> float:
-    """Tokens one device holds per micro batch."""
+    """Tokens one device holds per micro batch, whole for a valid plan."""
     return plan.micro_batch_size * cfg.seq_len / (plan.tp * plan.cp)
 
 

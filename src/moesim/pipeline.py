@@ -13,16 +13,17 @@ launches the whole program in that order. The report gives step time,
 bubble fraction, communication overlap, and host-induced idle time.
 
 Slot ids follow ``{phase}:p{stage}:v{chunk}:m{micro_batch}`` and may be
-referenced from CommEvent dependencies and ``feeds``. The program runs on
-integer task positions; task ids are spelled out only when a timeline view
-keyed by id is read.
+referenced from CommEvent dependencies and ``feeds``, as may event and
+compute task ids; a name that is no task is rejected. Each name is
+resolved once per simulation. The program runs on integer task positions;
+task ids are spelled out only when a timeline view keyed by id is read.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import engine
 from .cluster import CommGroup, HardwareDescription, collective_time
@@ -44,8 +45,7 @@ COMPUTE_KINDS = frozenset({"fwd", "bwd", "bwd_dx", "bwd_dw", "preprocess", "perm
 _Parts = namedtuple("_Parts", "suffixes durations kinds syncs wait")
 
 
-@dataclass(frozen=True)
-class ScheduleSlot:
+class ScheduleSlot(NamedTuple):
     pp_stage: int
     vpp_stage: int
     micro_batch: int
@@ -134,26 +134,20 @@ def build_1f1b_schedule(p: int, m: int, v: int = 1) -> list:
     return stages
 
 
-def _parent_key(s: int, c: int, mb: int, phase: str, p: int, v: int):
-    """(pp_stage, vpp_stage, micro_batch, phase) of the slot whose completion
-    feeds this one, or None for graph sources."""
-    if phase == "fwd":
-        if s > 0:
-            return (s - 1, c, mb, "fwd")
-        if c > 0:
-            return (p - 1, c - 1, mb, "fwd")
-        return None
-    if s < p - 1:
-        return (s + 1, c, mb, "bwd")
-    if c < v - 1:
-        return (0, c + 1, mb, "bwd")
-    return (p - 1, v - 1, mb, "fwd")
-
-
 def dataflow_parent(slot: ScheduleSlot, p: int, v: int) -> ScheduleSlot | None:
     """The slot whose completion feeds this one, or None for graph sources."""
-    key = _parent_key(slot.pp_stage, slot.vpp_stage, slot.micro_batch, slot.phase, p, v)
-    return None if key is None else ScheduleSlot(*key)
+    s, c, mb, phase = slot
+    if phase == "fwd":
+        if s > 0:
+            return ScheduleSlot(s - 1, c, mb, "fwd")
+        if c > 0:
+            return ScheduleSlot(p - 1, c - 1, mb, "fwd")
+        return None
+    if s < p - 1:
+        return ScheduleSlot(s + 1, c, mb, "bwd")
+    if c < v - 1:
+        return ScheduleSlot(0, c + 1, mb, "bwd")
+    return ScheduleSlot(p - 1, v - 1, mb, "fwd")
 
 
 def uniform_chunk_costs(p: int, v: int, fwd: float, bwd: float) -> dict:
@@ -163,7 +157,7 @@ def uniform_chunk_costs(p: int, v: int, fwd: float, bwd: float) -> dict:
 def _comm_seconds(ev: CommEvent, hw: HardwareDescription) -> float:
     latency, bandwidth = hw.tier(ev.resource)
     if ev.group_size > 1:
-        group = CommGroup(ev.group_size, ev.resource == "inter_link", latency, bandwidth)
+        group = CommGroup(ev.group_size, latency, bandwidth)
         return collective_time(ev.kind, ev.bytes, group)
     return latency + ev.bytes / bandwidth
 
@@ -216,11 +210,11 @@ def simulate_timeline(
     # Task positions: each slot's compute tasks in schedule order, then the
     # events in event order. Parts are derived once per (phase, stage, chunk).
     templates, slot_named, slot_at, stage_slots = {}, {}, {}, {}
-    sids, tpl_of, where, first = [], [], [], []  # by slot number
+    sids, tpl_of, first = [], [], []  # by slot number
     duration, kind, sync, device = [], [], [], []
     for s, slots in enumerate(schedule):
         stage_slots[s] = range(len(sids), len(sids) + len(slots))
-        for idx, sl in enumerate(slots):
+        for sl in slots:
             key = (sl.phase, sl.pp_stage, sl.vpp_stage)
             if key not in templates:
                 parts = _slot_parts(sl.phase, chunk_costs[key[1:]], policy, host_time > 0)
@@ -228,10 +222,9 @@ def simulate_timeline(
             tpl, sid = templates[key], slot_id(sl)
             if sid in slot_named:
                 raise ValueError(f"duplicate task id {sid + tpl.suffixes[0]!r}")
-            slot_named[sid] = slot_at[(sl.pp_stage, sl.vpp_stage, sl.micro_batch, sl.phase)] = len(sids)
+            slot_named[sid] = slot_at[sl] = len(sids)
             sids.append(sid)
             tpl_of.append(tpl)
-            where.append((s, idx))
             first.append(len(duration))
             duration += tpl.durations
             kind += tpl.kinds
@@ -240,8 +233,8 @@ def simulate_timeline(
     base = len(duration)
     wait = [f + tpl.wait for f, tpl in zip(first, tpl_of)]
     deps = [()] * base
-    for g, sl in enumerate(sl for slots in schedule for sl in slots):
-        up = slot_at.get(_parent_key(sl.pp_stage, sl.vpp_stage, sl.micro_batch, sl.phase, p, v))
+    for sl, g in slot_at.items():
+        up = slot_at.get(dataflow_parent(sl, p, v))
         if up is not None:
             deps[first[g]] = (wait[up],)
 
@@ -255,26 +248,29 @@ def simulate_timeline(
             return None
         return first[g] + tpl_of[g].suffixes.index(suffix)
 
-    event_at = {}  # event id -> event index
-    for j, ev in enumerate(events):
+    event_at = {}  # event id -> position
+    for pos, ev in enumerate(events, base):
         if ev.id in event_at or task_named(ev.id) is not None:
             raise ValueError(f"duplicate task id {ev.id!r}")
-        event_at[ev.id] = j
+        event_at[ev.id] = pos
 
-    def position(name, of_slot):
-        """The task a name in an event refers to: of_slot[slot number] for
-        a slot id, else the event or task with that id, else None."""
+    def resolve(name):
+        """~g for the id of slot g (a slot id wins), else the position of
+        the event or compute task with that id, else None."""
         g = slot_named.get(name)
         if g is not None:
-            return of_slot[g]
-        j = event_at.get(name)
-        return base + j if j is not None else task_named(name)
+            return ~g
+        pos = event_at.get(name)
+        return pos if pos is not None else task_named(name)
 
-    # Events wait on their own dependencies, then on the events feeding
-    # them. Pricing is pure, so each distinct event shape is priced once.
-    priced = {}
+    # An event waits on a slot's waited-on part and feeds its first part. It
+    # goes before the same-device slot it feeds, else after the last
+    # same-device slot it depends on, else into its device's tail. Pricing
+    # is pure, so each distinct event shape is priced once.
+    priced, own_deps, fed = {}, [], []
+    before, after, tails = {}, {}, {}  # slot number or device -> event indices
     resources = [COMPUTE] * base
-    for ev in events:
+    for j, ev in enumerate(events):
         shape = (ev.kind, ev.resource, ev.bytes, ev.group_size)
         if shape not in priced:
             priced[shape] = _comm_seconds(ev, hw)
@@ -283,26 +279,27 @@ def simulate_timeline(
         device.append(ev.device)
         kind.append("comm")
         sync.append(False)
-        own = tuple(position(d, wait) for d in ev.dependencies)
+        own = [resolve(d) for d in ev.dependencies]
         if None in own:
             raise ValueError(f"task {ev.id!r} depends on unknown task {ev.dependencies[own.index(None)]!r}")
-        deps.append(own)
-    for j, ev in enumerate(events):
-        target = None if ev.feeds is None else position(ev.feeds, first)
+        own_deps.append(tuple([wait[~r] if r < 0 else r for r in own]))
+        target = None if ev.feeds is None else resolve(ev.feeds)
+        fed.append(target)
+        if target is not None and target < 0 and device[first[~target]] == ev.device:
+            before.setdefault(~target, []).append(j)
+            continue
+        for r in reversed(own):
+            if r < 0 and device[first[~r]] == ev.device:
+                after.setdefault(~r, []).append(j)
+                break
+        else:
+            tails.setdefault(ev.device, []).append(j)
+    deps += own_deps
+    for j, (ev, target) in enumerate(zip(events, fed)):
         if target is not None:
-            deps[target] += (base + j,)
-
-    def segment(ev):
-        """Before the same-device slot the event feeds (side 0), else after
-        the last same-device slot it consumes from (side 2), else the tail."""
-        g = slot_named.get(ev.feeds)
-        if g is not None and where[g][0] == ev.device:
-            return (*where[g], 0)
-        for d in reversed(ev.dependencies):
-            g = slot_named.get(d)
-            if g is not None and where[g][0] == ev.device:
-                return (*where[g], 2)
-        return (ev.device, math.inf, 0)
+            deps[first[~target] if target < 0 else target] += (base + j,)
+        elif ev.feeds is not None:
+            raise ValueError(f"task {ev.id!r} feeds unknown task {ev.feeds!r}")
 
     # Every device runs one program: per slot, the events spliced in before
     # it, its compute tasks and the events spliced in after it; then the
@@ -312,8 +309,8 @@ def simulate_timeline(
     # whatever order the caller built the event list in.
     placed = [False] * len(events)
 
-    def emit(j, program):
-        todo = [(j, False)]  # (event index, dependencies placed), last first
+    def emit(indices, program):
+        todo = [(j, False) for j in reversed(indices)]  # (event index, dependencies placed), last first
         while todo:
             k, ready = todo.pop()
             if ready:
@@ -321,24 +318,18 @@ def simulate_timeline(
             elif not placed[k]:
                 placed[k] = True
                 todo.append((k, True))
-                for d in reversed(events[k].dependencies):
-                    if d in event_at and events[event_at[d]].device == events[k].device:
-                        todo.append((event_at[d], False))
+                for d in reversed(own_deps[k]):
+                    if d >= base and device[d] == device[base + k]:
+                        todo.append((d - base, False))
 
-    spliced = {}  # segment -> event indices, in event order
-    for j, ev in enumerate(events):
-        spliced.setdefault(segment(ev), []).append(j)
     programs = {}
-    for dev in sorted({s for s, slots in enumerate(schedule) if slots} | {key[0] for key in spliced}):
+    for dev in sorted({s for s, slots in enumerate(schedule) if slots} | tails.keys()):
         program = programs[dev] = []
-        for idx, g in enumerate(stage_slots.get(dev, ())):
-            for j in spliced.get((dev, idx, 0), ()):
-                emit(j, program)
+        for g in stage_slots.get(dev, ()):
+            emit(before.get(g, ()), program)
             program += range(first[g], first[g] + len(tpl_of[g].kinds))
-            for j in spliced.get((dev, idx, 2), ()):
-                emit(j, program)
-        for j in spliced.get((dev, math.inf, 0), ()):
-            emit(j, program)
+            emit(after.get(g, ()), program)
+        emit(tails.get(dev, ()), program)
 
     # Each serial resource runs its share of the program in program order;
     # the host launches the whole program in that order.

@@ -116,7 +116,6 @@ def boundary_transfer_events(
                     kind="p2p",
                     resource=resource,
                     bytes=volume,
-                    direction=sl.phase,
                     dependencies=(slot_id(parent),),
                     device=sl.pp_stage,
                     feeds=sid,
@@ -142,7 +141,7 @@ def slot_dispatch_events(
     """
     if plan.ep == 1:
         return []
-    tokens_dev = int(tokens_per_device(cfg, plan))
+    tokens_dev = tokens_per_device(cfg, plan)
     vols = dispatch_volumes(
         mechanism, tokens_dev, cfg.hidden_size, cfg.dtype_bytes, cfg.top_k, plan.tp, plan.ep
     )
@@ -174,7 +173,7 @@ def slot_dispatch_events(
                 events.append(
                     CommEvent(
                         id=f"disp:{sid}:{tier}", kind=kind, resource=resource, bytes=volume * scale,
-                        direction=sl.phase, dependencies=prior, device=sl.pp_stage, group_size=group, feeds=sid,
+                        dependencies=prior, device=sl.pp_stage, group_size=group, feeds=sid,
                     )
                 )
                 prior = (events[-1].id,)

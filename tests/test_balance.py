@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moesim import balance
 from moesim.balance import (
     _EXACT_PLACEMENT_LIMIT,
     AuxLossReport,
@@ -546,6 +547,22 @@ def test_trace_statistics_hand_case():
     assert stats.coactivation[1, 0] == pytest.approx(1.0)
     assert np.allclose(stats.task_expert_share[0], [0.5, 0.25, 0.25])
     assert stats.uniform_share == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize(
+    "num_experts, last_task, table",
+    [(4, 3, None), (5, 0, "5 x 5 coactivation"), (4, 4, "5 x 4 task_expert_share")],
+)
+def test_trace_statistics_refuses_a_table_over_the_cell_limit(monkeypatch, num_experts, last_task, table):
+    """With the limit at 16 cells, 4 experts and task ids up to 3 fill both
+    tables exactly; one more expert or task id is refused."""
+    monkeypatch.setattr(balance, "TRACE_TABLE_CELLS", 16)
+    trace = make_trace([(0, 1), (2, 3)], num_experts=num_experts, tasks=np.array([[0, last_task]]))
+    if table is None:
+        assert trace_statistics(trace).task_expert_share.shape == (4, 4)
+    else:
+        with pytest.raises(ValueError, match=f"need a {table} table, over the 16-cell limit"):
+            trace_statistics(trace)
 
 
 def reference_trace_statistics(trace):

@@ -386,6 +386,42 @@ def test_trace_stats_names_the_file_on_a_bad_num_experts_line(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "meta, row, fragment",
+    [
+        ("# num_experts=4", f"0,0,{2**40},0 1,0.5 0.5", f"4 experts and task ids up to {2**40} need"),
+        ("# num_experts=100000000", "0,0,0,0 1,0.5 0.5", "need a 100000000 x 100000000 coactivation"),
+    ],
+    ids=["task_id", "num_experts"],
+)
+def test_trace_stats_names_the_file_when_a_table_is_over_the_cell_limit(tmp_path, capsys, meta, row, fragment):
+    """Task id 2**40 would need a (2**40 + 1) x 4 share table and 1e8
+    experts a 1e16-cell coactivation table: both are refused before anything
+    is allocated."""
+    trace_file = write_trace(tmp_path / "trace.csv", meta, [row])
+    assert_rejected(capsys, ["trace-stats", "--trace", trace_file], f"error: {trace_file}: ", fragment, "cell limit")
+
+
+REASON = "tp*cp=3 does not divide micro_batch_size*seq_len=128"
+
+
+@pytest.mark.parametrize(
+    "command, out, err",
+    [("validate", f"invalid: {REASON}\n", ""), ("simulate", "", f"error: {REASON}\n")],
+    ids=["validate", "simulate"],
+)
+def test_plan_splitting_micro_batch_tokens_unevenly_exits_one(tmp_path, capsys, command, out, err):
+    """cp = 3 would leave 42.67 of a micro batch's 128 tokens on each device."""
+    paths = write_configs(tmp_path)
+    cluster = tmp_path / "cluster12.json"
+    cluster.write_text(json.dumps({**CLUSTER, "devices_per_node": 6}))
+    plan = tmp_path / "plan_cp3.json"
+    plan.write_text(json.dumps({**PLAN, "cp": 3}))
+    rc = main([command, "--model", paths["model"], "--cluster", str(cluster), "--plan", str(plan)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (1, out, err)
+
+
+@pytest.mark.parametrize(
     "flag, value, name",
     [
         ("--interval", "0", "replan_interval"),

@@ -23,7 +23,7 @@ def make_hw(**overrides):
 
 
 def test_allgather_alpha_beta_hand_value():
-    group = CommGroup(size=4, spans_nodes=False, latency=1e-6, bandwidth=100e9)
+    group = CommGroup(size=4, latency=1e-6, bandwidth=100e9)
     vol = 4e9
     # 3 latency hops plus 3/4 of the payload over the wire
     expected = 3 * 1e-6 + (3 / 4) * vol / 100e9
@@ -32,32 +32,32 @@ def test_allgather_alpha_beta_hand_value():
 
 
 def test_allreduce_is_twice_allgather():
-    group = CommGroup(size=8, spans_nodes=True, latency=5e-6, bandwidth=20e9)
+    group = CommGroup(size=8, latency=5e-6, bandwidth=20e9)
     vol = 1e9
     ag = collective_time("allgather", vol, group)
     assert collective_time("allreduce", vol, group) == pytest.approx(2 * ag)
 
 
 def test_alltoall_single_latency_term():
-    group = CommGroup(size=4, spans_nodes=False, latency=1e-6, bandwidth=100e9)
+    group = CommGroup(size=4, latency=1e-6, bandwidth=100e9)
     vol = 4e9
     expected = 1e-6 + (3 / 4) * vol / 100e9
     assert collective_time("alltoall", vol, group) == pytest.approx(expected)
 
 
 def test_p2p_full_payload():
-    group = CommGroup(size=2, spans_nodes=True, latency=5e-6, bandwidth=20e9)
+    group = CommGroup(size=2, latency=5e-6, bandwidth=20e9)
     assert collective_time("p2p", 1e9, group) == pytest.approx(5e-6 + 1e9 / 20e9)
 
 
 def test_single_member_group_costs_nothing():
-    group = CommGroup(size=1, spans_nodes=False, latency=1e-6, bandwidth=100e9)
+    group = CommGroup(size=1, latency=1e-6, bandwidth=100e9)
     for kind in ("allgather", "reducescatter", "allreduce", "alltoall"):
         assert collective_time(kind, 1e9, group) == 0.0
 
 
 def test_unknown_collective_rejected():
-    group = CommGroup(size=2, spans_nodes=False, latency=1e-6, bandwidth=100e9)
+    group = CommGroup(size=2, latency=1e-6, bandwidth=100e9)
     with pytest.raises(ValueError):
         collective_time("broadcast-tree", 1e9, group)
 

@@ -1,5 +1,6 @@
 """Plan validation, chunk partitioning, and stage assignment."""
 
+import dataclasses
 import itertools
 import math
 
@@ -193,6 +194,24 @@ def test_validate_rejects_interleaving_with_ragged_micro_batches():
     check = validate_plan(plan, reference_model(), reference_cluster())
     assert not check.ok
     assert any("divisible" in e or "interleav" in e for e in check.errors)
+
+
+def test_validate_plan_requires_tp_cp_to_split_micro_batch_tokens():
+    """tp = 3 would leave 42.67 of a micro batch's 128 tokens on each device."""
+    cfg = ModelConfig(
+        num_layers=4,
+        hidden_size=16,
+        num_attention_heads=2,
+        num_routed_experts=6,
+        top_k=2,
+        expert_intermediate_size=8,
+        seq_len=128,
+    )
+    hw = dataclasses.replace(reference_cluster(), devices_per_node=6, num_nodes=2)
+    plan = ParallelPlan(tp=3, pp=2, ep=2, micro_batch_size=1, global_batch_size=8)
+    check = validate_plan(plan, cfg, hw)
+    assert check.errors == ("tp*cp=3 does not divide micro_batch_size*seq_len=128",)
+    assert validate_plan(dataclasses.replace(plan, micro_batch_size=3, global_batch_size=24), cfg, hw).ok
 
 
 def test_micro_batch_count():

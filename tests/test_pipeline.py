@@ -1,6 +1,7 @@
 """Schedule construction and timeline simulation."""
 
 import dataclasses
+import hashlib
 import os
 import random
 import subprocess
@@ -246,6 +247,30 @@ def test_event_names_resolve_like_task_ids():
         simulate_timeline([sched[0] * 2], costs, hw=hw)
 
 
+def test_event_feeding_no_task_is_rejected():
+    sched = build_1f1b_schedule(1, 2, 1)
+    costs = uniform_chunk_costs(1, 1, 1e-3, 2e-3)
+    ev = CommEvent("x", "p2p", "inter_link", 1e3, feeds="fwd:p0:v0:m9")
+    with pytest.raises(ValueError, match="task 'x' feeds unknown task 'fwd:p0:v0:m9'"):
+        simulate_timeline(sched, costs, [ev], hw=flat_cluster())
+
+
+def test_name_of_a_split_slot_and_an_event_resolves_to_the_slot():
+    """An event may take a split slot's id; a dependency on that name waits
+    on the slot, so the event is not pulled in ahead of its dependent but
+    keeps its own place in the device's tail."""
+    sched = build_1f1b_schedule(1, 1, 1)
+    costs = uniform_chunk_costs(1, 1, 1e-3, 2e-3)
+    hw = dataclasses.replace(flat_cluster(), host_dispatch_time=1e-4)
+    events = [
+        CommEvent("b", "p2p", "inter_link", 1e3, dependencies=("fwd:p0:v0:m0",)),
+        CommEvent("fwd:p0:v0:m0", "p2p", "inter_link", 1e3),
+    ]
+    tl = simulate_timeline(sched, costs, events, hw=hw).timeline
+    assert tl.tasks["b"].deps == ("fwd:p0:v0:m0:permute",)
+    assert tl.chains[(0, "inter_link")] == ["b", "fwd:p0:v0:m0"]
+
+
 def test_long_same_device_event_chain_listed_dependents_first():
     """Same-device dependencies are pulled ahead without recursion, so a
     chain longer than the interpreter's recursion limit still runs in
@@ -485,6 +510,23 @@ def test_random_program_reports_stay_pinned(seed):
     assert rep.exposed_comm_time == exposed
     assert rep.per_stage_busy == busy
     assert rep.host_idle_time == pytest.approx(idle, rel=1e-12)
+
+
+def test_random_program_timelines_stay_pinned():
+    """One SHA-256 over random programs 0-199: every report field, every
+    time view with its key order, every task's deps in order and every
+    chain, recorded before event names were resolved once per call."""
+    digest = hashlib.sha256()
+    for seed in range(200):
+        rep = simulate_timeline(*random_program(random.Random(seed)))
+        tl = rep.timeline
+        digest.update(repr((
+            [getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "timeline"],
+            [list(getattr(tl, view).items()) for view in ("start", "end", "dispatch_end", "host_delay")],
+            [(tid, task.deps) for tid, task in tl.tasks.items()],
+            list(tl.chains.items()),
+        )).encode())
+    assert digest.hexdigest() == "66ae0492ca14d623c1ca6164c1e772d94505bd76ca281812b9c13c9a33abe683"
 
 
 def test_report_does_not_depend_on_string_hash_seed():
