@@ -23,9 +23,11 @@ import sys
 import numpy as np
 
 from .balance import RoutingTrace, aux_loss, generate_trace, run_balance_simulation, trace_statistics
+from .comm import MECHANISMS
 from .configio import load_cluster, load_model, load_plan, load_space, load_trace_spec
 from .errors import MoesimError
 from .parallel import validate_plan
+from .pipeline import SERIALIZED, OverlapPolicy
 from .search import SimulationFeatures, inference_report, search_space, training_report
 
 CSV_HEADER = "# moesim-csv v1"
@@ -56,10 +58,8 @@ def _write_json(path: str, payload) -> None:
 
 
 def _features(args: argparse.Namespace) -> SimulationFeatures:
-    overlap = not args.no_overlap
-    return SimulationFeatures(
-        comm_overlap=overlap, decouple_dw=overlap, host_gmm_first=overlap, dispatch_mechanism=args.dispatch
-    )
+    policy = SERIALIZED if args.no_overlap else OverlapPolicy()
+    return SimulationFeatures(policy=policy, dispatch_mechanism=args.dispatch)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", help="parallel plan JSON (training mode)")
     p.add_argument("--mode", choices=("training", "inference"), default="training")
     p.add_argument("--batch", type=int, help="decode batch size (inference mode)")
-    p.add_argument("--dispatch", choices=("hierarchical", "alltoall", "allgather"), default="hierarchical")
+    p.add_argument("--dispatch", choices=MECHANISMS, default="hierarchical")
     p.add_argument("--no-overlap", action="store_true", help="serialize comm with compute")
 
     p = sub.add_parser("search", help="rank every model in a design space")
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("both", "training", "inference"), default="both")
     p.add_argument("--top", type=int, help="keep only the best N candidates")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--dispatch", choices=("hierarchical", "alltoall", "allgather"), default="hierarchical")
+    p.add_argument("--dispatch", choices=MECHANISMS, default="hierarchical")
     p.add_argument("--no-overlap", action="store_true")
 
     p = sub.add_parser("balance", help="expert placement benchmark on a synthetic trace")

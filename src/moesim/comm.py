@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-MECHANISMS = ("allgather", "alltoall", "hierarchical")
+MECHANISMS = ("hierarchical", "alltoall", "allgather")
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 Every loader maps a JSON object onto a frozen dataclass and rejects keys
 the dataclass does not declare, so a typo fails loudly with the offending
-path instead of silently falling back to a default. Booleans are rejected
-where numbers are expected (JSON `true` is not a count), as are NaN,
-infinities and literals too large for a float, and nested objects
-recurse with a dotted path in error messages.
+path instead of silently falling back to a default. The dataclass's type
+hints are the one declaration of each field's kind: a dataclass hint is a
+nested object, a tuple hint takes a JSON array, and every value must have
+its field's JSON type (integers for counts, so `8.0` is rejected; `true`
+only where the field is a bool). NaN, infinities and literals too large
+for a float are rejected anywhere, and every error names the dotted path.
 """
 
 from __future__ import annotations
@@ -13,24 +15,24 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 
 from .balance import TraceSpec
 from .cluster import HardwareDescription
 from .errors import ParseError
-from .model import DesignSpace, MlaDims, ModelConfig, PruningRules
+from .model import DesignSpace, ModelConfig
 from .parallel import ParallelPlan
 
-_NESTED = {
-    "mla": MlaDims,
-    "pruning": PruningRules,
-    "base": ModelConfig,
+# The JSON values each declared field type accepts, and how errors name them.
+_JSON_TYPES = {
+    bool: (bool, "true or false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    dict: (dict, "an object"),
+    tuple: (list, "an array"),
 }
-
-_TUPLE_FIELDS = {"task_mix"}
-
-_BOOL_FIELDS = {
-    PruningRules: ("expert_count_power_of_two",),
-}
+_JSON_NAMES = {bool: "a boolean", type(None): "null", str: "a string", list: "an array", dict: "an object"}
 
 
 def _reject_non_finite(value, path: str) -> None:
@@ -41,24 +43,34 @@ def _reject_non_finite(value, path: str) -> None:
             _reject_non_finite(item, f"{path}.{key}")
 
 
+def _field_value(hint, value, path: str):
+    """Check one JSON value against its field's type hint and convert it."""
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, path)
+    _reject_non_finite(value, path)
+    kind, *optional = typing.get_args(hint) or (hint,)
+    if value is None and optional == [type(None)]:
+        return None
+    if isinstance(value, bool) and kind in (int, float):
+        raise ParseError(f"{path} must be a number, got a boolean")
+    accepted, expected = _JSON_TYPES[kind]
+    if not isinstance(value, accepted):
+        raise ParseError(f"{path} must be {expected}, got {_JSON_NAMES.get(type(value), value)}")
+    return tuple(value) if kind is tuple else value
+
+
 def _build(cls, data, where: str):
     if not isinstance(data, dict):
         raise ParseError(f"{where} must be an object, got {type(data).__name__}")
-    declared = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if key not in declared:
+        if key not in hints:
             raise ParseError(f"unknown field {where}.{key}")
-        path = f"{where}.{key}"
-        if key in _NESTED and isinstance(value, dict):
-            kwargs[key] = _build(_NESTED[key], value, path)
-            continue
-        _reject_non_finite(value, path)
-        if isinstance(value, bool) and key not in _BOOL_FIELDS.get(cls, ()):
-            raise ParseError(f"{path} must be a number, got a boolean")
-        if isinstance(value, list) and key in _TUPLE_FIELDS:
-            value = tuple(value)
-        kwargs[key] = value
+        kwargs[key] = _field_value(hints[key], value, f"{where}.{key}")
+    for f in dataclasses.fields(cls):
+        if f.name not in data and f.default is f.default_factory is dataclasses.MISSING:
+            raise ParseError(f"{where}.{f.name} is required")
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -89,10 +101,7 @@ def load_plan(path) -> ParallelPlan:
 
 
 def load_space(path) -> DesignSpace:
-    data = _read_json(path)
-    if "base" not in data:
-        raise ParseError("space.base is required")
-    return _build(DesignSpace, data, "space")
+    return _build(DesignSpace, _read_json(path), "space")
 
 
 def load_trace_spec(path) -> TraceSpec:

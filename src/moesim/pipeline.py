@@ -60,7 +60,10 @@ class ChunkCost:
 
 @dataclass(frozen=True)
 class OverlapPolicy:
-    """Which masking features the executor applies."""
+    """Which masking features the executor applies: comm overlapped with
+    compute, the weight gradient (dw_fraction of the backward) decoupled
+    from the input gradient, and the longer of a forward's grouped matmul
+    and permute launched first on the host."""
 
     overlap_comm: bool = True
     decouple_dw: bool = True

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .cluster import HardwareDescription, kernel_time
-from .comm import CommEvent, dispatch_volumes
+from .comm import MECHANISMS, CommEvent, dispatch_volumes
 from .errors import MoesimError
 from .memory import MemoryPlan, MemoryReport, memory_report, select_memory_plan, _item_params_per_device
 from .model import DesignSpace, ModelConfig, count_parameters, enumerate_design_space, flops_per_token, model_id
@@ -30,20 +30,17 @@ from .pipeline import (
 
 @dataclass(frozen=True)
 class SimulationFeatures:
-    """Executor behaviors the simulator can toggle on or off."""
+    """Executor behaviors the simulator can toggle: the overlap policy the
+    timeline runs under, per-bucket memory planning, and the dispatch
+    mechanism."""
 
-    comm_overlap: bool = True
-    decouple_dw: bool = True
+    policy: OverlapPolicy = OverlapPolicy()
     fine_grained_memory: bool = True
-    host_gmm_first: bool = True
     dispatch_mechanism: str = "hierarchical"
 
-    def policy(self) -> OverlapPolicy:
-        return OverlapPolicy(
-            overlap_comm=self.comm_overlap,
-            decouple_dw=self.decouple_dw,
-            host_gmm_first=self.host_gmm_first,
-        )
+    def __post_init__(self):
+        if self.dispatch_mechanism not in MECHANISMS:
+            raise ValueError(f"dispatch_mechanism must be one of {MECHANISMS}, got {self.dispatch_mechanism!r}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,7 @@ def training_report(
     costs = chunk_costs_from_model(cfg, plan, assignment, hw)
     events = boundary_transfer_events(schedule, cfg, plan, hw)
     events += slot_dispatch_events(schedule, cfg, plan, assignment, hw, features.dispatch_mechanism)
-    report = simulate_timeline(schedule, costs, events, policy=features.policy(), hw=hw)
+    report = simulate_timeline(schedule, costs, events, policy=features.policy, hw=hw)
     step_time = report.step_time + mem.time_added
     mfu, tps = summarize(step_time, cfg, plan, hw)
     return CostReport(
@@ -289,8 +286,9 @@ def search_space(
 
     Candidates whose plan or memory is infeasible are collected with the
     failure reason instead of aborting the search. Ranking normalizes each
-    axis to the best candidate and weighs the two 0.5 each; ties
-    break on the model id, making the order total and deterministic.
+    axis to the best candidate and weighs it 0.5 in mode "both", 1.0 when
+    it is the only axis; ties break on the model id, making the order
+    total and deterministic.
     """
     if mode not in ("both", "training", "inference"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -310,17 +308,14 @@ def search_space(
 
     max_train = max((t.tps for _, t, _ in scored if t), default=0.0)
     max_inf = max((i.tps for _, _, i in scored if i), default=0.0)
+    weight = 0.5 if mode == "both" else 1.0
     ranked = []
     for name, train, infer in scored:
         score = 0.0
         if train and max_train > 0:
-            score += 0.5 * train.tps / max_train
+            score += weight * train.tps / max_train
         if infer and max_inf > 0:
-            score += 0.5 * infer.tps / max_inf
-        if mode == "training" and max_train > 0:
-            score = train.tps / max_train
-        elif mode == "inference" and max_inf > 0:
-            score = infer.tps / max_inf
+            score += weight * infer.tps / max_inf
         ranked.append(RankedCandidate(name, score, train, infer))
     ranked.sort(key=lambda r: (-r.score, r.model))
     if top is not None:

@@ -372,10 +372,12 @@ def test_c09_model_ranking_and_feature_toggle_directions():
     print(f"61-layer beats 66-layer by {gap:.1%} training throughput")
 
     baseline = training_report(cfg_a, plan, hw, SimulationFeatures()).mfu
-    for toggle in ("comm_overlap", "fine_grained_memory", "host_gmm_first"):
-        downgraded = training_report(
-            cfg_a, plan, hw, SimulationFeatures(**{toggle: False})
-        ).mfu
+    for toggle in (
+        SimulationFeatures(policy=OverlapPolicy(overlap_comm=False)),
+        SimulationFeatures(fine_grained_memory=False),
+        SimulationFeatures(policy=OverlapPolicy(host_gmm_first=False)),
+    ):
+        downgraded = training_report(cfg_a, plan, hw, toggle).mfu
         assert downgraded <= baseline + 1e-12, toggle
 
 

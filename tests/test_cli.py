@@ -200,6 +200,14 @@ def test_readme_simulate_block_is_the_reference_output(capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_readme_python_block_runs(monkeypatch, capsys):
+    text = (ROOT / "README.md").read_text()
+    block = next(b for b in text.split("```")[1::2] if b.startswith("python\n"))
+    monkeypatch.chdir(ROOT)
+    exec(block[len("python\n"):], {})
+    assert len(capsys.readouterr().out.split()) == 3
+
+
 def test_simulate_inference_mode(tmp_path, capsys):
     paths = write_configs(tmp_path)
     rc = main(
@@ -463,6 +471,38 @@ def test_non_finite_cluster_value_is_named_in_the_error(tmp_path, capsys, path, 
     assert rc == 1
     assert captured.out == ""
     assert f"cluster.{path} must be a finite number" in captured.err
+
+
+@pytest.mark.parametrize(
+    "config, field, value",
+    [
+        ("plan", "tp", 8.0),
+        ("plan", "global_batch_size", 6144.0),
+        ("model", "num_layers", 61.5),
+        ("cluster", "num_nodes", 768.0),
+        ("cluster", "peak_flops", [1, 2]),
+        ("model", "mla", 5),
+        ("plan", "tp", "8"),
+        ("cluster", "name", 5),
+    ],
+)
+def test_value_of_the_wrong_json_type_is_named_in_the_error(tmp_path, capsys, config, field, value):
+    paths = {
+        "model": ROOT / "configs" / "model_reference.json",
+        "cluster": ROOT / "configs" / "cluster_6144.json",
+        "plan": ROOT / "configs" / "plan_reference.json",
+    }
+    data = json.loads(paths[config].read_text())
+    data[field] = value
+    paths[config] = tmp_path / f"{config}.json"
+    paths[config].write_text(json.dumps(data))
+    rc = main(["validate", "--model", str(paths["model"]), "--cluster", str(paths["cluster"]),
+               "--plan", str(paths["plan"])])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {config}.{field} must be ")
+    assert captured.err.count("\n") == 1
 
 
 def test_every_command_is_byte_identical_across_reruns(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Cost reports for single configurations and design space ranking."""
 
+from argparse import Namespace
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 
 import moesim.memory
 import moesim.search
+from moesim.cli import _features
 from moesim.cluster import HardwareDescription
 from moesim.comm import MECHANISMS, dispatch_volumes
 from moesim.configio import load_cluster, load_model, load_plan
 from moesim.errors import PlanError
 from moesim.model import DesignSpace, MlaDims, ModelConfig, count_parameters, model_id
 from moesim.parallel import ParallelPlan, assign_chunks, item_kind, tokens_per_device
-from moesim.pipeline import build_1f1b_schedule
+from moesim.pipeline import SERIALIZED, OverlapPolicy, build_1f1b_schedule
 from moesim.search import (
     SimulationFeatures,
     boundary_transfer_events,
@@ -237,8 +239,12 @@ def test_feature_toggles_never_lower_mfu():
     plan = bench_plan()
     hw = bench_cluster(host_dispatch_time=2e-5)
     base = training_report(cfg, plan, hw).mfu
-    for flag in ("comm_overlap", "fine_grained_memory", "host_gmm_first"):
-        off = training_report(cfg, plan, hw, SimulationFeatures(**{flag: False})).mfu
+    for features in (
+        SimulationFeatures(policy=OverlapPolicy(overlap_comm=False)),
+        SimulationFeatures(fine_grained_memory=False),
+        SimulationFeatures(policy=OverlapPolicy(host_gmm_first=False)),
+    ):
+        off = training_report(cfg, plan, hw, features).mfu
         assert base >= off - 1e-12
 
 
@@ -327,13 +333,17 @@ def test_search_top_cut_and_empty_result():
     assert len(none.skipped) == 4
 
 
+def test_unknown_dispatch_mechanism_is_rejected():
+    with pytest.raises(ValueError, match=r"one of \('hierarchical', 'alltoall', 'allgather'\), got 'bogus'"):
+        SimulationFeatures(dispatch_mechanism="bogus")
+
+
 def test_features_policy_mapping():
-    feats = SimulationFeatures(comm_overlap=False, decouple_dw=False, host_gmm_first=False)
-    policy = feats.policy()
-    assert policy.overlap_comm is False
-    assert policy.decouple_dw is False
-    assert policy.host_gmm_first is False
-    assert SimulationFeatures().policy().overlap_comm is True
+    """--no-overlap turns every executor switch off; without it all stay on."""
+    serialized = OverlapPolicy(overlap_comm=False, decouple_dw=False, host_gmm_first=False)
+    assert _features(Namespace(dispatch="hierarchical", no_overlap=True)).policy == SERIALIZED == serialized
+    assert _features(Namespace(dispatch="alltoall", no_overlap=False)) == SimulationFeatures(dispatch_mechanism="alltoall")
+    assert SimulationFeatures().policy == OverlapPolicy()
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -385,7 +395,7 @@ def test_reference_training_report_is_pinned(variant):
         features = SimulationFeatures()
     elif variant == "alltoall_no_decouple_no_gmm_first":
         features = SimulationFeatures(
-            dispatch_mechanism="alltoall", decouple_dw=False, host_gmm_first=False
+            dispatch_mechanism="alltoall", policy=OverlapPolicy(decouple_dw=False, host_gmm_first=False)
         )
     else:
         features = SimulationFeatures(dispatch_mechanism="allgather", fine_grained_memory=False)
