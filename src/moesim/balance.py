@@ -290,6 +290,8 @@ def capacity_drop_stats(trace: RoutingTrace, capacity_factor: float) -> DropStat
     """Tokens dropped when each expert accepts at most
     ceil(capacity_factor * T * k / N) routed tokens per step, in arrival
     (token index) order."""
+    if not capacity_factor >= 0:
+        raise ValueError(f"capacity_factor must be a non-negative number, got {capacity_factor}")
     n, k = trace.num_experts, trace.top_k
     t = trace.tokens_per_step
     if math.isinf(capacity_factor):

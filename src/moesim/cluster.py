@@ -32,7 +32,7 @@ class CommGroup:
 @dataclass(frozen=True)
 class HardwareDescription:
     name: str
-    peak_flops: dict  # dtype name -> FLOP/s per device
+    peak_flops: dict[str, float]  # dtype name -> FLOP/s per device
     hbm_capacity: float  # bytes per device
     hbm_bandwidth: float  # bytes/s per device
     intra_node_bandwidth: float  # bytes/s per device

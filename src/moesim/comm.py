@@ -37,12 +37,12 @@ class DispatchVolumes:
 class CommEvent(NamedTuple):
     """One communication op for the timeline simulator, as a plain record.
 
-    ``dependencies`` name events or schedule slots this event waits for;
-    ``feeds`` optionally names the slot or task that must wait for this
-    event, and must name one that exists. ``simulate_timeline`` resolves
-    each of these names once per call. ``group_size`` > 1 makes the
-    duration follow the collective cost model; otherwise the event is a
-    plain transfer.
+    ``dependencies`` hold the schedule slots (``ScheduleSlot`` records)
+    and the ids of the events this event waits for; ``feeds`` optionally
+    holds the slot or event id that must wait for this event, and must
+    refer to one that exists. ``simulate_timeline`` resolves each
+    reference once per call. ``group_size`` > 1 makes the duration follow
+    the collective cost model; otherwise the event is a plain transfer.
     """
 
     id: str
@@ -52,7 +52,7 @@ class CommEvent(NamedTuple):
     dependencies: tuple = ()
     device: int = 0
     group_size: int = 0
-    feeds: str | None = None
+    feeds: tuple | str | None = None  # a ScheduleSlot, an event id or None
 
 
 def dispatch_volumes(

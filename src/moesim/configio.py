@@ -4,10 +4,12 @@ Every loader maps a JSON object onto a frozen dataclass and rejects keys
 the dataclass does not declare, so a typo fails loudly with the offending
 path instead of silently falling back to a default. The dataclass's type
 hints are the one declaration of each field's kind: a dataclass hint is a
-nested object, a tuple hint takes a JSON array, and every value must have
-its field's JSON type (integers for counts, so `8.0` is rejected; `true`
-only where the field is a bool). NaN, infinities and literals too large
-for a float are rejected anywhere, and every error names the dotted path.
+nested object, a dict hint an object whose values have the declared type,
+a tuple hint takes a JSON array, and every value must have its field's
+JSON type (integers for counts, so `8.0` is rejected; `true` only where
+the field is a bool). A design space's candidates must have the type of
+the model field they replace. NaN, infinities and literals too large for
+a float are rejected anywhere, and every error names the dotted path.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ _JSON_TYPES = {
     float: ((int, float), "a number"),
     str: (str, "a string"),
     dict: (dict, "an object"),
+    list: (list, "an array"),
     tuple: (list, "an array"),
 }
 _JSON_NAMES = {bool: "a boolean", type(None): "null", str: "a string", list: "an array", dict: "an object"}
@@ -48,7 +51,8 @@ def _field_value(hint, value, path: str):
     if dataclasses.is_dataclass(hint):
         return _build(hint, value, path)
     _reject_non_finite(value, path)
-    kind, *optional = typing.get_args(hint) or (hint,)
+    args = typing.get_args(hint)
+    kind, *optional = (dict,) if typing.get_origin(hint) is dict else args or (hint,)
     if value is None and optional == [type(None)]:
         return None
     if isinstance(value, bool) and kind in (int, float):
@@ -56,6 +60,8 @@ def _field_value(hint, value, path: str):
     accepted, expected = _JSON_TYPES[kind]
     if not isinstance(value, accepted):
         raise ParseError(f"{path} must be {expected}, got {_JSON_NAMES.get(type(value), value)}")
+    if kind is dict and args:
+        return {key: _field_value(args[1], item, f"{path}.{key}") for key, item in value.items()}
     return tuple(value) if kind is tuple else value
 
 
@@ -101,7 +107,12 @@ def load_plan(path) -> ParallelPlan:
 
 
 def load_space(path) -> DesignSpace:
-    return _build(DesignSpace, _read_json(path), "space")
+    space = _build(DesignSpace, _read_json(path), "space")
+    fields = typing.get_type_hints(ModelConfig)
+    for name, candidates in space.ranges.items():
+        for i, value in enumerate(candidates):
+            _field_value(fields[name], value, f"space.ranges.{name}.{i}")
+    return space
 
 
 def load_trace_spec(path) -> TraceSpec:

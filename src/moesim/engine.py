@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from .errors import DeadlockError
@@ -53,8 +53,8 @@ class TimelineResult:
     """Times of one run, held by task position: `begin` for every graph
     node, `finish` for every task. The views keyed by task id (`start`,
     `end`, `dispatch_end`, `host_delay`, `tasks`, `chains`) are built
-    together on first read; `host_delay` follows host order, the others
-    task order.
+    together on first read, which rejects a task id given twice;
+    `host_delay` follows host order, the others task order.
     """
 
     def __init__(self, columns: TaskColumns, names, begin: list, finish: list):
@@ -66,6 +66,8 @@ class TimelineResult:
         if name not in ("start", "end", "dispatch_end", "host_delay", "tasks", "chains"):
             raise AttributeError(name)
         c, ids, n = self.columns, self._names(), len(self.finish)
+        if len(set(ids)) < n:
+            raise ValueError(f"duplicate task id {next(t for t, k in Counter(ids).items() if k > 1)!r}")
         hosted = [i for order in c.host_order.values() for i in order]
         self.start = dict(zip(ids, self.begin))
         self.end = dict(zip(ids, self.finish))

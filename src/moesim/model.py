@@ -255,7 +255,7 @@ class PruningRules:
 @dataclass(frozen=True)
 class DesignSpace:
     base: ModelConfig
-    ranges: dict
+    ranges: dict[str, list]  # ModelConfig field name -> candidate values
     pruning: PruningRules = field(default_factory=PruningRules)
 
     def __post_init__(self):

@@ -12,11 +12,12 @@ runs the program's tasks that use it, in program order, and the host
 launches the whole program in that order. The report gives step time,
 bubble fraction, communication overlap, and host-induced idle time.
 
-Slot ids follow ``{phase}:p{stage}:v{chunk}:m{micro_batch}`` and may be
-referenced from CommEvent dependencies and ``feeds``, as may event and
-compute task ids; a name that is no task is rejected. Each name is
-resolved once per simulation. The program runs on integer task positions;
-task ids are spelled out only when a timeline view keyed by id is read.
+CommEvent dependencies and ``feeds`` refer to a slot by its ScheduleSlot
+record and to an event by its id; a reference to neither is rejected.
+Each reference is resolved once per simulation. The program runs on
+integer task positions. Slot ids
+(``{phase}:p{stage}:v{chunk}:m{micro_batch}``) only spell event ids and
+the keys of the timeline views, which are built when first read.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ def analytic_bubble_ratio(p: int, m: int, v: int = 1) -> float:
 
 def slot_id(slot: ScheduleSlot) -> str:
     return f"{slot.phase}:p{slot.pp_stage}:v{slot.vpp_stage}:m{slot.micro_batch}"
+
+
+def _spelled(ref) -> str:
+    """An event's slot or event reference as error messages name it."""
+    return ref if isinstance(ref, str) else slot_id(ref)
 
 
 def _interleaved_order(i: int, p: int, v: int, backward: bool):
@@ -212,21 +218,20 @@ def simulate_timeline(
 
     # Task positions: each slot's compute tasks in schedule order, then the
     # events in event order. Parts are derived once per (phase, stage, chunk).
-    templates, slot_named, slot_at, stage_slots = {}, {}, {}, {}
-    sids, tpl_of, first = [], [], []  # by slot number
+    templates, slot_at, stage_slots = {}, {}, {}  # slot_at: slot -> slot number
+    tpl_of, first = [], []  # by slot number
     duration, kind, sync, device = [], [], [], []
     for s, slots in enumerate(schedule):
-        stage_slots[s] = range(len(sids), len(sids) + len(slots))
+        stage_slots[s] = range(len(tpl_of), len(tpl_of) + len(slots))
         for sl in slots:
             key = (sl.phase, sl.pp_stage, sl.vpp_stage)
             if key not in templates:
                 parts = _slot_parts(sl.phase, chunk_costs[key[1:]], policy, host_time > 0)
                 templates[key] = _Parts(*zip(*parts), len(parts) - 1 - (parts[-1][2] == "bwd_dw"))
-            tpl, sid = templates[key], slot_id(sl)
-            if sid in slot_named:
-                raise ValueError(f"duplicate task id {sid + tpl.suffixes[0]!r}")
-            slot_named[sid] = slot_at[sl] = len(sids)
-            sids.append(sid)
+            tpl = templates[key]
+            if sl in slot_at:
+                raise ValueError(f"duplicate task id {slot_id(sl) + tpl.suffixes[0]!r}")
+            slot_at[sl] = len(tpl_of)
             tpl_of.append(tpl)
             first.append(len(duration))
             duration += tpl.durations
@@ -241,30 +246,16 @@ def simulate_timeline(
         if up is not None:
             deps[first[g]] = (wait[up],)
 
-    def task_named(name):
-        """Position of the compute task with this id, or None."""
-        g, suffix = slot_named.get(name), ""
-        if g is None:
-            head, _, tail = name.rpartition(":")
-            g, suffix = slot_named.get(head), ":" + tail
-        if g is None or suffix not in tpl_of[g].suffixes:
-            return None
-        return first[g] + tpl_of[g].suffixes.index(suffix)
-
     event_at = {}  # event id -> position
     for pos, ev in enumerate(events, base):
-        if ev.id in event_at or task_named(ev.id) is not None:
+        if ev.id in event_at:
             raise ValueError(f"duplicate task id {ev.id!r}")
         event_at[ev.id] = pos
 
-    def resolve(name):
-        """~g for the id of slot g (a slot id wins), else the position of
-        the event or compute task with that id, else None."""
-        g = slot_named.get(name)
-        if g is not None:
-            return ~g
-        pos = event_at.get(name)
-        return pos if pos is not None else task_named(name)
+    def resolve(ref):
+        """~g for slot g, else the position of the event with this id, or None."""
+        g = slot_at.get(ref)
+        return ~g if g is not None else event_at.get(ref)
 
     # An event waits on a slot's waited-on part and feeds its first part. It
     # goes before the same-device slot it feeds, else after the last
@@ -284,9 +275,9 @@ def simulate_timeline(
         sync.append(False)
         own = [resolve(d) for d in ev.dependencies]
         if None in own:
-            raise ValueError(f"task {ev.id!r} depends on unknown task {ev.dependencies[own.index(None)]!r}")
+            raise ValueError(f"task {ev.id!r} depends on unknown task {_spelled(ev.dependencies[own.index(None)])!r}")
         own_deps.append(tuple([wait[~r] if r < 0 else r for r in own]))
-        target = None if ev.feeds is None else resolve(ev.feeds)
+        target = resolve(ev.feeds)
         fed.append(target)
         if target is not None and target < 0 and device[first[~target]] == ev.device:
             before.setdefault(~target, []).append(j)
@@ -302,7 +293,7 @@ def simulate_timeline(
         if target is not None:
             deps[first[~target] if target < 0 else target] += (base + j,)
         elif ev.feeds is not None:
-            raise ValueError(f"task {ev.id!r} feeds unknown task {ev.feeds!r}")
+            raise ValueError(f"task {ev.id!r} feeds unknown task {_spelled(ev.feeds)!r}")
 
     # Every device runs one program: per slot, the events spliced in before
     # it, its compute tasks and the events spliced in after it; then the
@@ -347,7 +338,7 @@ def simulate_timeline(
     )
 
     def names():
-        return [sid + x for sid, tpl in zip(sids, tpl_of) for x in tpl.suffixes] + [ev.id for ev in events]
+        return [slot_id(sl) + x for sl, tpl in zip(slot_at, tpl_of) for x in tpl.suffixes] + [ev.id for ev in events]
 
     result = engine.run_columns(columns, names)
     begin, finish = result.begin, result.finish

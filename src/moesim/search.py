@@ -106,16 +106,10 @@ def boundary_transfer_events(
             parent = dataflow_parent(sl, len(schedule), plan.vpp)
             if parent is None or parent.pp_stage == sl.pp_stage:
                 continue
-            sid = slot_id(sl)
             events.append(
                 CommEvent(
-                    id=f"p2p:{sid}",
-                    kind="p2p",
-                    resource=resource,
-                    bytes=volume,
-                    dependencies=(slot_id(parent),),
-                    device=sl.pp_stage,
-                    feeds=sid,
+                    id=f"p2p:{slot_id(sl)}", kind="p2p", resource=resource, bytes=volume,
+                    dependencies=(parent,), device=sl.pp_stage, feeds=sl,
                 )
             )
     return events
@@ -164,13 +158,13 @@ def slot_dispatch_events(
                 continue
             sid = slot_id(sl)
             parent = dataflow_parent(sl, len(schedule), plan.vpp)
-            prior = (slot_id(parent),) if parent is not None else ()
+            prior = (parent,) if parent is not None else ()
             scale = 2.0 * layers
             for tier, kind, resource, volume, group in tiers:
                 events.append(
                     CommEvent(
                         id=f"disp:{sid}:{tier}", kind=kind, resource=resource, bytes=volume * scale,
-                        dependencies=prior, device=sl.pp_stage, group_size=group, feeds=sid,
+                        dependencies=prior, device=sl.pp_stage, group_size=group, feeds=sl,
                     )
                 )
                 prior = (events[-1].id,)

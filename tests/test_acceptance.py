@@ -38,7 +38,6 @@ from moesim.pipeline import (
     build_1f1b_schedule,
     dataflow_parent,
     simulate_timeline,
-    slot_id,
     uniform_chunk_costs,
 )
 from moesim.search import SimulationFeatures, training_report
@@ -326,8 +325,8 @@ def test_c08_scheduler_soundness_on_randomized_simulations():
             else:
                 stage, sl = rng.choice(all_slots)
                 parent = dataflow_parent(sl, p, v)
-                deps = (slot_id(parent),) if draw < 0.55 and parent is not None else ()
-                feeds = None if draw > 0.9 else slot_id(sl)
+                deps = (parent,) if draw < 0.55 and parent is not None else ()
+                feeds = None if draw > 0.9 else sl
             events.append(
                 CommEvent(
                     id=f"e{j}",

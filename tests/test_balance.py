@@ -209,6 +209,13 @@ def test_drop_rate_monotone_in_capacity_and_dropless_limit():
         assert capacity_drop_stats(trace, float(n)).drop_rate == 0.0
 
 
+@pytest.mark.parametrize("factor", [-1.0, math.nan])
+def test_drop_stats_reject_negative_or_nan_capacity_factor(factor):
+    trace = make_trace([(0,), (1,)], num_experts=2)
+    with pytest.raises(ValueError, match="capacity_factor must be a non-negative number"):
+        capacity_drop_stats(trace, factor)
+
+
 def test_drops_follow_token_arrival_order():
     # expert 0 receives tokens 0 and 1; capacity 1 keeps the earlier one
     trace = make_trace([(0,), (0,), (1,)], num_experts=2)

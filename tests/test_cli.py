@@ -505,6 +505,39 @@ def test_value_of_the_wrong_json_type_is_named_in_the_error(tmp_path, capsys, co
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("cluster.peak_flops.bf16", True, "must be a number, got a boolean"),
+        ("cluster.peak_flops.bf16", "x", "must be a number, got a string"),
+        ("space.ranges.num_layers.0", 56.5, "must be an integer, got 56.5"),
+        ("space.ranges.hidden_size.1", True, "must be a number, got a boolean"),
+    ],
+)
+def test_nested_value_of_the_wrong_json_type_is_named_in_the_error(tmp_path, capsys, path, value, message):
+    """Values inside a typed object (a peak FLOP rate) or a design space's
+    candidate list are checked against the field they fill."""
+    paths = {
+        "cluster": ROOT / "configs" / "cluster_6144.json",
+        "plan": ROOT / "configs" / "plan_reference.json",
+        "space": ROOT / "configs" / "space_small.json",
+    }
+    config, *keys, last = path.split(".")
+    data = json.loads(paths[config].read_text())
+    owner = data
+    for key in keys:
+        owner = owner[key]
+    owner[int(last) if isinstance(owner, list) else last] = value
+    paths[config] = tmp_path / f"{config}.json"
+    paths[config].write_text(json.dumps(data))
+    rc = main(["search", "--cluster", str(paths["cluster"]), "--plan", str(paths["plan"]),
+               "--space", str(paths["space"])])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {path} {message}\n"
+
+
 def test_every_command_is_byte_identical_across_reruns(tmp_path, capsys):
     paths = write_configs(tmp_path)
 

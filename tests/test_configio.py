@@ -24,7 +24,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CONFIG_CLASSES = (MlaDims, ModelConfig, PruningRules, DesignSpace, HardwareDescription, ParallelPlan, TraceSpec)
 
-LOADER_HINTS = (int, float, str, bool, dict, tuple, float | None)
+LOADER_HINTS = (int, float, str, bool, tuple, float | None, dict[str, float], dict[str, list])
 
 
 def write(tmp_path, name, payload):

@@ -175,9 +175,9 @@ def hidden_comm_case(policy):
         kind="p2p",
         resource="inter_link",
         bytes=1e6,  # 1 ms latency + 1 ms on the wire
-        dependencies=("fwd:p0:v0:m0",),
+        dependencies=(ScheduleSlot(0, 0, 0, "fwd"),),
         device=0,
-        feeds="fwd:p0:v0:m1",
+        feeds=ScheduleSlot(0, 0, 1, "fwd"),
     )
     return simulate_timeline(sched, costs, [ev], policy=policy, hw=flat_cluster())
 
@@ -203,10 +203,11 @@ def test_task_deps_are_own_then_dataflow_parent_then_feeding_events():
     def event(eid, deps, device, feeds):
         return CommEvent(eid, "p2p", "inter_link", 1e3, dependencies=deps, device=device, feeds=feeds)
 
+    f0, f1 = ScheduleSlot(0, 0, 0, "fwd"), ScheduleSlot(1, 0, 0, "fwd")
     events = [
-        event("b", ("fwd:p0:v0:m0",), 1, "fwd:p1:v0:m0"),
-        event("a", ("fwd:p0:v0:m0",), 1, "fwd:p1:v0:m0"),
-        event("c", ("fwd:p0:v0:m0",), 0, "a"),
+        event("b", (f0,), 1, f1),
+        event("a", (f0,), 1, f1),
+        event("c", (f0,), 0, "a"),
     ]
     tasks = simulate_timeline(sched, costs, events, hw=flat_cluster()).timeline.tasks
     assert tasks["fwd:p1:v0:m0"].deps == ("fwd:p0:v0:m0", "b", "a")
@@ -216,9 +217,10 @@ def test_task_deps_are_own_then_dataflow_parent_then_feeding_events():
 
 
 def test_event_names_resolve_like_task_ids():
-    """An event may name any compute task by its id (a slot id stands for
-    the part downstream work waits on, or for the first part when fed); an
-    id that is already taken or a name that is no task is rejected."""
+    """An event refers to a slot by its record (standing for the part
+    downstream work waits on, or for the first part when fed) and to an
+    event by its id; an id that is already taken or a reference to no slot
+    or event is rejected."""
     sched = build_1f1b_schedule(1, 1, 1)
     costs = uniform_chunk_costs(1, 1, 1e-3, 2e-3)
     hw = dataclasses.replace(flat_cluster(), host_dispatch_time=1e-4)
@@ -230,19 +232,22 @@ def test_event_names_resolve_like_task_ids():
         return CommEvent(eid, "p2p", "inter_link", 1e3, dependencies=deps, feeds=feeds)
 
     tasks = run(
-        event("a", ("fwd:p0:v0:m0:gmm", "fwd:p0:v0:m0"), "bwd:p0:v0:m0:dw"),
-        event("b", ("a",), "bwd:p0:v0:m0"),
+        event("a", (ScheduleSlot(0, 0, 0, "fwd"),)),
+        event("b", ("a",), ScheduleSlot(0, 0, 0, "bwd")),
     )
-    assert tasks["a"].deps == ("fwd:p0:v0:m0:gmm", "fwd:p0:v0:m0:permute")
-    assert tasks["bwd:p0:v0:m0:dw"].deps == ("a",)
+    assert tasks["a"].deps == ("fwd:p0:v0:m0:permute",)
     assert tasks["bwd:p0:v0:m0:dx"].deps == ("fwd:p0:v0:m0:permute", "b")
     # A split slot's own id names no task, so an event may take it.
     assert run(event("fwd:p0:v0:m0"))["fwd:p0:v0:m0"].kind == "comm"
     for taken in ("fwd:p0:v0:m0:pre", "a"):
         with pytest.raises(ValueError, match=f"duplicate task id '{taken}'"):
             run(event("a"), event(taken))
-    with pytest.raises(ValueError, match="task 'a' depends on unknown task 'fwd:p0:v0:m0:dx'"):
-        run(event("a", ("fwd:p0:v0:m0:dx",)))
+    # A string is an event id, never a slot or one of its compute tasks.
+    for name in ("fwd:p0:v0:m0", "fwd:p0:v0:m0:gmm"):
+        with pytest.raises(ValueError, match=f"task 'a' depends on unknown task '{name}'"):
+            run(event("a", (name,)))
+    with pytest.raises(ValueError, match="task 'a' depends on unknown task 'fwd:p0:v0:m1'"):
+        run(event("a", (ScheduleSlot(0, 0, 1, "fwd"),)))
     with pytest.raises(ValueError, match="duplicate task id 'fwd:p0:v0:m0:pre'"):
         simulate_timeline([sched[0] * 2], costs, hw=hw)
 
@@ -250,15 +255,15 @@ def test_event_names_resolve_like_task_ids():
 def test_event_feeding_no_task_is_rejected():
     sched = build_1f1b_schedule(1, 2, 1)
     costs = uniform_chunk_costs(1, 1, 1e-3, 2e-3)
-    ev = CommEvent("x", "p2p", "inter_link", 1e3, feeds="fwd:p0:v0:m9")
+    ev = CommEvent("x", "p2p", "inter_link", 1e3, feeds=ScheduleSlot(0, 0, 9, "fwd"))
     with pytest.raises(ValueError, match="task 'x' feeds unknown task 'fwd:p0:v0:m9'"):
         simulate_timeline(sched, costs, [ev], hw=flat_cluster())
 
 
-def test_name_of_a_split_slot_and_an_event_resolves_to_the_slot():
-    """An event may take a split slot's id; a dependency on that name waits
-    on the slot, so the event is not pulled in ahead of its dependent but
-    keeps its own place in the device's tail."""
+def test_dependency_on_an_event_named_like_a_split_slot_waits_on_the_event():
+    """An event may take a split slot's id; a dependency on that id waits
+    on the event, not on the slot, so the event is pulled in ahead of its
+    dependent in the device's tail."""
     sched = build_1f1b_schedule(1, 1, 1)
     costs = uniform_chunk_costs(1, 1, 1e-3, 2e-3)
     hw = dataclasses.replace(flat_cluster(), host_dispatch_time=1e-4)
@@ -267,8 +272,19 @@ def test_name_of_a_split_slot_and_an_event_resolves_to_the_slot():
         CommEvent("fwd:p0:v0:m0", "p2p", "inter_link", 1e3),
     ]
     tl = simulate_timeline(sched, costs, events, hw=hw).timeline
-    assert tl.tasks["b"].deps == ("fwd:p0:v0:m0:permute",)
-    assert tl.chains[(0, "inter_link")] == ["b", "fwd:p0:v0:m0"]
+    assert tl.tasks["b"].deps == ("fwd:p0:v0:m0",)
+    assert tl.chains[(0, "inter_link")] == ["fwd:p0:v0:m0", "b"]
+
+
+def test_event_taking_a_compute_task_id_is_refused_when_views_are_read():
+    """Event ids are checked against the compute-task ids when the views
+    keyed by id are first built, not during the simulation."""
+    sched = build_1f1b_schedule(1, 1, 1)
+    costs = uniform_chunk_costs(1, 1, 1e-3, 2e-3)
+    events = [CommEvent("bwd:p0:v0:m0:dw", "p2p", "inter_link", 1e3)]
+    rep = simulate_timeline(sched, costs, events, hw=flat_cluster())
+    with pytest.raises(ValueError, match="duplicate task id 'bwd:p0:v0:m0:dw'"):
+        rep.timeline.tasks
 
 
 def test_long_same_device_event_chain_listed_dependents_first():
@@ -312,9 +328,9 @@ def test_overlap_never_increases_step_time():
                         kind="p2p",
                         resource="inter_link",
                         bytes=5e5,
-                        dependencies=(f"fwd:p{s}:v0:m{mb}",),
+                        dependencies=(ScheduleSlot(s, 0, mb, "fwd"),),
                         device=s + 1,
-                        feeds=f"fwd:p{s + 1}:v0:m{mb}",
+                        feeds=ScheduleSlot(s + 1, 0, mb, "fwd"),
                     )
                 )
         hw = flat_cluster()
@@ -452,14 +468,14 @@ def random_program(rng):
             # A device without a pipeline stage: it may wait on any slot
             # but feeds none, so its serial chains cannot form a cycle.
             device = p + rng.randint(0, 1)
-            deps = (slot_id(rng.choice(all_slots)),) if draw < 0.95 else ()
+            deps = (rng.choice(all_slots),) if draw < 0.95 else ()
             feeds = None
         else:
             sl = rng.choice(all_slots)
             device = sl.pp_stage
             parent = dataflow_parent(sl, p, v)
-            deps = (slot_id(parent),) if draw < 0.55 and parent is not None else ()
-            feeds = None if draw > 0.8 else slot_id(sl)
+            deps = (parent,) if draw < 0.55 and parent is not None else ()
+            feeds = None if draw > 0.8 else sl
         group = rng.choice([0, 1, 2, 4, 8])
         events.append(
             CommEvent(

@@ -17,7 +17,7 @@ from moesim.configio import load_cluster, load_model, load_plan
 from moesim.errors import PlanError
 from moesim.model import DesignSpace, MlaDims, ModelConfig, count_parameters, model_id
 from moesim.parallel import ParallelPlan, assign_chunks, item_kind, tokens_per_device
-from moesim.pipeline import SERIALIZED, OverlapPolicy, build_1f1b_schedule
+from moesim.pipeline import SERIALIZED, OverlapPolicy, ScheduleSlot, build_1f1b_schedule, dataflow_parent
 from moesim.search import (
     SimulationFeatures,
     boundary_transfer_events,
@@ -103,13 +103,13 @@ def test_boundary_transfers_follow_cross_stage_dataflow():
     }
     by_id = {e.id: e for e in events}
     fwd = by_id["p2p:fwd:p1:v0:m0"]
-    assert fwd.dependencies == ("fwd:p0:v0:m0",)
-    assert fwd.feeds == "fwd:p1:v0:m0"
+    assert fwd.dependencies == (ScheduleSlot(0, 0, 0, "fwd"),)
+    assert fwd.feeds == ScheduleSlot(1, 0, 0, "fwd")
     assert fwd.device == 1
     # main hidden state plus the extra prediction stream, bf16
     assert fwd.bytes == pytest.approx(128 * 64 * 2 * 2)
     bwd = by_id["p2p:bwd:p0:v0:m1"]
-    assert bwd.dependencies == ("bwd:p1:v0:m1",)
+    assert bwd.dependencies == (ScheduleSlot(1, 0, 1, "bwd"),)
     assert bwd.device == 0
 
 
@@ -136,8 +136,8 @@ def test_dispatch_events_two_tiers_with_dependency():
     inter = by_id["disp:fwd:p0:v0:m0:inter"]
     intra = by_id["disp:fwd:p0:v0:m0:intra"]
     assert intra.dependencies == (inter.id,)
-    assert inter.feeds == "fwd:p0:v0:m0"
-    assert intra.feeds == "fwd:p0:v0:m0"
+    assert inter.dependencies == ()
+    assert inter.feeds == intra.feeds == ScheduleSlot(0, 0, 0, "fwd")
     # 4 routed layers (3 moe + 1 mtp), dispatch plus combine, ep peers:
     # inter carries tokens*(ep-1), intra tokens*top_k, in hidden*bf16 units
     scale = 2 * 4 * 128 * 64 * 2
@@ -161,7 +161,7 @@ def test_dispatch_events_single_node_are_intra_only():
     assert [e.id for e in events] == ["disp:fwd:p0:v0:m0:intra", "disp:bwd:p0:v0:m0:intra"]
     assert all(e.resource == "intra_link" for e in events)
     # with no inter phase to wait on, each event waits on the slot's parent
-    assert [e.dependencies for e in events] == [(), ("fwd:p0:v0:m0",)]
+    assert [e.dependencies for e in events] == [(), (ScheduleSlot(0, 0, 0, "fwd"),)]
 
 
 @pytest.mark.parametrize(
@@ -213,6 +213,36 @@ def test_dispatch_bytes_are_conserved_across_tiers(mechanism, nodes, pp, vpp, ro
     by_tier = {res: sum(e.bytes for e in events if e.resource == res) for res in ("inter_link", "intra_link")}
     assert by_tier == {"inter_link": inter, "intra_link": intra}
     assert sum(e.bytes for e in events) == inter + intra
+
+
+@settings(database=None, derandomize=True, max_examples=80, deadline=None)
+@given(
+    mechanism=st.sampled_from(MECHANISMS),
+    nodes=st.sampled_from((1, 2, 4)),
+    pp=st.integers(1, 4),
+    vpp=st.integers(1, 2),
+    rounds=st.integers(1, 3),
+    ep=st.sampled_from((1, 2, 4)),
+)
+def test_built_events_feed_their_own_slot_and_wait_on_its_parent(mechanism, nodes, pp, vpp, rounds, ep):
+    """Every event the two builders make feeds a slot of the schedule on
+    the event's own device, and waits only on that slot's dataflow parent
+    or on the id of the same slot's previous tier event; ids are unique."""
+    cfg = bench_model(num_layers=8, num_routed_experts=8)
+    plan = ParallelPlan(tp=1, pp=pp, vpp=vpp, ep=ep, dp=ep, micro_batch_size=1)
+    schedule = build_1f1b_schedule(pp, rounds * pp, vpp)
+    hw = bench_cluster(num_nodes=nodes)
+    events = boundary_transfer_events(schedule, cfg, plan, hw)
+    events += slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), hw, mechanism)
+    stage_of = {sl: s for s, slots in enumerate(schedule) for sl in slots}
+    previous_tier = {}  # slot -> id of the last dispatch event feeding it
+    for ev in events:
+        assert isinstance(ev.feeds, ScheduleSlot) and stage_of[ev.feeds] == ev.device
+        for dep in ev.dependencies:
+            assert dep in (dataflow_parent(ev.feeds, pp, vpp), previous_tier.get(ev.feeds))
+        if ev.kind != "p2p":
+            previous_tier[ev.feeds] = ev.id
+    assert len({ev.id for ev in events}) == len(events)
 
 
 def test_training_report_basics():
