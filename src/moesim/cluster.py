@@ -50,7 +50,9 @@ class HardwareDescription:
             raise ValueError("devices_per_node and num_nodes must be >= 1")
         if not self.peak_flops:
             raise ValueError("peak_flops must list at least one dtype")
-        for rate in self.peak_flops.values():
+        for dtype, rate in self.peak_flops.items():
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+                raise ValueError(f"peak_flops[{dtype!r}] must be a number, got {rate!r}")
             if rate <= 0:
                 raise ValueError("peak FLOP rates must be positive")
         for name in (

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .cluster import HardwareDescription, kernel_time
 from .errors import InfeasibleMemoryError
 from .model import ModelConfig, flops_per_token, _attention_params, _layer_norm_params
-from .parallel import ParallelPlan, StageAssignment, assign_chunks, item_kind, micro_batch_count, tokens_per_device
+from .parallel import ParallelPlan, StageAssignment, assign_chunks, micro_batch_count, tokens_per_device
 from .pipeline import warmup_forwards
 
 RECOMPUTE_OPTIONS = ("mla_qkv", "mla_kv_only", "permute", "swiglu_activation")
@@ -122,8 +122,8 @@ def static_memory(cfg: ModelConfig, plan: ParallelPlan, assignment: StageAssignm
         raise ValueError("plan.dp must be resolved (>= 1)")
     per_stage = [0.0] * plan.pp
     for chunk in assignment.chunks:
-        for name, _ in chunk.items:
-            per_stage[chunk.pp_stage] += _item_params_per_device(cfg, plan, item_kind(name))
+        for kind, _ in chunk.items:
+            per_stage[chunk.pp_stage] += _item_params_per_device(cfg, plan, kind)
     per_stage[0] += cfg.vocab_size * cfg.hidden_size / plan.tp  # input embedding
     worst = max(per_stage)
     return 2 * cfg.dtype_bytes * worst + 12.0 * worst / plan.dp
@@ -189,8 +189,7 @@ def activation_peak(
     stage_chunks = [c for c in assignment.chunks if c.pp_stage == 0]
     per_mb = 0.0
     for chunk in stage_chunks:
-        for name, _ in chunk.items:
-            kind = item_kind(name)
+        for kind, _ in chunk.items:
             # the head's logits are freed within the micro batch, not accumulated
             if kind != "head":
                 per_mb += _kept_bytes_per_token(cfg, kind, mem_plan) * tokens

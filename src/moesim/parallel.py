@@ -8,15 +8,16 @@ micro_batch_size * seq_len tokens.
 
 Chunk assignment splits the ordered layer items (dense layers, expert
 layers, extra-token blocks, then the head+loss) into pp * vpp contiguous
-chunks minimizing the maximum chunk weight. The split is exact (dynamic
-program over contiguous partitions), with ties broken toward the earliest
-split positions. Chunk i maps to pipeline stage i % pp, virtual stage
-i // pp.
+chunks minimizing the maximum chunk weight. The split is exact (the
+linear-partition method: a search over run weights with a greedy cover
+check), with ties broken toward the earliest split positions. Chunk i maps
+to pipeline stage i % pp, virtual stage i // pp.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .cluster import HardwareDescription
@@ -133,7 +134,7 @@ def micro_batch_count(plan: ParallelPlan) -> int:
 class ChunkAssignment:
     pp_stage: int
     vpp_stage: int
-    items: tuple  # (name, weight) pairs
+    items: tuple  # (kind, weight) pairs
     weight: float
 
 
@@ -158,7 +159,9 @@ def partition_contiguous(weights, num_chunks: int) -> list[list[int]]:
     """Split indices 0..n-1 into num_chunks contiguous non-empty runs
     minimizing the max run weight; earliest split positions win ties.
 
-    Returns the list of index lists. Exact via dynamic programming.
+    Returns the list of index lists. Exact by linear partition: the optimum
+    is the least run weight (a prefix-sum difference) whose greedy cover
+    needs at most num_chunks runs; weights must be finite and >= 0.
     """
     n = len(weights)
     if num_chunks < 1:
@@ -166,36 +169,29 @@ def partition_contiguous(weights, num_chunks: int) -> list[list[int]]:
     if n < num_chunks:
         raise InfeasibleChunkingError(f"{n} items into {num_chunks} chunks")
     prefix = [0.0]
-    for w in weights:
+    for i, w in enumerate(weights):
+        if not 0 <= w < math.inf:
+            raise ValueError(f"weight {i} must be finite and >= 0, got {w!r}")
         prefix.append(prefix[-1] + w)
 
-    def seg(i, j):  # weight of items[i:j]
-        return prefix[j] - prefix[i]
+    def runs_needed(b):  # [j] = fewest runs of weight <= b covering items[j:]
+        need, end = [0] * (n + 1), n
+        for j in range(n - 1, -1, -1):
+            while prefix[end] - prefix[j] > b:
+                end -= 1
+            need[j] = need[end] + 1 if end > j else n + 1  # n + 1: no cover
+        return need
 
-    # best[k][j] = minimal max chunk weight for items[j:] split into k chunks
-    best = [[math.inf] * (n + 1) for _ in range(num_chunks + 1)]
-    best[0][n] = 0.0
-    for k in range(1, num_chunks + 1):
-        # items[j:] needs at least k items and leaves room for k-1 more cuts
-        for j in range(n - k, -1, -1):
-            acc = math.inf
-            for e in range(j + 1, n - k + 2):
-                cand = max(seg(j, e), best[k - 1][e])
-                if cand < acc:
-                    acc = cand
-            best[k][j] = acc
+    run_weights = sorted({prefix[e] - prefix[j] for j in range(n) for e in range(j + 1, n + 1)})
+    target = run_weights[bisect_left(run_weights, True, key=lambda b: runs_needed(b)[0] <= num_chunks)]
 
-    # Walk back greedily: each chunk ends at the earliest position that
-    # still lets the suffix stay within the optimal bound.
-    target = best[num_chunks][0]
-    chunks = []
-    j = 0
-    for k in range(num_chunks, 0, -1):
-        for e in range(j + 1, n - k + 2):
-            if seg(j, e) <= target and best[k - 1][e] <= target:
-                chunks.append(list(range(j, e)))
-                j = e
-                break
+    # Each chunk ends at the earliest position that leaves a suffix the
+    # chunks still to place can cover within the optimal bound.
+    need, chunks, j = runs_needed(target), [], 0
+    for left in range(num_chunks - 1, -1, -1):
+        e = next(e for e in range(j + 1, n + 1) if prefix[e] - prefix[j] <= target and need[e] <= left)
+        chunks.append(list(range(j, e)))
+        j = e
     return chunks
 
 
@@ -206,23 +202,16 @@ MTP_WEIGHT = 1.05
 HEAD_WEIGHT = 1.5
 
 
-def item_kind(name: str) -> str:
-    """Kind of a layer item: "dense", "moe", "mtp" or "head"."""
-    return "head" if name == "head_loss" else name.split("_", 1)[0]
-
-
 def tokens_per_device(cfg: ModelConfig, plan: ParallelPlan) -> float:
     """Tokens one device holds per micro batch, whole for a valid plan."""
     return plan.micro_batch_size * cfg.seq_len / (plan.tp * plan.cp)
 
 
 def layer_items(cfg: ModelConfig) -> list[tuple]:
-    """Ordered (name, weight) items entering the chunk partition."""
-    items = [(f"dense_{i}", 1.0) for i in range(cfg.num_dense_layers)]
-    items += [(f"moe_{i}", 1.0) for i in range(cfg.num_moe_layers)]
-    items += [(f"mtp_{i}", MTP_WEIGHT) for i in range(cfg.num_mtp_layers)]
-    items.append(("head_loss", HEAD_WEIGHT))
-    return items
+    """Ordered (kind, weight) items entering the chunk partition; the kind
+    is "dense", "moe", "mtp" or "head"."""
+    items = [("dense", 1.0)] * cfg.num_dense_layers + [("moe", 1.0)] * cfg.num_moe_layers
+    return items + [("mtp", MTP_WEIGHT)] * cfg.num_mtp_layers + [("head", HEAD_WEIGHT)]
 
 
 def assign_chunks(cfg: ModelConfig, plan: ParallelPlan) -> StageAssignment:

@@ -21,7 +21,7 @@ from .errors import MoesimError
 from .memory import MemoryPlan, MemoryReport, memory_report, select_memory_plan, _item_params_per_device
 from .model import DesignSpace, ModelConfig, count_parameters, enumerate_design_space, flops_per_token, model_id
 from .parallel import (
-    ParallelPlan, StageAssignment, assign_chunks, item_kind, micro_batch_count, require_valid, tokens_per_device,
+    ParallelPlan, StageAssignment, assign_chunks, micro_batch_count, require_valid, tokens_per_device,
 )
 from .pipeline import (
     ChunkCost, OverlapPolicy, build_1f1b_schedule, dataflow_parent, simulate_timeline, slot_id, summarize,
@@ -69,8 +69,7 @@ def chunk_costs_from_model(
     for chunk in assignment.chunks:
         flops = 0.0
         weight_bytes = 0.0
-        for name, _ in chunk.items:
-            kind = item_kind(name)
+        for kind, _ in chunk.items:
             flops += profile.per_layer[kind] * tokens_dev
             weight_bytes += _item_params_per_device(cfg, plan, kind) * cfg.dtype_bytes
         act_bytes = 2.0 * cfg.hidden_size * cfg.dtype_bytes * tokens_dev * max(1, len(chunk.items))
@@ -138,7 +137,7 @@ def slot_dispatch_events(
     )
     routed = {}
     for chunk in assignment.chunks:
-        n = sum(1 for name, _ in chunk.items if item_kind(name) in ("moe", "mtp"))
+        n = sum(1 for kind, _ in chunk.items if kind in ("moe", "mtp"))
         routed[(chunk.pp_stage, chunk.vpp_stage)] = n
     inter_group = plan.ep * plan.tp if mechanism == "allgather" else plan.ep
     inter_kind = "alltoall" if mechanism == "alltoall" else "allgather"
@@ -217,6 +216,8 @@ def inference_report(
     compressed per-token cache; traffic is one sweep of the weights plus
     the cache reads. The slower of the two bounds sets the step time.
     """
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     params = count_parameters(cfg)
     ctx = cfg.seq_len
     heads = cfg.num_attention_heads
@@ -286,6 +287,9 @@ def search_space(
     """
     if mode not in ("both", "training", "inference"):
         raise ValueError(f"unknown mode {mode!r}")
+    for name, value in (("top", top), ("workers", workers)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     features = features or SimulationFeatures()
     configs = enumerate_design_space(space) if isinstance(space, DesignSpace) else list(space)
     jobs = [(cfg, plan, hw, features, mode) for cfg in configs]

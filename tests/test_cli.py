@@ -538,6 +538,34 @@ def test_nested_value_of_the_wrong_json_type_is_named_in_the_error(tmp_path, cap
     assert captured.err == f"error: {path} {message}\n"
 
 
+@pytest.mark.parametrize("batch", ["-4096", "0"])
+def test_inference_batch_below_one_is_refused(tmp_path, capsys, batch):
+    """A decode batch below one has no step time; it is refused, not
+    printed as a negative step or zero tokens per second."""
+    paths = write_configs(tmp_path)
+    rc = main(["simulate", "--model", paths["model"], "--cluster", paths["cluster"], "--mode", "inference",
+               "--batch", batch])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: batch must be >= 1, got {batch}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--top", "-1"), ("--top", "0"), ("--workers", "0"), ("--workers", "-2")]
+)
+def test_search_top_and_workers_below_one_are_refused(capsys, flag, value):
+    """--top below one would drop feasible candidates (or all of them) and
+    --workers below one would silently run serially."""
+    rc = main(["search", "--cluster", str(ROOT / "configs" / "cluster_6144.json"),
+               "--plan", str(ROOT / "configs" / "plan_reference.json"),
+               "--space", str(ROOT / "configs" / "space_small.json"), flag, value])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {flag[2:]} must be >= 1, got {value}\n"
+
+
 def test_every_command_is_byte_identical_across_reruns(tmp_path, capsys):
     paths = write_configs(tmp_path)
 

@@ -100,3 +100,10 @@ def test_invalid_hardware_rejected():
         make_hw(devices_per_node=0)
     with pytest.raises(ValueError):
         make_hw(peak_flops={})
+
+
+@pytest.mark.parametrize("rate", [True, "x", None])
+def test_peak_flops_rate_must_be_a_number(rate):
+    """The Python API refuses what the JSON loader refuses, naming the dtype."""
+    with pytest.raises(ValueError, match=r"^peak_flops\['fp8'\] must be a number, got "):
+        make_hw(peak_flops={"bf16": 100e12, "fp8": rate})

@@ -108,6 +108,72 @@ def test_partition_is_the_earliest_optimal_split(instance):
     assert cuts == next(c for c in splits if worst(c) == best)
 
 
+def dp_partition(weights, num_chunks):
+    """Reference oracle: the exact O(k * n**2) dynamic program over
+    contiguous partitions, walking back to the earliest optimal splits."""
+    n = len(weights)
+    prefix = [0.0]
+    for w in weights:
+        prefix.append(prefix[-1] + w)
+
+    def seg(i, j):  # weight of items[i:j]
+        return prefix[j] - prefix[i]
+
+    # best[k][j] = minimal max chunk weight for items[j:] split into k chunks
+    best = [[math.inf] * (n + 1) for _ in range(num_chunks + 1)]
+    best[0][n] = 0.0
+    for k in range(1, num_chunks + 1):
+        for j in range(n - k, -1, -1):
+            acc = math.inf
+            for e in range(j + 1, n - k + 2):
+                cand = max(seg(j, e), best[k - 1][e])
+                if cand < acc:
+                    acc = cand
+            best[k][j] = acc
+    target = best[num_chunks][0]
+    chunks = []
+    j = 0
+    for k in range(num_chunks, 0, -1):
+        for e in range(j + 1, n - k + 2):
+            if seg(j, e) <= target and best[k - 1][e] <= target:
+                chunks.append(list(range(j, e)))
+                j = e
+                break
+    return chunks
+
+
+@st.composite
+def weighted_partitions(draw):
+    """(weights, chunks): up to 70 non-negative finite weights, either from
+    a small set (ties, zeros, and magnitudes that vanish in a prefix sum)
+    or spread over the whole float range, and 1 to n chunks."""
+    weight = draw(
+        st.sampled_from(
+            [
+                st.sampled_from([0.0, 1e-17, 0.5, 1.0, 1.05, 1.5, 3.0, 1e17]),
+                st.floats(0.0, 1e17, allow_nan=False, allow_infinity=False),
+            ]
+        )
+    )
+    n = draw(st.integers(1, 70))
+    return draw(st.lists(weight, min_size=n, max_size=n)), draw(st.integers(1, n))
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(weighted_partitions())
+def test_partition_matches_the_dynamic_program_run_for_run(instance):
+    """The linear-partition method compares the same prefix-sum differences
+    as the dynamic program, so it returns exactly the same runs."""
+    weights, chunks = instance
+    assert partition_contiguous(weights, chunks) == dp_partition(weights, chunks)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_partition_rejects_negative_or_non_finite_weights(bad):
+    with pytest.raises(ValueError, match=r"^weight 2 must be finite and >= 0, got "):
+        partition_contiguous([1.0, 0.0, bad, 1.0], 2)
+
+
 def test_partition_rejects_impossible_split():
     with pytest.raises(Exception):
         partition_contiguous([1.0, 1.0], 3)
@@ -132,11 +198,11 @@ def test_reference_chunking_isolates_head_and_pairs_extra_block():
     # 32 chunks: the loss head sits alone on the last one, and the
     # extra-prediction block shares the second-to-last with one moe layer.
     last = assignment.chunk(pp_stage=15, vpp_stage=1)
-    names = [name for name, _ in last.items]
-    assert names == ["head_loss"]
+    assert last.items == (("head", 1.5),)
     second_last = assignment.chunk(pp_stage=14, vpp_stage=1)
-    names = [name for name, _ in second_last.items]
-    assert names == ["moe_57", "mtp_0"]
+    assert second_last.items == (("moe", 1.0), ("mtp", 1.05))
+    # ... and that moe layer is the last one: the other 57 come before it
+    assert sum(kind == "moe" for c in assignment.chunks[:-2] for kind, _ in c.items) == 57
 
 
 def test_chunk_to_stage_mapping_is_round_robin():
@@ -160,16 +226,14 @@ def test_layer_items_order_and_weights():
         num_mtp_layers=1,
         mla=__import__("moesim").MlaDims(q_rank=12, kv_rank=6, head_dim=4, rope_dim=2),
     )
-    items = layer_items(cfg)
-    assert [name for name, _ in items] == [
-        "dense_0",
-        "dense_1",
-        "moe_0",
-        "moe_1",
-        "mtp_0",
-        "head_loss",
+    assert layer_items(cfg) == [
+        ("dense", 1.0),
+        ("dense", 1.0),
+        ("moe", 1.0),
+        ("moe", 1.0),
+        ("mtp", 1.05),
+        ("head", 1.5),
     ]
-    assert [w for _, w in items] == [1.0, 1.0, 1.0, 1.0, 1.05, 1.5]
 
 
 def test_validate_plan_resolves_dp():

@@ -16,7 +16,7 @@ from moesim.comm import MECHANISMS, dispatch_volumes
 from moesim.configio import load_cluster, load_model, load_plan
 from moesim.errors import PlanError
 from moesim.model import DesignSpace, MlaDims, ModelConfig, count_parameters, model_id
-from moesim.parallel import ParallelPlan, assign_chunks, item_kind, tokens_per_device
+from moesim.parallel import ParallelPlan, assign_chunks, tokens_per_device
 from moesim.pipeline import SERIALIZED, OverlapPolicy, ScheduleSlot, build_1f1b_schedule, dataflow_parent
 from moesim.search import (
     SimulationFeatures,
@@ -204,7 +204,7 @@ def test_dispatch_bytes_are_conserved_across_tiers(mechanism, nodes, pp, vpp, ro
         mechanism, int(tokens_per_device(cfg, plan)), cfg.hidden_size, cfg.dtype_bytes, cfg.top_k, tp, ep
     )
     routed = {
-        (c.pp_stage, c.vpp_stage): sum(item_kind(name) in ("moe", "mtp") for name, _ in c.items)
+        (c.pp_stage, c.vpp_stage): sum(kind in ("moe", "mtp") for kind, _ in c.items)
         for c in layout.chunks
     }
     dispatches = sum(2 * routed[(sl.pp_stage, sl.vpp_stage)] for slots in schedule for sl in slots)
