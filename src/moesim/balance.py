@@ -89,8 +89,13 @@ class RoutingTrace:
         return self.experts.shape[2]
 
     def expert_counts(self) -> np.ndarray:
-        """Tokens routed to each expert, per step: a (steps, num_experts) array."""
+        """Tokens routed to each expert, per step: a (steps, num_experts)
+        array. One of more than TRACE_TABLE_CELLS cells raises ValueError
+        before anything is allocated."""
         n = self.num_experts
+        if self.steps * n > TRACE_TABLE_CELLS:
+            need = f"{self.steps} steps of {n} experts need a {self.steps} x {n} expert count table"
+            raise ValueError(f"{need}, over the {TRACE_TABLE_CELLS}-cell limit")
         offsets = np.arange(self.steps)[:, None, None] * n
         return np.bincount((self.experts + offsets).ravel(), minlength=self.steps * n).reshape(self.steps, n)
 

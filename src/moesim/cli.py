@@ -176,16 +176,16 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 
 def _cmd_trace_stats(args: argparse.Namespace) -> int:
     trace = RoutingTrace.load(args.trace)
-    try:  # first: it refuses oversized tables before anything is allocated
-        stats = trace_statistics(trace)
+    try:  # first, as these refuse oversized tables before allocating; only --out writes the statistics
+        stats = trace_statistics(trace) if args.out else None
+        counts = trace.expert_counts().sum(axis=0)
     except ValueError as exc:
         raise MoesimError(f"{args.trace}: {exc}") from None
     loss = aux_loss(trace)
-    counts = trace.expert_counts().sum(axis=0)
     print(f"steps {trace.steps} tokens/step {trace.tokens_per_step} top_k {trace.top_k}")
     print(f"experts {trace.num_experts}")
     print(f"aux loss {loss.mean_loss:.6f}")
-    print(f"hottest expert share {counts.max() / counts.sum():.4f} (uniform {stats.uniform_share:.4f})")
+    print(f"hottest expert share {counts.max() / counts.sum():.4f} (uniform {1.0 / trace.num_experts:.4f})")
     if args.out:
         _write_json(
             args.out,

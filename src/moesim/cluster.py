@@ -8,12 +8,22 @@ fraction that is not already local, which the formulas account for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
 _DTYPE_NAMES = {1: "fp8", 2: "bf16", 4: "fp32"}
 
 COLLECTIVE_KINDS = ("allgather", "reducescatter", "allreduce", "alltoall", "p2p")
+
+# The float fields of a HardwareDescription besides the peak FLOP rates:
+# rates, capacities and the efficiency must be finite and positive,
+# latencies and host time finite and at least 0.
+_RATES = (
+    "hbm_capacity", "hbm_bandwidth", "intra_node_bandwidth", "inter_node_bandwidth", "host_to_device_bandwidth",
+    "matmul_efficiency",
+)
+_DELAYS = ("intra_node_latency", "inter_node_latency", "host_dispatch_time")
 
 
 @dataclass(frozen=True)
@@ -50,24 +60,15 @@ class HardwareDescription:
             raise ValueError("devices_per_node and num_nodes must be >= 1")
         if not self.peak_flops:
             raise ValueError("peak_flops must list at least one dtype")
-        for dtype, rate in self.peak_flops.items():
-            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-                raise ValueError(f"peak_flops[{dtype!r}] must be a number, got {rate!r}")
-            if rate <= 0:
-                raise ValueError("peak FLOP rates must be positive")
-        for name in (
-            "hbm_capacity",
-            "hbm_bandwidth",
-            "intra_node_bandwidth",
-            "inter_node_bandwidth",
-            "host_to_device_bandwidth",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 < self.matmul_efficiency <= 1:
-            raise ValueError("matmul_efficiency must be in (0, 1]")
-        if self.host_dispatch_time < 0:
-            raise ValueError("host_dispatch_time must be >= 0")
+        values = {f"peak_flops[{dtype!r}]": rate for dtype, rate in self.peak_flops.items()}
+        values.update((name, getattr(self, name)) for name in (*_RATES, *_DELAYS))
+        for name, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value) or (value < 0 if name in _DELAYS else value <= 0):
+                raise ValueError(f"{name} must be finite and {'>= 0' if name in _DELAYS else '> 0'}, got {value}")
+        if self.matmul_efficiency > 1:
+            raise ValueError(f"matmul_efficiency must be in (0, 1], got {self.matmul_efficiency}")
 
     @property
     def world_size(self) -> int:

@@ -22,7 +22,7 @@ import typing
 from .balance import TraceSpec
 from .cluster import HardwareDescription
 from .errors import ParseError
-from .model import DesignSpace, ModelConfig
+from .model import DesignSpace, ModelConfig, range_kinds
 from .parallel import ParallelPlan
 
 # The JSON values each declared field type accepts, and how errors name them.
@@ -65,7 +65,9 @@ def _field_value(hint, value, path: str):
     return tuple(value) if kind is tuple else value
 
 
-def _build(cls, data, where: str):
+def _build(cls, data, where: str, check=None):
+    """The dataclass `cls` from a JSON object; ``check(kwargs, where)``, if
+    given, runs on the checked fields just before construction."""
     if not isinstance(data, dict):
         raise ParseError(f"{where} must be an object, got {type(data).__name__}")
     hints = typing.get_type_hints(cls)
@@ -78,6 +80,8 @@ def _build(cls, data, where: str):
         if f.name not in data and f.default is f.default_factory is dataclasses.MISSING:
             raise ParseError(f"{where}.{f.name} is required")
     try:
+        if check:
+            check(kwargs, where)
         return cls(**kwargs)
     except TypeError as exc:
         raise ParseError(f"{where}: {exc}") from exc
@@ -106,13 +110,16 @@ def load_plan(path) -> ParallelPlan:
     return _build(ParallelPlan, _read_json(path), "plan")
 
 
+def _check_candidates(kwargs, where: str) -> None:
+    """A design space's candidates against the field each replaces, before
+    DesignSpace checks them in errors that name no JSON path."""
+    for name, kind in range_kinds(kwargs["ranges"]).items():
+        for i, value in enumerate(kwargs["ranges"][name]):
+            _field_value(kind, value, f"{where}.ranges.{name}.{i}")
+
+
 def load_space(path) -> DesignSpace:
-    space = _build(DesignSpace, _read_json(path), "space")
-    fields = typing.get_type_hints(ModelConfig)
-    for name, candidates in space.ranges.items():
-        for i, value in enumerate(candidates):
-            _field_value(fields[name], value, f"space.ranges.{name}.{i}")
-    return space
+    return _build(DesignSpace, _read_json(path), "space", _check_candidates)
 
 
 def load_trace_spec(path) -> TraceSpec:

@@ -149,9 +149,10 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
     """Compute start/end times for every task.
 
     tasks: iterable of Task. chains: {(device, resource): [task ids]} giving
-    the execution order on each serial resource; every task must appear in
-    the chain of each of its resources. host_order: {device: [task ids]}
-    enables host dispatch modeling for those devices.
+    the execution order on each serial resource; every task must appear
+    exactly once in the chain of each of its resources and in no other
+    chain, or ValueError names the task and the chain. host_order:
+    {device: [task ids]} enables host dispatch modeling for those devices.
 
     Raises DeadlockError when the combined graph has a cycle.
     """
@@ -164,6 +165,15 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
         for tid in chain:
             if tid not in by_id:
                 raise ValueError(f"chain {key} references unknown task {tid!r}")
+    placed = Counter((key, tid) for key, chain in chains.items() for tid in chain)
+    for t in by_id.values():
+        for key in dict.fromkeys((t.device, r) for r in t.resources):
+            count = placed.pop((key, t.id), 0)
+            if count != 1:
+                raise ValueError(f"task {t.id!r} is {'repeated in' if count else 'missing from'} chain {key}")
+    if placed:
+        key, tid = next(iter(placed))
+        raise ValueError(f"chain {key} holds task {tid!r}, which does not use that resource")
     index = {tid: i for i, tid in enumerate(by_id)}
     items = list(by_id.values())
     for t in items:

@@ -34,7 +34,8 @@ class DeadlockError(MoesimError):
 
 
 class InfeasibleMemoryError(MoesimError):
-    """No memory plan fits the device, even with every option enabled."""
+    """The memory plan does not fit the device: no fine-grained plan fits,
+    or full-layer recompute does not."""
 
 
 class EmptyWindowError(MoesimError):

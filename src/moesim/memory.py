@@ -253,6 +253,14 @@ def memory_report(
     )
 
 
+def infeasible_error(report: MemoryReport, tried: str) -> InfeasibleMemoryError:
+    """The error for a memory plan that does not fit; ``tried`` names it."""
+    return InfeasibleMemoryError(
+        f"static {report.static_bytes:.3e} + activations {report.activation_bytes:.3e} "
+        f"exceed capacity {report.capacity_bytes:.3e} {tried}"
+    )
+
+
 def candidate_plans() -> list:
     """Every valid fine-grained option combination, deterministic order:
     one choice from each of the four groups."""
@@ -280,10 +288,7 @@ def select_memory_plan(cfg: ModelConfig, plan: ParallelPlan, hw: HardwareDescrip
             reports.append(rep)
     if not reports:
         full = memory_report(cfg, plan, assignment, hw, MemoryPlan.everything())
-        raise InfeasibleMemoryError(
-            f"static {full.static_bytes:.3e} + activations {full.activation_bytes:.3e} "
-            f"exceed capacity {full.capacity_bytes:.3e} even with every option enabled"
-        )
+        raise infeasible_error(full, "even with every option enabled")
 
     def key(rep: MemoryReport):
         names = sorted(rep.plan.recompute | rep.plan.swap)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import typing
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import EmptySpaceError
@@ -259,12 +260,25 @@ class DesignSpace:
     pruning: PruningRules = field(default_factory=PruningRules)
 
     def __post_init__(self):
-        valid = {f.name for f in fields(ModelConfig)} - {"mla"}
-        for name in self.ranges:
-            if name not in valid:
-                raise ValueError(f"unknown ModelConfig field in ranges: {name!r}")
-            if not self.ranges[name]:
-                raise ValueError(f"empty candidate list for field {name!r}")
+        for name, kind in range_kinds(self.ranges).items():
+            for i, value in enumerate(self.ranges[name]):
+                if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                    raise ValueError(f"ranges.{name}.{i} must be of type {kind.__name__}, got {value!r}")
+
+
+def range_kinds(ranges: dict) -> dict:
+    """The ModelConfig type of each field a design space's ranges vary.
+
+    Raises ValueError for a field that cannot vary (unknown, or the nested
+    mla block) or an empty candidate list, naming the first in order.
+    """
+    hints = typing.get_type_hints(ModelConfig)
+    for name in ranges:
+        if name not in hints or name == "mla":
+            raise ValueError(f"unknown ModelConfig field in ranges: {name!r}")
+        if not ranges[name]:
+            raise ValueError(f"empty candidate list for field {name!r}")
+    return {name: hints[name] for name in ranges}
 
 
 def _passes_pruning(cfg: ModelConfig, rules: PruningRules) -> bool:

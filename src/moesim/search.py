@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from .cluster import HardwareDescription, kernel_time
 from .comm import MECHANISMS, CommEvent, dispatch_volumes
 from .errors import MoesimError
-from .memory import MemoryPlan, MemoryReport, memory_report, select_memory_plan, _item_params_per_device
+from .memory import (
+    MemoryPlan, MemoryReport, infeasible_error, memory_report, select_memory_plan, _item_params_per_device,
+)
 from .model import DesignSpace, ModelConfig, count_parameters, enumerate_design_space, flops_per_token, model_id
 from .parallel import (
     ParallelPlan, StageAssignment, assign_chunks, micro_batch_count, require_valid, tokens_per_device,
@@ -84,6 +86,25 @@ def _stage_crossing_resource(plan: ParallelPlan, hw: HardwareDescription) -> str
     return "intra_link"
 
 
+def _slot_transfers(schedule, vpp: int, hops) -> list:
+    """Events for the transfers into every slot, on the slot's own stage.
+
+    ``hops(slot, parent)`` lists a slot's transfers in order as (id, kind,
+    resource, bytes, group size) tuples, given the slot's dataflow parent.
+    The first waits on that parent (on nothing at a graph source), each
+    later one on the transfer before it.
+    """
+    events = []
+    for slots in schedule:
+        for sl in slots:
+            parent = dataflow_parent(sl, len(schedule), vpp)
+            prior = (parent,) if parent is not None else ()
+            for hop, kind, resource, volume, group in hops(sl, parent):
+                events.append(CommEvent(hop, kind, resource, volume, prior, sl.pp_stage, group, sl))
+                prior = (hop,)
+    return events
+
+
 def boundary_transfer_events(
     schedule,
     cfg: ModelConfig,
@@ -99,19 +120,12 @@ def boundary_transfer_events(
     streams = 2 if cfg.num_mtp_layers > 0 else 1
     volume = tokens_dev * cfg.hidden_size * cfg.dtype_bytes * streams
     resource = _stage_crossing_resource(plan, hw)
-    events = []
-    for slots in schedule:
-        for sl in slots:
-            parent = dataflow_parent(sl, len(schedule), plan.vpp)
-            if parent is None or parent.pp_stage == sl.pp_stage:
-                continue
-            events.append(
-                CommEvent(
-                    id=f"p2p:{slot_id(sl)}", kind="p2p", resource=resource, bytes=volume,
-                    dependencies=(parent,), device=sl.pp_stage, feeds=sl,
-                )
-            )
-    return events
+
+    def hops(sl, parent):
+        crossing = parent is not None and parent.pp_stage != sl.pp_stage
+        return [(f"p2p:{slot_id(sl)}", "p2p", resource, volume, 0)] if crossing else ()
+
+    return _slot_transfers(schedule, plan.vpp, hops)
 
 
 def slot_dispatch_events(
@@ -149,25 +163,15 @@ def slot_dispatch_events(
         tiers.append(("inter", inter_kind, "inter_link", vols.inter_node_bytes, inter_group))
     if vols.intra_node_bytes > 0:
         tiers.append(("intra", "alltoall", "intra_link", vols.intra_node_bytes, intra_group))
-    events = []
-    for slots in schedule:
-        for sl in slots:
-            layers = routed[(sl.pp_stage, sl.vpp_stage)]
-            if layers == 0:
-                continue
-            sid = slot_id(sl)
-            parent = dataflow_parent(sl, len(schedule), plan.vpp)
-            prior = (parent,) if parent is not None else ()
-            scale = 2.0 * layers
-            for tier, kind, resource, volume, group in tiers:
-                events.append(
-                    CommEvent(
-                        id=f"disp:{sid}:{tier}", kind=kind, resource=resource, bytes=volume * scale,
-                        dependencies=prior, device=sl.pp_stage, group_size=group, feeds=sl,
-                    )
-                )
-                prior = (events[-1].id,)
-    return events
+
+    def hops(sl, parent):
+        layers = routed[(sl.pp_stage, sl.vpp_stage)]
+        if layers == 0:
+            return ()
+        sid, scale = slot_id(sl), 2.0 * layers
+        return [(f"disp:{sid}:{tier}", kind, res, vol * scale, group) for tier, kind, res, vol, group in tiers]
+
+    return _slot_transfers(schedule, plan.vpp, hops)
 
 
 def training_report(
@@ -176,7 +180,10 @@ def training_report(
     hw: HardwareDescription,
     features: SimulationFeatures | None = None,
 ) -> CostReport:
-    """Simulate one training step and summarize throughput and MFU."""
+    """Simulate one training step and summarize throughput and MFU.
+
+    Raises InfeasibleMemoryError when the memory plan does not fit.
+    """
     features = features or SimulationFeatures()
     plan = require_valid(plan, cfg, hw)
     assignment = assign_chunks(cfg, plan)
@@ -184,6 +191,8 @@ def training_report(
         mem = select_memory_plan(cfg, plan, hw)
     else:
         mem = memory_report(cfg, plan, assignment, hw, MemoryPlan(full_layer=True))
+        if not mem.feasible:
+            raise infeasible_error(mem, "with full-layer recompute")
     m = micro_batch_count(plan)
     schedule = build_1f1b_schedule(plan.pp, m, plan.vpp)
     costs = chunk_costs_from_model(cfg, plan, assignment, hw)

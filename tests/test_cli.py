@@ -402,10 +402,34 @@ def test_trace_stats_names_the_file_on_a_bad_num_experts_line(tmp_path, capsys, 
     ids=["task_id", "num_experts"],
 )
 def test_trace_stats_names_the_file_when_a_table_is_over_the_cell_limit(tmp_path, capsys, meta, row, fragment):
-    """Task id 2**40 would need a (2**40 + 1) x 4 share table and 1e8
-    experts a 1e16-cell coactivation table: both are refused before anything
-    is allocated."""
+    """With --out, task id 2**40 would need a (2**40 + 1) x 4 share table
+    and 1e8 experts a 1e16-cell coactivation table: both are refused before
+    anything is allocated, and no report is written."""
     trace_file = write_trace(tmp_path / "trace.csv", meta, [row])
+    out_file = tmp_path / "stats.json"
+    argv = ["trace-stats", "--trace", trace_file, "--out", str(out_file)]
+    assert_rejected(capsys, argv, f"error: {trace_file}: ", fragment, "cell limit")
+    assert not out_file.exists()
+
+
+def test_trace_stats_without_out_builds_no_statistics_table(tmp_path, capsys):
+    """stdout needs only 1 / num_experts from the statistics, so task id
+    2**40 is no reason to refuse a run that writes no report."""
+    trace_file = write_trace(tmp_path / "trace.csv", "# num_experts=4", [f"0,0,{2**40},0 1,0.5 0.5"])
+    assert main(["trace-stats", "--trace", trace_file]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "steps 1 tokens/step 1 top_k 2\n"
+        "experts 4\n"
+        "aux loss 2.000000\n"
+        "hottest expert share 0.5000 (uniform 0.2500)\n"
+    )
+
+
+def test_trace_stats_without_out_refuses_an_expert_count_table_over_the_cell_limit(tmp_path, capsys):
+    trace_file = write_trace(tmp_path / "trace.csv", "# num_experts=100000000", ["0,0,0,0 1,0.5 0.5"])
+    fragment = "1 steps of 100000000 experts need a 1 x 100000000 expert count table"
     assert_rejected(capsys, ["trace-stats", "--trace", trace_file], f"error: {trace_file}: ", fragment, "cell limit")
 
 

@@ -1,5 +1,7 @@
 """Collective cost model and device roofline."""
 
+import math
+
 import pytest
 
 from moesim.cluster import CommGroup, HardwareDescription, collective_time, kernel_time
@@ -107,3 +109,44 @@ def test_peak_flops_rate_must_be_a_number(rate):
     """The Python API refuses what the JSON loader refuses, naming the dtype."""
     with pytest.raises(ValueError, match=r"^peak_flops\['fp8'\] must be a number, got "):
         make_hw(peak_flops={"bf16": 100e12, "fp8": rate})
+
+
+FLOAT_FIELDS = (
+    "hbm_capacity", "hbm_bandwidth", "intra_node_bandwidth", "intra_node_latency", "inter_node_bandwidth",
+    "inter_node_latency", "matmul_efficiency", "host_dispatch_time", "host_to_device_bandwidth",
+)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_hardware_value_is_named(name, value):
+    """NaN once turned the step into nan, or silently into another step
+    (a nan latency) or into no host dispatch at all (a nan host time)."""
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and [>=]+ 0, got {value}$"):
+        make_hw(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_peak_flop_rate_is_named(value):
+    with pytest.raises(ValueError, match=rf"^peak_flops\['bf16'\] must be finite and > 0, got {value}$"):
+        make_hw(peak_flops={"bf16": value})
+
+
+@pytest.mark.parametrize("name", ["intra_node_latency", "inter_node_latency", "host_dispatch_time"])
+def test_negative_delay_is_named(name):
+    """A negative latency once failed only when an event was priced, in a
+    message naming no field."""
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0, got -0.001$"):
+        make_hw(**{name: -1e-3})
+    assert getattr(make_hw(**{name: 0.0}), name) == 0.0
+
+
+@pytest.mark.parametrize("name", [f for f in FLOAT_FIELDS if "latency" not in f and f != "host_dispatch_time"])
+def test_rates_and_capacities_must_be_positive(name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and > 0, got 0$"):
+        make_hw(**{name: 0})
+
+
+def test_matmul_efficiency_at_most_one():
+    with pytest.raises(ValueError, match=r"^matmul_efficiency must be in \(0, 1\], got 1.5$"):
+        make_hw(matmul_efficiency=1.5)

@@ -2,6 +2,7 @@
 dispatch case, properties on random DAGs, and `overlap_with`."""
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -34,6 +35,31 @@ def test_deps_with_unknown_task_rejected():
 def test_host_order_with_unknown_task_rejected():
     with pytest.raises(ValueError, match="host order references unknown task 'z'"):
         run_tasks([compute("a")], {(0, "compute"): ["a"]}, {0: ["a", "z"]})
+
+
+def test_task_missing_from_its_chain_rejected():
+    # Without the check, a and b would both run at 0 to 1 on one resource.
+    with pytest.raises(ValueError, match=r"task 'b' is missing from chain \(0, 'compute'\)"):
+        run_tasks([compute("a"), compute("b")], {(0, "compute"): ["a"]})
+
+
+def test_task_missing_from_the_chain_of_its_second_resource_rejected():
+    both = Task("a", 0, ("compute", "intra_link"), 1.0)
+    with pytest.raises(ValueError, match=r"task 'a' is missing from chain \(0, 'intra_link'\)"):
+        run_tasks([both], {(0, "compute"): ["a"]})
+
+
+def test_task_repeated_in_its_chain_rejected():
+    # Once reported as a dependency cycle.
+    with pytest.raises(ValueError, match=r"task 'a' is repeated in chain \(0, 'compute'\)"):
+        run_tasks([compute("a"), compute("b")], {(0, "compute"): ["a", "b", "a"]})
+
+
+@pytest.mark.parametrize("key", [(1, "compute"), (0, "intra_link")])
+def test_task_in_a_foreign_chain_rejected(key):
+    """A chain of another device, or of a resource the task does not use."""
+    with pytest.raises(ValueError, match=re.escape(f"chain {key} holds task 'a', which does not use that resource")):
+        run_tasks([compute("a")], {(0, "compute"): ["a"], key: ["a"]})
 
 
 def test_input_checks_run_chains_then_deps_then_host_order():

@@ -1,6 +1,7 @@
 """Parameter counting, FLOP accounting, and design space enumeration."""
 
 import math
+import re
 
 import pytest
 
@@ -238,6 +239,29 @@ def test_pruning_power_of_two_and_band():
     )
     configs = enumerate_design_space(space)
     assert [c.hidden_size for c in configs] == [near]
+
+
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        ({"num_layers": [56.5], "top_k": [True]}, "ranges.num_layers.0 must be of type int, got 56.5"),
+        ({"num_layers": [4], "top_k": [2, True]}, "ranges.top_k.1 must be of type int, got True"),
+        ({"hidden_size": [16, "32"]}, "ranges.hidden_size.1 must be of type int, got '32'"),
+        ({"hidden_size": [16.0]}, "ranges.hidden_size.0 must be of type int, got 16.0"),
+    ],
+)
+def test_design_space_candidates_must_have_their_field_type(ranges, message):
+    """The Python API refuses what the JSON loader refuses: once, a 56.5-layer
+    candidate with top_k True enumerated as L56.5d3-...-KTrues1-mtp1."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DesignSpace(base=tiny_config(), ranges=ranges)
+
+
+def test_design_space_names_a_bad_field_before_a_bad_candidate():
+    with pytest.raises(ValueError, match=r"^unknown ModelConfig field in ranges: 'mla'$"):
+        DesignSpace(base=tiny_config(), ranges={"num_layers": [5.5], "mla": [MlaDims()]})
+    with pytest.raises(ValueError, match=r"^empty candidate list for field 'top_k'$"):
+        DesignSpace(base=tiny_config(), ranges={"num_layers": [5.5], "top_k": []})
 
 
 def test_model_id_format():

@@ -12,14 +12,17 @@ import moesim.memory
 import moesim.search
 from moesim.cli import _features
 from moesim.cluster import HardwareDescription
-from moesim.comm import MECHANISMS, dispatch_volumes
+from moesim.comm import MECHANISMS, CommEvent, dispatch_volumes
 from moesim.configio import load_cluster, load_model, load_plan
-from moesim.errors import PlanError
+from moesim.errors import InfeasibleMemoryError, PlanError
 from moesim.model import DesignSpace, MlaDims, ModelConfig, count_parameters, model_id
 from moesim.parallel import ParallelPlan, assign_chunks, tokens_per_device
-from moesim.pipeline import SERIALIZED, OverlapPolicy, ScheduleSlot, build_1f1b_schedule, dataflow_parent
+from moesim.pipeline import (
+    SERIALIZED, OverlapPolicy, ScheduleSlot, build_1f1b_schedule, dataflow_parent, slot_id,
+)
 from moesim.search import (
     SimulationFeatures,
+    _stage_crossing_resource,
     boundary_transfer_events,
     chunk_costs_from_model,
     inference_report,
@@ -226,23 +229,114 @@ def test_dispatch_bytes_are_conserved_across_tiers(mechanism, nodes, pp, vpp, ro
 )
 def test_built_events_feed_their_own_slot_and_wait_on_its_parent(mechanism, nodes, pp, vpp, rounds, ep):
     """Every event the two builders make feeds a slot of the schedule on
-    the event's own device, and waits only on that slot's dataflow parent
-    or on the id of the same slot's previous tier event; ids are unique."""
+    the event's own device. Within each builder, the first transfer into a
+    slot waits on exactly that slot's dataflow parent (on nothing at a
+    graph source) and each later one on exactly the previous transfer's
+    id; ids are unique."""
     cfg = bench_model(num_layers=8, num_routed_experts=8)
     plan = ParallelPlan(tp=1, pp=pp, vpp=vpp, ep=ep, dp=ep, micro_batch_size=1)
     schedule = build_1f1b_schedule(pp, rounds * pp, vpp)
     hw = bench_cluster(num_nodes=nodes)
-    events = boundary_transfer_events(schedule, cfg, plan, hw)
-    events += slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), hw, mechanism)
+    boundary = boundary_transfer_events(schedule, cfg, plan, hw)
+    dispatch = slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), hw, mechanism)
     stage_of = {sl: s for s, slots in enumerate(schedule) for sl in slots}
-    previous_tier = {}  # slot -> id of the last dispatch event feeding it
-    for ev in events:
-        assert isinstance(ev.feeds, ScheduleSlot) and stage_of[ev.feeds] == ev.device
-        for dep in ev.dependencies:
-            assert dep in (dataflow_parent(ev.feeds, pp, vpp), previous_tier.get(ev.feeds))
-        if ev.kind != "p2p":
-            previous_tier[ev.feeds] = ev.id
-    assert len({ev.id for ev in events}) == len(events)
+    for events in (boundary, dispatch):
+        previous = {}  # slot -> id of the last transfer feeding it
+        for ev in events:
+            assert isinstance(ev.feeds, ScheduleSlot) and stage_of[ev.feeds] == ev.device
+            parent = dataflow_parent(ev.feeds, pp, vpp)
+            first = (parent,) if parent is not None else ()
+            assert ev.dependencies == ((previous[ev.feeds],) if ev.feeds in previous else first)
+            previous[ev.feeds] = ev.id
+    assert len({ev.id for ev in boundary + dispatch}) == len(boundary + dispatch)
+
+
+# The two builders as they were before they shared one schedule walk, kept
+# verbatim as the oracle for the shared walk.
+def oracle_boundary_transfer_events(schedule, cfg, plan, hw):
+    tokens_dev = tokens_per_device(cfg, plan)
+    streams = 2 if cfg.num_mtp_layers > 0 else 1
+    volume = tokens_dev * cfg.hidden_size * cfg.dtype_bytes * streams
+    resource = _stage_crossing_resource(plan, hw)
+    events = []
+    for slots in schedule:
+        for sl in slots:
+            parent = dataflow_parent(sl, len(schedule), plan.vpp)
+            if parent is None or parent.pp_stage == sl.pp_stage:
+                continue
+            events.append(
+                CommEvent(
+                    id=f"p2p:{slot_id(sl)}", kind="p2p", resource=resource, bytes=volume,
+                    dependencies=(parent,), device=sl.pp_stage, feeds=sl,
+                )
+            )
+    return events
+
+
+def oracle_slot_dispatch_events(schedule, cfg, plan, assignment, hw, mechanism="hierarchical"):
+    if plan.ep == 1:
+        return []
+    tokens_dev = tokens_per_device(cfg, plan)
+    vols = dispatch_volumes(
+        mechanism, tokens_dev, cfg.hidden_size, cfg.dtype_bytes, cfg.top_k, plan.tp, plan.ep
+    )
+    routed = {}
+    for chunk in assignment.chunks:
+        n = sum(1 for kind, _ in chunk.items if kind in ("moe", "mtp"))
+        routed[(chunk.pp_stage, chunk.vpp_stage)] = n
+    inter_group = plan.ep * plan.tp if mechanism == "allgather" else plan.ep
+    inter_kind = "alltoall" if mechanism == "alltoall" else "allgather"
+    intra_group = min(plan.ep * plan.tp, hw.devices_per_node)
+    tiers = []
+    if hw.num_nodes > 1 and vols.inter_node_bytes > 0:
+        tiers.append(("inter", inter_kind, "inter_link", vols.inter_node_bytes, inter_group))
+    if vols.intra_node_bytes > 0:
+        tiers.append(("intra", "alltoall", "intra_link", vols.intra_node_bytes, intra_group))
+    events = []
+    for slots in schedule:
+        for sl in slots:
+            layers = routed[(sl.pp_stage, sl.vpp_stage)]
+            if layers == 0:
+                continue
+            sid = slot_id(sl)
+            parent = dataflow_parent(sl, len(schedule), plan.vpp)
+            prior = (parent,) if parent is not None else ()
+            scale = 2.0 * layers
+            for tier, kind, resource, volume, group in tiers:
+                events.append(
+                    CommEvent(
+                        id=f"disp:{sid}:{tier}", kind=kind, resource=resource, bytes=volume * scale,
+                        dependencies=prior, device=sl.pp_stage, group_size=group, feeds=sl,
+                    )
+                )
+                prior = (events[-1].id,)
+    return events
+
+
+@settings(database=None, derandomize=True, max_examples=120, deadline=None)
+@given(
+    mechanism=st.sampled_from(MECHANISMS),
+    nodes=st.sampled_from((1, 2, 4)),
+    pp=st.integers(1, 4),
+    vpp=st.integers(1, 2),
+    rounds=st.integers(1, 3),
+    tp=st.sampled_from((1, 2)),
+    ep=st.sampled_from((1, 2, 4)),
+    layers=st.integers(7, 10),
+    dense=st.integers(0, 4),
+    mtp=st.integers(0, 1),
+)
+def test_builders_match_the_oracle(mechanism, nodes, pp, vpp, rounds, tp, ep, layers, dense, mtp):
+    """Both builders return the oracle's events: the same list, order, ids,
+    dependencies and bytes."""
+    cfg = bench_model(num_layers=layers, num_dense_layers=dense, num_mtp_layers=mtp, num_routed_experts=8)
+    plan = ParallelPlan(tp=tp, pp=pp, vpp=vpp, ep=ep, dp=ep, micro_batch_size=1)
+    schedule = build_1f1b_schedule(pp, rounds * pp, vpp)
+    layout = assign_chunks(cfg, plan)
+    hw = bench_cluster(num_nodes=nodes)
+    assert boundary_transfer_events(schedule, cfg, plan, hw) == oracle_boundary_transfer_events(schedule, cfg, plan, hw)
+    built = slot_dispatch_events(schedule, cfg, plan, layout, hw, mechanism)
+    assert built == oracle_slot_dispatch_events(schedule, cfg, plan, layout, hw, mechanism)
 
 
 def test_training_report_basics():
@@ -447,3 +541,23 @@ def test_training_report_derives_the_layout_once(monkeypatch, fine_grained, call
     features = SimulationFeatures(fine_grained_memory=fine_grained)
     training_report(bench_model(), bench_plan(), bench_cluster(), features)
     assert count[0] == calls
+
+
+@pytest.mark.parametrize(
+    "fine_grained, tried", [(True, "even with every option enabled"), (False, "with full-layer recompute")]
+)
+def test_plans_that_do_not_fit_are_refused_in_both_memory_modes(fine_grained, tried):
+    """At 12 GB the reference step needs 12.95 GB even with everything
+    released, so both memory modes refuse it, naming the bytes, and a
+    search skips it instead of ranking it."""
+    cfg = load_model(CONFIGS / "model_reference.json")
+    hw = replace(load_cluster(CONFIGS / "cluster_6144.json"), hbm_capacity=12e9)
+    plan = load_plan(CONFIGS / "plan_reference.json")
+    features = SimulationFeatures(fine_grained_memory=fine_grained)
+    message = f"static 7.031e+09 + activations 5.914e+09 exceed capacity 1.200e+10 {tried}"
+    with pytest.raises(InfeasibleMemoryError) as info:
+        training_report(cfg, plan, hw, features)
+    assert str(info.value) == message
+    outcome = search_space([cfg], plan, hw, features, mode="training")
+    assert outcome.ranked == ()
+    assert outcome.skipped == ((model_id(cfg), f"InfeasibleMemoryError: {message}"),)
