@@ -21,8 +21,6 @@ ids.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 
@@ -208,13 +206,21 @@ def merged_intervals(spans):
     return merged
 
 
-def overlap_with(intervals, s: float, e: float) -> float:
-    """Length of [s, e] covered by the sorted disjoint intervals."""
-    # Start at the first interval ending after s; those before add nothing.
-    i = bisect_right(intervals, (s, math.inf))
-    if i and intervals[i - 1][1] > s:
-        i -= 1
-    covered = 0.0
-    for a, b in intervals[i : bisect_left(intervals, (e,))]:
-        covered += min(b, e) - max(a, s)
+def covered_lengths(spans, windows) -> list:
+    """For each (start, end) window, the length of it that the union of the
+    spans covers, added piece by piece from left to right. One sweep: the
+    windows go in order of start, and the first merged span a window can
+    reach only moves forward."""
+    merged = merged_intervals(spans)
+    last, first = len(merged), 0
+    covered = [0.0] * len(windows)
+    for k in sorted(range(len(windows)), key=windows.__getitem__):
+        s, e = windows[k]
+        while first < last and merged[first][1] <= s:
+            first += 1
+        i = first
+        while i < last and merged[i][0] < e:
+            a, b = merged[i]
+            covered[k] += (e if e < b else b) - (s if s > a else a)  # min(b, e) - max(a, s), inlined
+            i += 1
     return covered

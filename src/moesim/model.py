@@ -32,6 +32,16 @@ DEPTH_WIDTH_INTERCEPT = 5.039
 DEPTH_WIDTH_SLOPE = 5.55e-2
 
 
+def require_int_fields(obj, prefix: str = "") -> None:
+    """Raise ValueError naming the first field declared ``int`` whose value
+    is a bool or not an int. The JSON loader refuses these first, with the
+    path; this guards construction from Python."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{prefix}{f.name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MlaDims:
     """Dimensions of the low-rank attention path."""
@@ -42,6 +52,7 @@ class MlaDims:
     rope_dim: int = 64
 
     def __post_init__(self):
+        require_int_fields(self, "mla.")
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ValueError(f"mla.{f.name} must be positive")
@@ -65,6 +76,7 @@ class ModelConfig:
     dtype_bytes: int = 2
 
     def __post_init__(self):
+        require_int_fields(self)
         positive = (
             "hidden_size",
             "num_attention_heads",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .cluster import HardwareDescription
 from .errors import InfeasibleChunkingError, NonDivisibleError, PlanError
-from .model import ModelConfig
+from .model import ModelConfig, require_int_fields
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class ParallelPlan:
     global_batch_size: int = 0  # sequences per step; 0 means unspecified
 
     def __post_init__(self):
+        require_int_fields(self)
         for name in ("tp", "pp", "vpp", "ep", "cp", "micro_batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

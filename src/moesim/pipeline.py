@@ -14,16 +14,22 @@ bubble fraction, communication overlap, and host-induced idle time.
 
 CommEvent dependencies and ``feeds`` refer to a slot by its ScheduleSlot
 record and to an event by its id; a reference to neither is rejected.
-Each reference is resolved once per simulation. The program runs on
-integer task positions. Slot ids
+Each event is compiled in one pass that resolves each reference once.
+The program runs on integer task positions. Slot ids
 (``{phase}:p{stage}:v{chunk}:m{micro_batch}``) only spell event ids and
-the keys of the timeline views, which are built when first read.
+the keys of the timeline views, which are built when first read. The
+overlap figure is one sweep per device (``engine.covered_lengths``).
+``search.training_report`` holds cyclic garbage collection off from the
+schedule build until it returns: the step's objects form no reference
+cycle, so reference counting frees them and a collection would only scan.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from . import engine
@@ -252,48 +258,52 @@ def simulate_timeline(
             raise ValueError(f"duplicate task id {ev.id!r}")
         event_at[ev.id] = pos
 
-    def resolve(ref):
-        """~g for slot g, else the position of the event with this id, or None."""
-        g = slot_at.get(ref)
-        return ~g if g is not None else event_at.get(ref)
-
     # An event waits on a slot's waited-on part and feeds its first part. It
     # goes before the same-device slot it feeds, else after the last
-    # same-device slot it depends on, else into its device's tail. Pricing
-    # is pure, so each distinct event shape is priced once.
-    priced, own_deps, fed = {}, [], []
+    # same-device slot it depends on, else into its device's tail. Its deps
+    # are its own in listed order, then the events feeding it in event order.
+    # Pricing is pure, so each distinct event shape is priced once.
+    priced, link_of, local, unknown_feed = {}, {}, [], None  # local: same-device event deps by event index
     before, after, tails = {}, {}, {}  # slot number or device -> event indices
     resources = [COMPUTE] * base
+    device += [ev.device for ev in events]
+    kind += ["comm"] * len(events)
+    sync += [False] * len(events)
+    deps += [()] * len(events)
     for j, ev in enumerate(events):
-        shape = (ev.kind, ev.resource, ev.bytes, ev.group_size)
+        eid, ekind, res, nbytes, refs, dev, group, feeds = ev
+        shape = (ekind, res, nbytes, group)
         if shape not in priced:
             priced[shape] = _comm_seconds(ev, hw)
         duration.append(priced[shape])
-        resources.append((ev.resource,) if policy.overlap_comm else ("compute", ev.resource))
-        device.append(ev.device)
-        kind.append("comm")
-        sync.append(False)
-        own = [resolve(d) for d in ev.dependencies]
-        if None in own:
-            raise ValueError(f"task {ev.id!r} depends on unknown task {_spelled(ev.dependencies[own.index(None)])!r}")
-        own_deps.append(tuple([wait[~r] if r < 0 else r for r in own]))
-        target = resolve(ev.feeds)
-        fed.append(target)
-        if target is not None and target < 0 and device[first[~target]] == ev.device:
-            before.setdefault(~target, []).append(j)
-            continue
-        for r in reversed(own):
-            if r < 0 and device[first[~r]] == ev.device:
-                after.setdefault(~r, []).append(j)
-                break
+        resources.append(link_of.setdefault(res, (res,) if policy.overlap_comm else ("compute", res)))
+        own, near, home = [], (), None  # home: the last same-device slot depended on
+        for ref in refs:
+            if (g := slot_at.get(ref)) is not None:
+                own.append(wait[g])
+                home = g if device[first[g]] == dev else home
+            elif (e := event_at.get(ref)) is not None:
+                own.append(e)
+                near += (e - base,) if device[e] == dev else ()
+            else:
+                raise ValueError(f"task {eid!r} depends on unknown task {_spelled(ref)!r}")
+        deps[base + j] = (*own, *deps[base + j])
+        local.append(near)
+        if (g := slot_at.get(feeds)) is not None:
+            deps[first[g]] += (base + j,)
+            if device[first[g]] == dev:
+                before.setdefault(g, []).append(j)
+                continue
+        elif (e := event_at.get(feeds)) is not None:
+            deps[e] += (base + j,)
+        elif feeds is not None:
+            unknown_feed = unknown_feed or ev
+        if home is not None:
+            after.setdefault(home, []).append(j)
         else:
-            tails.setdefault(ev.device, []).append(j)
-    deps += own_deps
-    for j, (ev, target) in enumerate(zip(events, fed)):
-        if target is not None:
-            deps[first[~target] if target < 0 else target] += (base + j,)
-        elif ev.feeds is not None:
-            raise ValueError(f"task {ev.id!r} feeds unknown task {_spelled(ev.feeds)!r}")
+            tails.setdefault(dev, []).append(j)
+    if unknown_feed is not None:
+        raise ValueError(f"task {unknown_feed.id!r} feeds unknown task {_spelled(unknown_feed.feeds)!r}")
 
     # Every device runs one program: per slot, the events spliced in before
     # it, its compute tasks and the events spliced in after it; then the
@@ -304,17 +314,20 @@ def simulate_timeline(
     placed = [False] * len(events)
 
     def emit(indices, program):
-        todo = [(j, False) for j in reversed(indices)]  # (event index, dependencies placed), last first
-        while todo:
-            k, ready = todo.pop()
-            if ready:
-                program.append(base + k)
-            elif not placed[k]:
-                placed[k] = True
-                todo.append((k, True))
-                for d in reversed(own_deps[k]):
-                    if d >= base and device[d] == device[base + k]:
-                        todo.append((d - base, False))
+        for j in indices:
+            if not placed[j] and all(map(placed.__getitem__, local[j])):
+                placed[j] = True
+                program.append(base + j)
+            elif not placed[j]:
+                todo = [(j, False)]  # (event index, dependencies placed), last first
+                while todo:
+                    k, ready = todo.pop()
+                    if ready:
+                        program.append(base + k)
+                    elif not placed[k]:
+                        placed[k] = True
+                        todo.append((k, True))
+                        todo += [(d, False) for d in reversed(local[k])]
 
     programs = {}
     for dev in sorted({s for s, slots in enumerate(schedule) if slots} | tails.keys()):
@@ -347,14 +360,13 @@ def simulate_timeline(
     )
     bubble = 1.0 - sum(busy) / (p * result.makespan) if result.makespan > 0 else 0.0
     total_comm = sum(duration[base:])
-    overlapped, merged = 0.0, {}
-    for pos, ev in enumerate(events, base):
-        if ev.device not in merged:
-            chain = chains.get((ev.device, "compute"), ())
-            merged[ev.device] = engine.merged_intervals(
-                (begin[i], finish[i]) for i in chain if kind[i] in COMPUTE_KINDS
-            )
-        overlapped += engine.overlap_with(merged[ev.device], begin[pos], finish[pos])
+    covered = {}  # event position -> time its device's compute covers
+    for program in programs.values():
+        spans = [(begin[i], finish[i]) for i in program if kind[i] in COMPUTE_KINDS]
+        comms = [i for i in program if i >= base]
+        covered.update(zip(comms, engine.covered_lengths(spans, [(begin[i], finish[i]) for i in comms])))
+    # Added one by one in event order: the float sum's bits depend on it.
+    overlapped = reduce(add, map(covered.__getitem__, range(base, len(duration))), 0.0)
     return StepReport(
         step_time=result.makespan,
         bubble_ratio=bubble,

@@ -12,6 +12,7 @@ by the weighted sum.
 
 from __future__ import annotations
 
+import gc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -194,24 +195,33 @@ def training_report(
         if not mem.feasible:
             raise infeasible_error(mem, "with full-layer recompute")
     m = micro_batch_count(plan)
-    schedule = build_1f1b_schedule(plan.pp, m, plan.vpp)
-    costs = chunk_costs_from_model(cfg, plan, assignment, hw)
-    events = boundary_transfer_events(schedule, cfg, plan, hw)
-    events += slot_dispatch_events(schedule, cfg, plan, assignment, hw, features.dispatch_mechanism)
-    report = simulate_timeline(schedule, costs, events, policy=features.policy, hw=hw)
-    step_time = report.step_time + mem.time_added
-    mfu, tps = summarize(step_time, cfg, plan, hw)
-    return CostReport(
-        model=model_id(cfg),
-        mode="training",
-        step_time=step_time,
-        tps=tps,
-        mfu=mfu,
-        bubble_ratio=report.bubble_ratio,
-        comm_overlap_rate=report.comm_overlap_rate,
-        exposed_comm_time=report.exposed_comm_time,
-        memory=mem,
-    )
+    # The step's slots, events and task columns (tens of thousands) form no
+    # reference cycle, and reference counting frees them as this returns; a
+    # cyclic collection over them meanwhile would only scan them.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        schedule = build_1f1b_schedule(plan.pp, m, plan.vpp)
+        costs = chunk_costs_from_model(cfg, plan, assignment, hw)
+        events = boundary_transfer_events(schedule, cfg, plan, hw)
+        events += slot_dispatch_events(schedule, cfg, plan, assignment, hw, features.dispatch_mechanism)
+        report = simulate_timeline(schedule, costs, events, policy=features.policy, hw=hw)
+        step_time = report.step_time + mem.time_added
+        mfu, tps = summarize(step_time, cfg, plan, hw)
+        return CostReport(
+            model=model_id(cfg),
+            mode="training",
+            step_time=step_time,
+            tps=tps,
+            mfu=mfu,
+            bubble_ratio=report.bubble_ratio,
+            comm_overlap_rate=report.comm_overlap_rate,
+            exposed_comm_time=report.exposed_comm_time,
+            memory=mem,
+        )
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def inference_report(

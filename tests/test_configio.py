@@ -8,6 +8,7 @@ the dotted path.
 
 import dataclasses
 import json
+import re
 import typing
 from pathlib import Path
 
@@ -49,6 +50,22 @@ def test_boolean_is_rejected_in_a_numeric_field(tmp_path):
     plan = {**reference("plan_reference"), "tp": True}
     with pytest.raises(ParseError, match=r"^plan\.tp must be a number, got a boolean$"):
         load_plan(write(tmp_path, "plan", plan))
+
+
+@pytest.mark.parametrize(
+    "name, key, value, message",
+    [
+        ("model_reference", "num_layers", 4.5, "model.num_layers must be an integer, got 4.5"),
+        ("model_reference", "mla", {"q_rank": 1.5}, "model.mla.q_rank must be an integer, got 1.5"),
+        ("plan_reference", "tp", 1.0, "plan.tp must be an integer, got 1.0"),
+    ],
+)
+def test_json_integer_errors_name_the_path(tmp_path, name, key, value, message):
+    """The loader refuses a float before the dataclasses' own integer check
+    runs, so the error keeps its JSON path."""
+    load = load_model if name.startswith("model") else load_plan
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load(write(tmp_path, name, {**reference(name), key: value}))
 
 
 def test_nested_records_and_declared_boolean_load(tmp_path):

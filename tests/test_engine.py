@@ -1,5 +1,5 @@
 """The task-graph engine: input checks, deadlocks, a hand-timed host
-dispatch case, properties on random DAGs, and `overlap_with`."""
+dispatch case, properties on random DAGs, and `covered_lengths`."""
 
 import random
 import re
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moesim.engine import Task, overlap_with, run_tasks
+from moesim.engine import Task, covered_lengths, run_tasks
 from moesim.errors import DeadlockError
 
 
@@ -205,8 +205,11 @@ def overlap_reference(intervals, s, e):
     return covered
 
 
-def test_overlap_with_matches_left_to_right_scan():
-    rng = random.Random(7)
+def test_covered_lengths_match_left_to_right_scan():
+    """The sweep, given the spans in shuffled order and the windows in
+    drawn order, returns each window's scan of the sorted spans, bit for
+    bit."""
+    rng, shuffler = random.Random(7), random.Random(8)
     for _ in range(300):
         intervals, t = [], rng.uniform(-5.0, 5.0)
         for _ in range(rng.randint(0, 12)):
@@ -218,6 +221,7 @@ def test_overlap_with_matches_left_to_right_scan():
         starts = [lo - 1.0, hi, hi + 1.0, rng.uniform(lo - 1.0, hi + 1.0)] + edges
         starts += [rng.uniform(a, b) for a, b in intervals]  # inside
         starts += [rng.uniform(b, a) for (_, b), (a, _) in zip(intervals, intervals[1:])]  # gaps
-        for s in starts:
-            for e in (s, s + rng.uniform(0.0, 1.0), s + rng.uniform(0.0, hi - lo + 2.0), hi + 5.0):
-                assert overlap_with(intervals, s, e) == overlap_reference(intervals, s, e)
+        windows = [(s, e) for s in starts
+                   for e in (s, s + rng.uniform(0.0, 1.0), s + rng.uniform(0.0, hi - lo + 2.0), hi + 5.0)]
+        spans = shuffler.sample(intervals, len(intervals))
+        assert covered_lengths(spans, windows) == [overlap_reference(intervals, s, e) for s, e in windows]

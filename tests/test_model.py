@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -262,6 +263,24 @@ def test_design_space_names_a_bad_field_before_a_bad_candidate():
         DesignSpace(base=tiny_config(), ranges={"num_layers": [5.5], "mla": [MlaDims()]})
     with pytest.raises(ValueError, match=r"^empty candidate list for field 'top_k'$"):
         DesignSpace(base=tiny_config(), ranges={"num_layers": [5.5], "top_k": []})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: replace(tiny_config(), num_layers=4.5), "num_layers must be an integer, got 4.5"),
+        (lambda: tiny_config(top_k=True), "top_k must be an integer, got True"),
+        (lambda: tiny_config(seq_len="128"), "seq_len must be an integer, got '128'"),
+        (lambda: tiny_config(dtype_bytes=2.0), "dtype_bytes must be an integer, got 2.0"),
+        (lambda: MlaDims(kv_rank=512.0), "mla.kv_rank must be an integer, got 512.0"),
+        (lambda: MlaDims(rope_dim=False), "mla.rope_dim must be an integer, got False"),
+    ],
+)
+def test_integer_fields_refuse_bools_floats_and_strings(build, message):
+    """Once, replace(cfg, num_layers=4.5) built a config with model id
+    L4.5...; the JSON loader already refused such values."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_model_id_format():

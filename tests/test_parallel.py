@@ -236,6 +236,21 @@ def test_layer_items_order_and_weights():
     ]
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"tp": 1.0, "pp": True}, "tp must be an integer, got 1.0"),
+        ({"pp": True}, "pp must be an integer, got True"),
+        ({"dp": "48"}, "dp must be an integer, got '48'"),
+        ({"global_batch_size": 1536.0}, "global_batch_size must be an integer, got 1536.0"),
+    ],
+)
+def test_plan_fields_must_be_integers(fields, message):
+    """Once, ParallelPlan(tp=1.0, pp=True) constructed."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ParallelPlan(**fields)
+
+
 def test_validate_plan_resolves_dp():
     plan = ParallelPlan(tp=8, pp=16, vpp=2, ep=4, micro_batch_size=2, global_batch_size=6144)
     check = validate_plan(plan, reference_model(), reference_cluster())

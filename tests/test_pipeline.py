@@ -196,7 +196,8 @@ def test_comm_fully_hidden_behind_backward():
 def test_task_deps_are_own_then_dataflow_parent_then_feeding_events():
     """A slot's first task waits on its dataflow parent, then on the events
     feeding it in event order; an event waits on its own dependencies, then
-    on the events feeding it. Later tasks of a slot get no dataflow dep."""
+    on the events feeding it in event order, listed before or after it.
+    Later tasks of a slot get no dataflow dep."""
     sched = build_1f1b_schedule(2, 1, 1)
     costs = uniform_chunk_costs(2, 1, 1e-3, 2e-3)
 
@@ -206,12 +207,13 @@ def test_task_deps_are_own_then_dataflow_parent_then_feeding_events():
     f0, f1 = ScheduleSlot(0, 0, 0, "fwd"), ScheduleSlot(1, 0, 0, "fwd")
     events = [
         event("b", (f0,), 1, f1),
+        event("d", (), 0, "a"),
         event("a", (f0,), 1, f1),
         event("c", (f0,), 0, "a"),
     ]
     tasks = simulate_timeline(sched, costs, events, hw=flat_cluster()).timeline.tasks
     assert tasks["fwd:p1:v0:m0"].deps == ("fwd:p0:v0:m0", "b", "a")
-    assert tasks["a"].deps == ("fwd:p0:v0:m0", "c")
+    assert tasks["a"].deps == ("fwd:p0:v0:m0", "d", "c")
     assert tasks["bwd:p0:v0:m0:dx"].deps == ("bwd:p1:v0:m0:dx",)
     assert tasks["bwd:p0:v0:m0:dw"].deps == ()
 
@@ -258,6 +260,10 @@ def test_event_feeding_no_task_is_rejected():
     ev = CommEvent("x", "p2p", "inter_link", 1e3, feeds=ScheduleSlot(0, 0, 9, "fwd"))
     with pytest.raises(ValueError, match="task 'x' feeds unknown task 'fwd:p0:v0:m9'"):
         simulate_timeline(sched, costs, [ev], hw=flat_cluster())
+    # Every event's dependencies are checked before any event's feeds.
+    later = CommEvent("y", "p2p", "inter_link", 1e3, dependencies=("z",))
+    with pytest.raises(ValueError, match="task 'y' depends on unknown task 'z'"):
+        simulate_timeline(sched, costs, [ev, later], hw=flat_cluster())
 
 
 def test_dependency_on_an_event_named_like_a_split_slot_waits_on_the_event():

@@ -1,5 +1,6 @@
 """Cost reports for single configurations and design space ranking."""
 
+import gc
 from argparse import Namespace
 from dataclasses import replace
 from pathlib import Path
@@ -496,6 +497,16 @@ PINNED_REPORTS = {
         " plan=MemoryPlan(recompute=frozenset(), swap=frozenset(), full_layer=False),"
         " time_added=0.0))"
     ),
+    "hierarchical_serialized": (
+        "CostReport(model='L61d3-h7680-a128-E256x2048-K8s1-mtp1', mode='training',"
+        " step_time=10.400159289013185, tps=1209876.8538374882, mfu=0.2612612226325885,"
+        " bubble_ratio=0.524979595213475, comm_overlap_rate=0.0,"
+        " exposed_comm_time=18.161322495999993,"
+        " memory=MemoryReport(static_bytes=7031414880.0, activation_bytes=50767855616.0,"
+        " capacity_bytes=64000000000.0, feasible=True,"
+        " plan=MemoryPlan(recompute=frozenset(), swap=frozenset(), full_layer=False),"
+        " time_added=0.0))"
+    ),
     "allgather_full_layer": (
         "CostReport(model='L61d3-h7680-a128-E256x2048-K8s1-mtp1', mode='training',"
         " step_time=19.611364234278245, tps=641613.293684415, mfu=0.13855019461991328,"
@@ -517,6 +528,10 @@ def test_reference_training_report_is_pinned(variant):
     if variant == "hierarchical_host_dispatch":
         hw = replace(hw, host_dispatch_time=3e-6)
         features = SimulationFeatures()
+    elif variant == "hierarchical_serialized":
+        # The --no-overlap policy: only here do comm tasks share the compute
+        # chain, which the overlap statistic must filter out.
+        features = SimulationFeatures(policy=SERIALIZED)
     elif variant == "alltoall_no_decouple_no_gmm_first":
         features = SimulationFeatures(
             dispatch_mechanism="alltoall", policy=OverlapPolicy(decouple_dw=False, host_gmm_first=False)
@@ -524,6 +539,50 @@ def test_reference_training_report_is_pinned(variant):
     else:
         features = SimulationFeatures(dispatch_mechanism="allgather", fine_grained_memory=False)
     assert repr(training_report(cfg, plan, hw, features)) == PINNED_REPORTS[variant]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_training_report_gives_back_the_collector_as_it_found_it(monkeypatch, collecting):
+    """Cyclic collection is held off from the step build on, and the
+    caller's setting returns both when the step returns and when it
+    raises."""
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        training_report(bench_model(), bench_plan(), bench_cluster())
+        assert gc.isenabled() is collecting
+
+        def failing(*args, **kwargs):
+            assert not gc.isenabled()
+            raise RuntimeError("simulation failed")
+
+        monkeypatch.setattr(moesim.search, "simulate_timeline", failing)
+        with pytest.raises(RuntimeError, match="simulation failed"):
+            training_report(bench_model(), bench_plan(), bench_cluster())
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_the_reference_step_leaves_no_cyclic_garbage(mechanism):
+    """Holding the collector off is sound only while the step makes no
+    reference cycle: everything it drops must be freed by reference
+    counting, so a collection right after it finds nothing."""
+    cfg = load_model(CONFIGS / "model_reference.json")
+    hw = replace(load_cluster(CONFIGS / "cluster_6144.json"), host_dispatch_time=3e-6)
+    plan = replace(load_plan(CONFIGS / "plan_reference.json"), global_batch_size=1536)
+    features = SimulationFeatures(dispatch_mechanism=mechanism)
+    training_report(cfg, plan, hw, features)  # loads anything a first call loads
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        training_report(cfg, plan, hw, features)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 @pytest.mark.parametrize("fine_grained, calls", [(True, 2), (False, 1)])
