@@ -114,18 +114,9 @@ def collective_time(kind: str, volume_bytes: float, group: CommGroup) -> float:
     return group.latency + volume_bytes / group.bandwidth
 
 
-def kernel_time(
-    flops: float,
-    bytes_moved: float,
-    hw: HardwareDescription,
-    efficiency: float | None = None,
-    dtype_bytes: int = 2,
-) -> float:
+def kernel_time(flops: float, bytes_moved: float, hw: HardwareDescription, dtype_bytes: int = 2) -> float:
     """Roofline estimate: slower of the compute and HBM traffic terms."""
     if flops < 0 or bytes_moved < 0:
         raise ValueError("flops and bytes_moved must be non-negative")
-    eff = hw.matmul_efficiency if efficiency is None else efficiency
-    if not 0 < eff <= 1:
-        raise ValueError("efficiency must be in (0, 1]")
     peak = hw.peak_for_dtype_bytes(dtype_bytes)
-    return max(flops / (peak * eff), bytes_moved / hw.hbm_bandwidth)
+    return max(flops / (peak * hw.matmul_efficiency), bytes_moved / hw.hbm_bandwidth)

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .cluster import HardwareDescription, kernel_time
-from .errors import InfeasibleMemoryError
+from .errors import InfeasibleMemoryError, NonDivisibleError
 from .model import ModelConfig, flops_per_token, _attention_params, _layer_norm_params
 from .parallel import ParallelPlan, StageAssignment, assign_chunks, micro_batch_count, tokens_per_device
 from .pipeline import warmup_forwards
@@ -169,12 +169,11 @@ def in_flight_micro_batches(plan: ParallelPlan, stage: int, m: int | None = None
 
 
 def _micro_batches(plan: ParallelPlan) -> int | None:
-    """The micro batch count, or None while the global batch is unset or
-    does not split evenly into dp * micro_batch_size sequences."""
-    denom = plan.dp * plan.micro_batch_size
-    if plan.global_batch_size > 0 and denom > 0 and plan.global_batch_size % denom == 0:
+    """The micro batch count, or None while `micro_batch_count` has none."""
+    try:
         return micro_batch_count(plan)
-    return None
+    except NonDivisibleError:
+        return None
 
 
 def activation_peak(
@@ -220,9 +219,10 @@ def plan_time_cost(
         "full_layer": layer_fwd,
         "mla_qkv": kernel_time(2.0 * _attention_params(cfg) * tokens, 0.0, hw, dtype_bytes=b),
         "mla_kv_only": kernel_time(2.0 * kv_params * tokens, 0.0, hw, dtype_bytes=b),
-        "permute": 2 * cfg.top_k * h * b * tokens * moe_fraction / hw.hbm_bandwidth,
-        "swiglu_activation": 3 * active * cfg.expert_intermediate_size * b * tokens * moe_fraction
-        / hw.hbm_bandwidth,
+        "permute": kernel_time(0.0, 2 * cfg.top_k * h * b * tokens * moe_fraction, hw, dtype_bytes=b),
+        "swiglu_activation": kernel_time(
+            0.0, 3 * active * cfg.expert_intermediate_size * b * tokens * moe_fraction, hw, dtype_bytes=b
+        ),
         # the swap hides behind the forward and backward expert compute
         "probs": max(0.0, probs_transfer / hw.host_to_device_bandwidth - 2.0 * layer_fwd),
     }

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 from .cluster import HardwareDescription
 from .errors import InfeasibleChunkingError, NonDivisibleError, PlanError
@@ -94,19 +96,13 @@ def validate_plan(plan: ParallelPlan, cfg: ModelConfig, hw: HardwareDescription)
             f"{n_items} layer items cannot fill pp*vpp={plan.pp * plan.vpp} chunks"
         )
     if plan.global_batch_size:
-        denom = dp * plan.micro_batch_size
-        if plan.global_batch_size % denom:
-            errors.append(
-                f"global_batch_size={plan.global_batch_size} not divisible by "
-                f"dp*micro_batch_size={denom}"
-            )
-        elif plan.vpp > 1:
-            m = plan.global_batch_size // denom
-            if m % plan.pp:
-                errors.append(
-                    f"interleaved schedule needs micro_batches % pp == 0, got "
-                    f"{m} % {plan.pp}"
-                )
+        try:
+            m = micro_batch_count(resolved)
+        except NonDivisibleError as exc:
+            errors.append(str(exc))
+        else:
+            if plan.vpp > 1 and m % plan.pp:
+                errors.append(f"interleaved schedule needs micro_batches % pp == 0, got {m} % {plan.pp}")
     return PlanCheck(not errors, tuple(errors), resolved)
 
 
@@ -227,7 +223,7 @@ def assign_chunks(cfg: ModelConfig, plan: ParallelPlan) -> StageAssignment:
                 pp_stage=idx % plan.pp,
                 vpp_stage=idx // plan.pp,
                 items=picked,
-                weight=sum(wt for _, wt in picked),
+                weight=reduce(add, (wt for _, wt in picked), 0),  # a left fold: the same bits on every Python
             )
         )
     max_weight = max(c.weight for c in chunks)

@@ -9,23 +9,24 @@ for each slot in schedule order, the events spliced in before it, its
 compute tasks, and the events spliced in after it, then the device's
 remaining events. Each serial resource (compute, inter_link, intra_link)
 runs the program's tasks that use it, in program order, and the host
-launches the whole program in that order. The report gives step time,
-bubble fraction, communication overlap, and host-induced idle time.
+launches the whole program in that order.
 
-CommEvent dependencies and ``feeds`` refer to a slot by its ScheduleSlot
-record and to an event by its id; a reference to neither is rejected.
-Each event is compiled in one pass that resolves each reference once.
-The program runs on integer task positions. Slot ids
-(``{phase}:p{stage}:v{chunk}:m{micro_batch}``) only spell event ids and
-the keys of the timeline views, which are built when first read. The
-overlap figure is one sweep per device (``engine.covered_lengths``).
-``search.training_report`` holds cyclic garbage collection off from the
-schedule build until it returns: the step's objects form no reference
-cycle, so reference counting frees them and a collection would only scan.
+Tasks are integer positions. Each stage's compute tasks are one
+contiguous run, in the order its compute chain runs them; the events
+follow, in event order. CommEvent dependencies and ``feeds`` name a slot
+by its ScheduleSlot record and an event by its id; a reference to neither
+is rejected. Slot ids (``{phase}:p{stage}:v{chunk}:m{micro_batch}``) only
+spell event ids and the keys of the timeline views.
+
+The report gives step time, bubble fraction, communication overlap and
+host-induced idle time. Every figure that adds floats is a left fold
+(``functools.reduce``) in task, event or host order: from Python 3.12
+``sum()`` compensates its rounding, so its bits depend on the interpreter.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
@@ -45,7 +46,6 @@ PERMUTE_FRACTION = 0.15
 GMM_FRACTION = 0.80
 
 COMPUTE = ("compute",)
-COMPUTE_KINDS = frozenset({"fwd", "bwd", "bwd_dx", "bwd_dw", "preprocess", "permute", "gmm"})
 
 # A slot's compute tasks in launch order, and the index of the one
 # downstream work waits on: never a deferred weight gradient.
@@ -59,10 +59,19 @@ class ScheduleSlot(NamedTuple):
     phase: str  # "fwd" | "bwd"
 
 
+def _require_nonnegative(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChunkCost:
     fwd: float
     bwd: float
+
+    def __post_init__(self):
+        _require_nonnegative("ChunkCost.fwd", self.fwd)
+        _require_nonnegative("ChunkCost.bwd", self.bwd)
 
 
 @dataclass(frozen=True)
@@ -170,11 +179,9 @@ def uniform_chunk_costs(p: int, v: int, fwd: float, bwd: float) -> dict:
 
 
 def _comm_seconds(ev: CommEvent, hw: HardwareDescription) -> float:
-    latency, bandwidth = hw.tier(ev.resource)
-    if ev.group_size > 1:
-        group = CommGroup(ev.group_size, latency, bandwidth)
-        return collective_time(ev.kind, ev.bytes, group)
-    return latency + ev.bytes / bandwidth
+    """A collective over the event's group; a plain transfer is a p2p."""
+    kind, size = (ev.kind, ev.group_size) if ev.group_size > 1 else ("p2p", 2)
+    return collective_time(kind, ev.bytes, CommGroup(size, *hw.tier(ev.resource)))
 
 
 def _slot_parts(phase: str, cost: ChunkCost, policy: OverlapPolicy, split_fwd: bool) -> list:
@@ -225,6 +232,7 @@ def simulate_timeline(
     # Task positions: each slot's compute tasks in schedule order, then the
     # events in event order. Parts are derived once per (phase, stage, chunk).
     templates, slot_at, stage_slots = {}, {}, {}  # slot_at: slot -> slot number
+    runs = {}  # stage -> slice of its compute task positions
     tpl_of, first = [], []  # by slot number
     duration, kind, sync, device = [], [], [], []
     for s, slots in enumerate(schedule):
@@ -243,6 +251,7 @@ def simulate_timeline(
             duration += tpl.durations
             kind += tpl.kinds
             sync += tpl.syncs
+        runs[s] = slice(len(device), len(duration))
         device += [s] * (len(duration) - len(device))
     base = len(duration)
     wait = [f + tpl.wait for f, tpl in zip(first, tpl_of)]
@@ -274,6 +283,7 @@ def simulate_timeline(
         eid, ekind, res, nbytes, refs, dev, group, feeds = ev
         shape = (ekind, res, nbytes, group)
         if shape not in priced:
+            _require_nonnegative(f"event {eid!r} bytes", nbytes)
             priced[shape] = _comm_seconds(ev, hw)
         duration.append(priced[shape])
         resources.append(link_of.setdefault(res, (res,) if policy.overlap_comm else ("compute", res)))
@@ -355,24 +365,22 @@ def simulate_timeline(
 
     result = engine.run_columns(columns, names)
     begin, finish = result.begin, result.finish
-    busy = tuple(
-        sum(duration[i] for i in chains.get((s, "compute"), ()) if kind[i] in COMPUTE_KINDS) for s in range(p)
-    )
-    bubble = 1.0 - sum(busy) / (p * result.makespan) if result.makespan > 0 else 0.0
-    total_comm = sum(duration[base:])
+    busy = tuple(reduce(add, duration[run], 0) for run in runs.values())
+    bubble = 1.0 - reduce(add, busy, 0) / (p * result.makespan) if result.makespan > 0 else 0.0
+    total_comm = reduce(add, duration[base:], 0)
     covered = {}  # event position -> time its device's compute covers
-    for program in programs.values():
-        spans = [(begin[i], finish[i]) for i in program if kind[i] in COMPUTE_KINDS]
+    for dev, program in programs.items():
+        run = runs.get(dev, slice(0))  # no compute on a device without a stage
         comms = [i for i in program if i >= base]
-        covered.update(zip(comms, engine.covered_lengths(spans, [(begin[i], finish[i]) for i in comms])))
-    # Added one by one in event order: the float sum's bits depend on it.
+        windows = [(begin[i], finish[i]) for i in comms]
+        covered.update(zip(comms, engine.covered_lengths(zip(begin[run], finish[run]), windows)))
     overlapped = reduce(add, map(covered.__getitem__, range(base, len(duration))), 0.0)
     return StepReport(
         step_time=result.makespan,
         bubble_ratio=bubble,
         comm_overlap_rate=1.0 if total_comm == 0 else overlapped / total_comm,
         exposed_comm_time=total_comm - overlapped,
-        host_idle_time=sum(result.host_delays()),
+        host_idle_time=reduce(add, result.host_delays(), 0),
         per_stage_busy=busy,
         timeline=result,
     )

@@ -1,6 +1,7 @@
 """Collective cost model and device roofline."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -77,8 +78,8 @@ def test_kernel_time_efficiency_and_dtype():
     assert kernel_time(1e12, 0, hw) == pytest.approx(1e12 / (100e12 * 0.5))
     # fp8 doubles the peak
     assert kernel_time(1e12, 0, hw, dtype_bytes=1) == pytest.approx(1e12 / (200e12 * 0.5))
-    # explicit efficiency overrides the sheet
-    assert kernel_time(1e12, 0, hw, efficiency=1.0) == pytest.approx(1e12 / 100e12)
+    # the sheet's efficiency is the only one
+    assert kernel_time(1e12, 0, replace(hw, matmul_efficiency=1.0)) == pytest.approx(1e12 / 100e12)
 
 
 def test_world_size_and_tier_lookup():

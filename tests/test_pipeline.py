@@ -2,10 +2,14 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 import random
+import re
 import subprocess
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 
 import moesim
 
-from moesim.cluster import HardwareDescription
+from moesim.cluster import CommGroup, HardwareDescription, collective_time
 from moesim.comm import CommEvent
 from moesim.engine import run_tasks
 from moesim.model import MlaDims, ModelConfig, flops_per_token
@@ -314,6 +318,41 @@ def test_timeline_views_are_built_on_first_read():
     assert {"start", "end", "tasks"} <= vars(rep.timeline).keys()
 
 
+@pytest.mark.parametrize("field", ["fwd", "bwd"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, True, "1.0", None])
+def test_chunk_cost_must_be_a_finite_number_at_least_zero(field, value):
+    message = rf"^ChunkCost\.{field} must be a finite number >= 0, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        ChunkCost(**{"fwd": 1.0, "bwd": 2.0, field: value})
+    assert ChunkCost(0, 0.0) == ChunkCost(0.0, 0)
+
+
+@pytest.mark.parametrize("nbytes", [-1e12, math.nan, math.inf, True, "1e9"])
+def test_event_bytes_must_be_a_finite_number_at_least_zero(nbytes):
+    """The event is named; the check runs when a transfer shape is first
+    priced, so a bad event after good ones of other shapes is caught."""
+    sched, costs = build_1f1b_schedule(1, 1, 1), uniform_chunk_costs(1, 1, 1.0, 1.0)
+    good = CommEvent("good", "p2p", "inter_link", 1e3)
+    bad = CommEvent("bad", "p2p", "inter_link", nbytes)
+    message = rf"^event 'bad' bytes must be a finite number >= 0, got {re.escape(repr(nbytes))}$"
+    with pytest.raises(ValueError, match=message):
+        simulate_timeline(sched, costs, [good, bad], hw=flat_cluster())
+
+
+@pytest.mark.parametrize("group_size", [0, 1])
+def test_plain_transfer_is_priced_as_a_p2p_between_two_devices(group_size):
+    """An event with group_size <= 1 costs a p2p of its bytes in a group of
+    two on its link tier, whatever kind it names; zero bytes cost the
+    latency."""
+    hw = flat_cluster()
+    sched, costs = build_1f1b_schedule(1, 1, 1), uniform_chunk_costs(1, 1, 1.0, 1.0)
+    events = [CommEvent("a", "allgather", "inter_link", 3e6, group_size=group_size),
+              CommEvent("z", "p2p", "intra_link", 0, group_size=group_size)]
+    tasks = simulate_timeline(sched, costs, events, hw=hw).timeline.tasks
+    assert tasks["a"].duration == collective_time("p2p", 3e6, CommGroup(2, *hw.tier("inter_link")))
+    assert tasks["z"].duration == hw.intra_node_latency
+
+
 def test_comm_serialized_is_fully_exposed():
     rep = hidden_comm_case(SERIALIZED)
     assert rep.step_time == pytest.approx(14e-3, abs=1e-12)
@@ -588,3 +627,25 @@ def test_run_tasks_adapter_agrees_with_the_pipeline(seed, hosted):
     for field in ("start", "end", "dispatch_end", "host_delay"):
         assert list(getattr(again, field).items()) == list(getattr(tl, field).items()), field
     assert bool(tl.host_delay) == hosted
+
+
+@settings(database=None, derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_report_figures_are_left_folds_over_the_timeline(seed, hosted, overlap):
+    """Busy time is each stage's compute durations added left to right in
+    task order; the bubble divides their left fold over the stages; host
+    idle time adds the host delays left to right in host order. All start
+    from int 0. `sum()` compensates its rounding from Python 3.12 on, so
+    these are the bits on every interpreter."""
+    schedule, costs, events, policy, hw = random_program(random.Random(seed))
+    hw = dataclasses.replace(hw, host_dispatch_time=0.05 if hosted else 0.0)
+    rep = simulate_timeline(schedule, costs, events, dataclasses.replace(policy, overlap_comm=overlap), hw)
+    tl = rep.timeline
+    busy = tuple(
+        reduce(add, (t.duration for t in tl.tasks.values() if t.device == s and t.kind != "comm"), 0)
+        for s in range(len(schedule))
+    )
+    bubble = 1.0 - reduce(add, busy, 0) / (len(schedule) * rep.step_time) if rep.step_time > 0 else 0.0
+    assert repr(rep.per_stage_busy) == repr(busy)
+    assert repr(rep.bubble_ratio) == repr(bubble)
+    assert repr(rep.host_idle_time) == repr(reduce(add, tl.host_delay.values(), 0))
