@@ -68,8 +68,10 @@ from .parallel import (
 )
 from .pipeline import (
     ChunkCost,
+    HopShape,
     OverlapPolicy,
     ScheduleSlot,
+    SlotTransfers,
     StepReport,
     analytic_bubble_ratio,
     build_1f1b_schedule,

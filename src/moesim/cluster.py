@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 
-_DTYPE_NAMES = {1: "fp8", 2: "bf16", 4: "fp32"}
+# The value widths a model may declare, by the peak_flops key each is priced at.
+DTYPE_NAMES = {1: "fp8", 2: "bf16", 4: "fp32"}
 
 COLLECTIVE_KINDS = ("allgather", "reducescatter", "allreduce", "alltoall", "p2p")
 
@@ -75,12 +76,17 @@ class HardwareDescription:
         return self.devices_per_node * self.num_nodes
 
     def peak_for_dtype_bytes(self, dtype_bytes: int) -> float:
-        name = _DTYPE_NAMES.get(dtype_bytes)
+        """The peak rate for values of this width; a 2-byte dtype falls
+        back from bf16 to fp16."""
+        name = DTYPE_NAMES.get(dtype_bytes)
         if name in self.peak_flops:
             return self.peak_flops[name]
         if dtype_bytes == 2 and "fp16" in self.peak_flops:
             return self.peak_flops["fp16"]
-        raise KeyError(f"no peak FLOP rate listed for {dtype_bytes}-byte dtype")
+        if name is None:
+            raise ValueError(f"dtype_bytes must be one of {', '.join(map(str, DTYPE_NAMES))}, got {dtype_bytes!r}")
+        alias = " or 'fp16'" if dtype_bytes == 2 else ""
+        raise ValueError(f"peak_flops lists no {name!r}{alias} rate for the model's {dtype_bytes}-byte dtype")
 
     def tier(self, resource: str) -> tuple[float, float]:
         """(latency, bandwidth) of a link tier named by its resource."""

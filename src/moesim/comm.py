@@ -35,14 +35,17 @@ class DispatchVolumes:
 
 
 class CommEvent(NamedTuple):
-    """One communication op for the timeline simulator, as a plain record.
+    """One hand-built communication op for the timeline simulator, as a
+    plain record.
 
     ``dependencies`` hold the schedule slots (``ScheduleSlot`` records)
     and the ids of the events this event waits for; ``feeds`` optionally
     holds the slot or event id that must wait for this event, and must
-    refer to one that exists. ``simulate_timeline`` resolves each
-    reference once per call. ``group_size`` > 1 makes the duration follow
-    the collective cost model; otherwise the event is a plain transfer.
+    refer to one that exists. An id names another CommEvent, never a hop
+    of the ``pipeline.SlotTransfers`` rows the training step is built
+    from. ``simulate_timeline`` resolves each reference once per call.
+    ``group_size`` > 1 makes the duration follow the collective cost
+    model; otherwise the event is a plain transfer.
     """
 
     id: str

@@ -25,6 +25,7 @@ import math
 import typing
 from dataclasses import dataclass, field, fields, replace
 
+from .cluster import DTYPE_NAMES
 from .errors import EmptySpaceError
 
 # Fitted depth-to-width scaling law: log(hidden) = A + B * num_layers.
@@ -85,11 +86,12 @@ class ModelConfig:
             "expert_intermediate_size",
             "vocab_size",
             "seq_len",
-            "dtype_bytes",
         )
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.dtype_bytes not in DTYPE_NAMES:
+            raise ValueError(f"dtype_bytes must be one of {', '.join(map(str, DTYPE_NAMES))}, got {self.dtype_bytes}")
         for name in ("num_layers", "num_dense_layers", "num_shared_experts", "num_mtp_layers"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")

@@ -12,11 +12,19 @@ runs the program's tasks that use it, in program order, and the host
 launches the whole program in that order.
 
 Tasks are integer positions. Each stage's compute tasks are one
-contiguous run, in the order its compute chain runs them; the events
-follow, in event order. CommEvent dependencies and ``feeds`` name a slot
-by its ScheduleSlot record and an event by its id; a reference to neither
-is rejected. Slot ids (``{phase}:p{stage}:v{chunk}:m{micro_batch}``) only
-spell event ids and the keys of the timeline views.
+contiguous run, in the order its compute chain runs them; the transfers'
+hops follow, then the events, in event order. The training step's
+transfers come as ``SlotTransfers`` rows: each hop names the slot it feeds
+by its number in schedule order and carries its kind, resource, bytes and
+group size. The first hop into a slot waits on the slot's dataflow parent,
+read from one parent table (one ``dataflow_parent`` call per slot), and
+each later hop on the hop before it. Hand-built CommEvents name a slot by
+its ScheduleSlot record and an event by its id; a reference to neither is
+rejected, and no CommEvent can name a transfer by id. Hops and events
+become the same event rows, and from there one program per device. Slot
+ids (``{phase}:p{stage}:v{chunk}:m{micro_batch}``) only spell task ids,
+which are spelled only when a timeline view keyed by id is read or
+``SlotTransfers.events()`` is called.
 
 The report gives step time, bubble fraction, communication overlap and
 host-induced idle time. Every figure that adds floats is a left fold
@@ -27,9 +35,10 @@ host-induced idle time. Every figure that adds floats is a left fold
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import reduce
+from itertools import count
 from operator import add
 from typing import NamedTuple
 
@@ -59,9 +68,10 @@ class ScheduleSlot(NamedTuple):
     phase: str  # "fwd" | "bwd"
 
 
-def _require_nonnegative(name: str, value) -> None:
+def _require_nonnegative(name, value) -> None:
+    """name is the string the error names, or a function spelling it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        raise ValueError(f"{name() if callable(name) else name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -178,10 +188,74 @@ def uniform_chunk_costs(p: int, v: int, fwd: float, bwd: float) -> dict:
     return {(s, c): ChunkCost(fwd, bwd) for s in range(p) for c in range(v)}
 
 
-def _comm_seconds(ev: CommEvent, hw: HardwareDescription) -> float:
-    """A collective over the event's group; a plain transfer is a p2p."""
-    kind, size = (ev.kind, ev.group_size) if ev.group_size > 1 else ("p2p", 2)
-    return collective_time(kind, ev.bytes, CommGroup(size, *hw.tier(ev.resource)))
+def _comm_seconds(kind: str, resource: str, nbytes: float, group_size: int, hw: HardwareDescription) -> float:
+    """A collective over the transfer's group; a plain transfer is a p2p."""
+    kind, size = (kind, group_size) if group_size > 1 else ("p2p", 2)
+    return collective_time(kind, nbytes, CommGroup(size, *hw.tier(resource)))
+
+
+# What the hops of one shape share: kind, resource, bytes and group size,
+# which price and place them; whether each waits on the hop before it
+# instead of on its slot's dataflow parent; and the prefix and suffix its
+# id puts around the slot id.
+HopShape = namedtuple("HopShape", "kind resource bytes group_size chained prefix suffix")
+
+
+class SlotTransfers:
+    """The transfers that feed a schedule's slots, one row per hop.
+
+    Hop i feeds slot ``slots[i]``, numbered in schedule order (stage by
+    stage, each stage's slots in order), and runs on that slot's stage; its
+    shape is ``shapes[hops[i]]``, a ``HopShape``. A hop that is not chained
+    waits on its slot's dataflow parent (on nothing at a graph source); a
+    chained one waits on the hop before it, which must feed the same slot.
+    ``len()`` is the hop count, and ``a + b`` lists a's hops, then b's.
+    Ids are spelled only by ``ids`` and ``events``.
+    """
+
+    __slots__ = ("schedule", "vpp", "slots", "hops", "shapes")
+
+    def __init__(self, schedule, vpp: int, slots=(), hops=(), shapes=()):
+        self.schedule, self.vpp = schedule, vpp
+        self.slots, self.hops, self.shapes = list(slots), list(hops), list(shapes)
+        if len(self.slots) != len(self.hops):
+            raise ValueError(f"{len(self.slots)} slot numbers for {len(self.hops)} hops")
+        slot_count = sum(map(len, schedule))
+        for name, column, size in (("slot", self.slots, slot_count), ("shape", self.hops, len(self.shapes))):
+            if column and not 0 <= min(column) <= max(column) < size:
+                raise ValueError(f"a hop's {name} number is outside [0, {size})")
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __add__(self, other: SlotTransfers) -> SlotTransfers:
+        if not isinstance(other, SlotTransfers):
+            return NotImplemented
+        if other.schedule is not self.schedule or other.vpp != self.vpp:
+            raise ValueError("transfers built for different schedules cannot be joined")
+        offset = len(self.shapes)
+        hops = self.hops + [h + offset for h in other.hops]
+        return SlotTransfers(self.schedule, self.vpp, self.slots + other.slots, hops, self.shapes + other.shapes)
+
+    def ids(self) -> list:
+        flat = [sl for slots in self.schedule for sl in slots]
+        shapes = self.shapes
+        return [shapes[h].prefix + slot_id(flat[g]) + shapes[h].suffix for g, h in zip(self.slots, self.hops)]
+
+    def events(self) -> list:
+        """The hops as ``CommEvent`` records, in hop order."""
+        flat = [sl for slots in self.schedule for sl in slots]
+        events = []
+        for eid, g, h in zip(self.ids(), self.slots, self.hops):
+            kind, resource, nbytes, group, chained = self.shapes[h][:5]
+            sl = flat[g]
+            if chained:
+                prior = (events[-1].id,)
+            else:
+                parent = dataflow_parent(sl, len(self.schedule), self.vpp)
+                prior = (parent,) if parent is not None else ()
+            events.append(CommEvent(eid, kind, resource, nbytes, prior, sl.pp_stage, group, sl))
+        return events
 
 
 def _slot_parts(phase: str, cost: ChunkCost, policy: OverlapPolicy, split_fwd: bool) -> list:
@@ -210,27 +284,34 @@ def simulate_timeline(
     comm_events=(),
     policy: OverlapPolicy | None = None,
     hw: HardwareDescription | None = None,
+    transfers: SlotTransfers | None = None,
 ) -> StepReport:
     """Execute the schedule plus comm events and measure the step.
 
-    chunk_costs maps (pp_stage, vpp_stage) to ChunkCost. Comm events run on
-    their link resource; with policy.overlap_comm False they additionally
-    occupy the device's compute stream (fully exposed), inserted right
-    before the slot each one feeds. Backward slots are split into an
-    immediate part and a deferrable weight-gradient part when
+    chunk_costs maps (pp_stage, vpp_stage) to ChunkCost. ``transfers``, a
+    ``SlotTransfers`` built on this schedule, are placed first and the
+    ``CommEvent``s after them; a CommEvent cannot name a transfer by id.
+    Comm events run on their link resource; with policy.overlap_comm False
+    they additionally occupy the device's compute stream (fully exposed),
+    inserted right before the slot each one feeds. Backward slots are split
+    into an immediate part and a deferrable weight-gradient part when
     policy.decouple_dw is set; downstream work waits only on the immediate
     part. Host dispatch is modeled when hw.host_dispatch_time > 0.
     """
     policy = policy or OverlapPolicy()
-    if comm_events and hw is None:
-        raise ValueError("hw is required when comm events are present")
     events = tuple(comm_events)
+    transfers = transfers if transfers is not None else SlotTransfers(schedule, 1)
+    if transfers.schedule is not schedule and transfers.schedule != schedule:
+        raise ValueError("transfers were built on another schedule")
+    if (events or transfers) and hw is None:
+        raise ValueError("hw is required when comm events are present")
     p = len(schedule)
     v = 1 + max((sl.vpp_stage for slots in schedule for sl in slots), default=0)
     host_time = hw.host_dispatch_time if hw is not None else 0.0
 
     # Task positions: each slot's compute tasks in schedule order, then the
-    # events in event order. Parts are derived once per (phase, stage, chunk).
+    # transfers' hops, then the events in event order. Parts are derived once
+    # per (phase, stage, chunk).
     templates, slot_at, stage_slots = {}, {}, {}  # slot_at: slot -> slot number
     runs = {}  # stage -> slice of its compute task positions
     tpl_of, first = [], []  # by slot number
@@ -255,38 +336,68 @@ def simulate_timeline(
         device += [s] * (len(duration) - len(device))
     base = len(duration)
     wait = [f + tpl.wait for f, tpl in zip(first, tpl_of)]
+    # The parent table: what the first part of each slot waits on, by slot
+    # number: its dataflow parent's waited-on part, or nothing at a graph
+    # source.
+    parents = (slot_at.get(dataflow_parent(sl, p, v)) for sl in slot_at)
+    parent_wait = [() if up is None else (wait[up],) for up in parents]
     deps = [()] * base
-    for sl, g in slot_at.items():
-        up = slot_at.get(dataflow_parent(sl, p, v))
-        if up is not None:
-            deps[first[g]] = (wait[up],)
+    for f, dep in zip(first, parent_wait):
+        deps[f] = dep
 
+    # Event rows. Each event gets a duration, resources, device and deps,
+    # its same-device event deps (local, by event index) and its place in
+    # its device's program: before the same-device slot it feeds, else
+    # after the last same-device slot it depends on, else in the device's
+    # tail. Its deps are its own in listed order, then the events feeding
+    # it in event order. Pricing is pure, so each distinct (kind, resource,
+    # bytes, group size) is priced once, and its bytes checked then.
+    priced, link_of, local = {}, {}, []
+    # before, after: slot number -> event indices; tails: device -> event indices
+    before, after, tails = defaultdict(list), defaultdict(list), defaultdict(list)
+    resources = [COMPUTE] * base
+
+    def seconds(shape, name):
+        if shape not in priced:
+            _require_nonnegative(name, shape[2])
+            priced[shape] = _comm_seconds(*shape, hw)
+        return priced[shape]
+
+    def link(res):
+        return link_of.setdefault(res, (res,) if policy.overlap_comm else ("compute", res))
+
+    # A hop feeds a slot on its own device and waits on the slot's parent
+    # or on the hop before it, so its rows come straight from the columns.
+    hop_slots, hop_shapes, shapes = transfers.slots, transfers.hops, transfers.shapes
+    cost = dict.fromkeys(hop_shapes)  # the shapes in use, in the order of their first hop
+    for h in cost:
+        cost[h] = seconds(shapes[h][:4], lambda h=h: f"event {transfers.ids()[hop_shapes.index(h)]!r} bytes")
+    links = [link(sh.resource) for sh in shapes]
+    chained = [sh.chained for sh in shapes]
+    device += [device[first[g]] for g in hop_slots]
+    duration += map(cost.__getitem__, hop_shapes)
+    resources += [links[h] for h in hop_shapes]
+    deps += [(j - 1,) if chained[h] else parent_wait[g] for j, g, h in zip(count(base), hop_slots, hop_shapes)]
+    local += [(j - 1,) if chained[h] else () for j, h in enumerate(hop_shapes)]
+    for j, g in enumerate(hop_slots):
+        deps[first[g]] += (base + j,)
+        before[g].append(j)
+
+    # CommEvents name slots by ScheduleSlot record and events by id, each
+    # resolved once.
+    hops = len(transfers)
     event_at = {}  # event id -> position
-    for pos, ev in enumerate(events, base):
+    for pos, ev in enumerate(events, base + hops):
         if ev.id in event_at:
             raise ValueError(f"duplicate task id {ev.id!r}")
         event_at[ev.id] = pos
-
-    # An event waits on a slot's waited-on part and feeds its first part. It
-    # goes before the same-device slot it feeds, else after the last
-    # same-device slot it depends on, else into its device's tail. Its deps
-    # are its own in listed order, then the events feeding it in event order.
-    # Pricing is pure, so each distinct event shape is priced once.
-    priced, link_of, local, unknown_feed = {}, {}, [], None  # local: same-device event deps by event index
-    before, after, tails = {}, {}, {}  # slot number or device -> event indices
-    resources = [COMPUTE] * base
+    unknown_feed = None
     device += [ev.device for ev in events]
-    kind += ["comm"] * len(events)
-    sync += [False] * len(events)
     deps += [()] * len(events)
-    for j, ev in enumerate(events):
+    for j, ev in enumerate(events, hops):
         eid, ekind, res, nbytes, refs, dev, group, feeds = ev
-        shape = (ekind, res, nbytes, group)
-        if shape not in priced:
-            _require_nonnegative(f"event {eid!r} bytes", nbytes)
-            priced[shape] = _comm_seconds(ev, hw)
-        duration.append(priced[shape])
-        resources.append(link_of.setdefault(res, (res,) if policy.overlap_comm else ("compute", res)))
+        duration.append(seconds((ekind, res, nbytes, group), f"event {eid!r} bytes"))
+        resources.append(link(res))
         own, near, home = [], (), None  # home: the last same-device slot depended on
         for ref in refs:
             if (g := slot_at.get(ref)) is not None:
@@ -302,18 +413,20 @@ def simulate_timeline(
         if (g := slot_at.get(feeds)) is not None:
             deps[first[g]] += (base + j,)
             if device[first[g]] == dev:
-                before.setdefault(g, []).append(j)
+                before[g].append(j)
                 continue
         elif (e := event_at.get(feeds)) is not None:
             deps[e] += (base + j,)
         elif feeds is not None:
             unknown_feed = unknown_feed or ev
         if home is not None:
-            after.setdefault(home, []).append(j)
+            after[home].append(j)
         else:
-            tails.setdefault(dev, []).append(j)
+            tails[dev].append(j)
     if unknown_feed is not None:
         raise ValueError(f"task {unknown_feed.id!r} feeds unknown task {_spelled(unknown_feed.feeds)!r}")
+    kind += ["comm"] * len(local)
+    sync += [False] * len(local)
 
     # Every device runs one program: per slot, the events spliced in before
     # it, its compute tasks and the events spliced in after it; then the
@@ -321,7 +434,7 @@ def simulate_timeline(
     # dependents, depth first and without recursion, so every serial chain
     # taken from a program is a linear extension of the dependency graph
     # whatever order the caller built the event list in.
-    placed = [False] * len(events)
+    placed = [False] * len(local)
 
     def emit(indices, program):
         for j in indices:
@@ -361,7 +474,8 @@ def simulate_timeline(
     )
 
     def names():
-        return [slot_id(sl) + x for sl, tpl in zip(slot_at, tpl_of) for x in tpl.suffixes] + [ev.id for ev in events]
+        slots = [slot_id(sl) + x for sl, tpl in zip(slot_at, tpl_of) for x in tpl.suffixes]
+        return slots + transfers.ids() + [ev.id for ev in events]
 
     result = engine.run_columns(columns, names)
     begin, finish = result.begin, result.finish

@@ -15,9 +15,10 @@ from __future__ import annotations
 import gc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 from .cluster import HardwareDescription, kernel_time
-from .comm import MECHANISMS, CommEvent, dispatch_volumes
+from .comm import MECHANISMS, dispatch_volumes
 from .errors import MoesimError
 from .memory import (
     MemoryPlan, MemoryReport, infeasible_error, memory_report, select_memory_plan, _item_params_per_device,
@@ -27,7 +28,8 @@ from .parallel import (
     ParallelPlan, StageAssignment, assign_chunks, micro_batch_count, require_valid, tokens_per_device,
 )
 from .pipeline import (
-    ChunkCost, OverlapPolicy, build_1f1b_schedule, dataflow_parent, simulate_timeline, slot_id, summarize,
+    ChunkCost, HopShape, OverlapPolicy, SlotTransfers, build_1f1b_schedule, dataflow_parent, simulate_timeline,
+    summarize,
 )
 
 
@@ -87,23 +89,16 @@ def _stage_crossing_resource(plan: ParallelPlan, hw: HardwareDescription) -> str
     return "intra_link"
 
 
-def _slot_transfers(schedule, vpp: int, hops) -> list:
-    """Events for the transfers into every slot, on the slot's own stage.
+def _slot_transfers(schedule, vpp: int, shapes: list, per_slot: list) -> SlotTransfers:
+    """The transfers into every slot, on the slot's own stage.
 
-    ``hops(slot, parent)`` lists a slot's transfers in order as (id, kind,
-    resource, bytes, group size) tuples, given the slot's dataflow parent.
-    The first waits on that parent (on nothing at a graph source), each
-    later one on the transfer before it.
+    ``per_slot`` lists each slot's transfers, by slot number and in order,
+    as indices into ``shapes``: the first is not chained (it waits on the
+    slot's dataflow parent), each later one is (it waits on the transfer
+    before it).
     """
-    events = []
-    for slots in schedule:
-        for sl in slots:
-            parent = dataflow_parent(sl, len(schedule), vpp)
-            prior = (parent,) if parent is not None else ()
-            for hop, kind, resource, volume, group in hops(sl, parent):
-                events.append(CommEvent(hop, kind, resource, volume, prior, sl.pp_stage, group, sl))
-                prior = (hop,)
-    return events
+    slots = [g for g, these in enumerate(per_slot) for _ in these]
+    return SlotTransfers(schedule, vpp, slots, chain.from_iterable(per_slot), shapes)
 
 
 def boundary_transfer_events(
@@ -111,7 +106,7 @@ def boundary_transfer_events(
     cfg: ModelConfig,
     plan: ParallelPlan,
     hw: HardwareDescription,
-) -> list:
+) -> SlotTransfers:
     """Point-to-point activation sends along every cross-stage dependency.
 
     When the model trains an extra next-token prediction stream, its hidden
@@ -120,13 +115,10 @@ def boundary_transfer_events(
     tokens_dev = tokens_per_device(cfg, plan)
     streams = 2 if cfg.num_mtp_layers > 0 else 1
     volume = tokens_dev * cfg.hidden_size * cfg.dtype_bytes * streams
-    resource = _stage_crossing_resource(plan, hw)
-
-    def hops(sl, parent):
-        crossing = parent is not None and parent.pp_stage != sl.pp_stage
-        return [(f"p2p:{slot_id(sl)}", "p2p", resource, volume, 0)] if crossing else ()
-
-    return _slot_transfers(schedule, plan.vpp, hops)
+    shapes = [HopShape("p2p", _stage_crossing_resource(plan, hw), volume, 0, False, "p2p:", "")]
+    parents = ((sl, dataflow_parent(sl, len(schedule), plan.vpp)) for sl in chain.from_iterable(schedule))
+    per_slot = [(0,) if up is not None and up.pp_stage != sl.pp_stage else () for sl, up in parents]
+    return _slot_transfers(schedule, plan.vpp, shapes, per_slot)
 
 
 def slot_dispatch_events(
@@ -136,24 +128,20 @@ def slot_dispatch_events(
     assignment: StageAssignment,
     hw: HardwareDescription,
     mechanism: str = "hierarchical",
-) -> list:
+) -> SlotTransfers:
     """Expert dispatch and combine collectives for every schedule slot.
 
     Each slot carries one transfer per network tier sized by the chunk's
     expert-routed layers (dispatch plus combine, hence the factor two).
-    Events depend on the slot's upstream dataflow and gate the slot itself,
-    so overlap can only come from other micro batches' compute.
+    Transfers depend on the slot's upstream dataflow and gate the slot
+    itself, so overlap can only come from other micro batches' compute.
     """
     if plan.ep == 1:
-        return []
+        return SlotTransfers(schedule, plan.vpp)
     tokens_dev = tokens_per_device(cfg, plan)
     vols = dispatch_volumes(
         mechanism, tokens_dev, cfg.hidden_size, cfg.dtype_bytes, cfg.top_k, plan.tp, plan.ep
     )
-    routed = {}
-    for chunk in assignment.chunks:
-        n = sum(1 for kind, _ in chunk.items if kind in ("moe", "mtp"))
-        routed[(chunk.pp_stage, chunk.vpp_stage)] = n
     inter_group = plan.ep * plan.tp if mechanism == "allgather" else plan.ep
     inter_kind = "alltoall" if mechanism == "alltoall" else "allgather"
     intra_group = min(plan.ep * plan.tp, hw.devices_per_node)
@@ -161,18 +149,20 @@ def slot_dispatch_events(
     # size). A slot's intra-node transfer waits for its inter-node one.
     tiers = []
     if hw.num_nodes > 1 and vols.inter_node_bytes > 0:
-        tiers.append(("inter", inter_kind, "inter_link", vols.inter_node_bytes, inter_group))
+        tiers.append((":inter", inter_kind, "inter_link", vols.inter_node_bytes, inter_group))
     if vols.intra_node_bytes > 0:
-        tiers.append(("intra", "alltoall", "intra_link", vols.intra_node_bytes, intra_group))
-
-    def hops(sl, parent):
-        layers = routed[(sl.pp_stage, sl.vpp_stage)]
-        if layers == 0:
-            return ()
-        sid, scale = slot_id(sl), 2.0 * layers
-        return [(f"disp:{sid}:{tier}", kind, res, vol * scale, group) for tier, kind, res, vol, group in tiers]
-
-    return _slot_transfers(schedule, plan.vpp, hops)
+        tiers.append((":intra", "alltoall", "intra_link", vols.intra_node_bytes, intra_group))
+    # Each chunk's transfers, as indices into one table of distinct shapes.
+    index, chunk_hops = {}, {}  # index: shape -> its place in the table
+    for chunk in assignment.chunks:
+        layers = sum(1 for kind, _ in chunk.items if kind in ("moe", "mtp"))
+        scale = 2.0 * layers
+        chunk_hops[(chunk.pp_stage, chunk.vpp_stage)] = tuple(
+            index.setdefault(HopShape(kind, res, vol * scale, group, i > 0, "disp:", tier), len(index))
+            for i, (tier, kind, res, vol, group) in enumerate(tiers if layers else ())
+        )
+    per_slot = [chunk_hops[(sl.pp_stage, sl.vpp_stage)] for sl in chain.from_iterable(schedule)]
+    return _slot_transfers(schedule, plan.vpp, list(index), per_slot)
 
 
 def training_report(
@@ -203,9 +193,9 @@ def training_report(
     try:
         schedule = build_1f1b_schedule(plan.pp, m, plan.vpp)
         costs = chunk_costs_from_model(cfg, plan, assignment, hw)
-        events = boundary_transfer_events(schedule, cfg, plan, hw)
-        events += slot_dispatch_events(schedule, cfg, plan, assignment, hw, features.dispatch_mechanism)
-        report = simulate_timeline(schedule, costs, events, policy=features.policy, hw=hw)
+        transfers = boundary_transfer_events(schedule, cfg, plan, hw)
+        transfers += slot_dispatch_events(schedule, cfg, plan, assignment, hw, features.dispatch_mechanism)
+        report = simulate_timeline(schedule, costs, policy=features.policy, hw=hw, transfers=transfers)
         step_time = report.step_time + mem.time_added
         mfu, tps = summarize(step_time, cfg, plan, hw)
         return CostReport(

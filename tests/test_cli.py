@@ -590,6 +590,34 @@ def test_search_top_and_workers_below_one_are_refused(capsys, flag, value):
     assert captured.err == f"error: {flag[2:]} must be >= 1, got {value}\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--plan", "{plan}"],
+        ["simulate", "--mode", "inference"],
+        ["search", "--plan", "{plan}", "--space", "{space}"],
+    ],
+)
+@pytest.mark.parametrize(
+    "model, cluster, fragment",
+    [
+        ({"dtype_bytes": 3}, {}, "dtype_bytes must be one of 1, 2, 4, got 3"),
+        ({}, {"peak_flops": {"fp8": 5e12}}, "peak_flops lists no 'bf16' or 'fp16' rate for the model's 2-byte dtype"),
+        ({"dtype_bytes": 4}, {}, "peak_flops lists no 'fp32' rate for the model's 4-byte dtype"),
+    ],
+)
+def test_a_dtype_the_cluster_cannot_price_exits_one(tmp_path, capsys, command, model, cluster, fragment):
+    """Once a KeyError traceback from the peak rate lookup."""
+    paths = write_configs(tmp_path)
+    for name, payload in (("model", {**MODEL, **model}), ("cluster", {**CLUSTER, **cluster})):
+        Path(paths[name]).write_text(json.dumps(payload))
+    Path(paths["space"]).write_text(json.dumps({**SPACE, "base": {**MODEL, **model}}))
+    argv = [command[0], "--cluster", paths["cluster"]] + [arg.format(**paths) for arg in command[1:]]
+    if command[0] == "simulate":
+        argv += ["--model", paths["model"]]
+    assert_rejected(capsys, argv, fragment)
+
+
 def test_every_command_is_byte_identical_across_reruns(tmp_path, capsys):
     paths = write_configs(tmp_path)
 

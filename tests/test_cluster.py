@@ -1,6 +1,7 @@
 """Collective cost model and device roofline."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -96,6 +97,21 @@ def test_peak_for_dtype_bytes():
     assert hw.peak_for_dtype_bytes(2) == 100e12
     assert hw.peak_for_dtype_bytes(1) == 200e12
     assert hw.peak_for_dtype_bytes(4) == 50e12
+    assert make_hw(peak_flops={"fp16": 80e12}).peak_for_dtype_bytes(2) == 80e12
+
+
+@pytest.mark.parametrize(
+    "width, message",
+    [
+        (2, "peak_flops lists no 'bf16' or 'fp16' rate for the model's 2-byte dtype"),
+        (4, "peak_flops lists no 'fp32' rate for the model's 4-byte dtype"),
+        (3, "dtype_bytes must be one of 1, 2, 4, got 3"),
+    ],
+)
+def test_a_dtype_the_cluster_cannot_price_is_a_value_error(width, message):
+    """Once a KeyError, which the command line reported as a traceback."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_hw(peak_flops={"fp8": 200e12}).peak_for_dtype_bytes(width)
 
 
 def test_invalid_hardware_rejected():

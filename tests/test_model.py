@@ -283,6 +283,12 @@ def test_integer_fields_refuse_bools_floats_and_strings(build, message):
         build()
 
 
+@pytest.mark.parametrize("width", [0, 3, 8, -2])
+def test_dtype_bytes_must_be_a_width_a_cluster_can_price(width):
+    with pytest.raises(ValueError, match=f"^dtype_bytes must be one of 1, 2, 4, got {width}$"):
+        tiny_config(dtype_bytes=width)
+
+
 def test_model_id_format():
     assert model_id(REFERENCE) == "L61d3-h7680-a128-E256x2048-K8s1-mtp1"
 

@@ -26,8 +26,10 @@ from moesim.parallel import ParallelPlan
 from moesim.pipeline import (
     SERIALIZED,
     ChunkCost,
+    HopShape,
     OverlapPolicy,
     ScheduleSlot,
+    SlotTransfers,
     analytic_bubble_ratio,
     build_1f1b_schedule,
     dataflow_parent,
@@ -337,6 +339,39 @@ def test_event_bytes_must_be_a_finite_number_at_least_zero(nbytes):
     message = rf"^event 'bad' bytes must be a finite number >= 0, got {re.escape(repr(nbytes))}$"
     with pytest.raises(ValueError, match=message):
         simulate_timeline(sched, costs, [good, bad], hw=flat_cluster())
+
+
+def test_slot_transfers_are_checked_like_events():
+    """A hop's bytes are checked when its shape is first priced, naming
+    the hop's id; rows run only on the schedule they were built for, and
+    only rows of one schedule join."""
+    sched, costs = build_1f1b_schedule(2, 2, 1), uniform_chunk_costs(2, 1, 1.0, 1.0)
+    shapes = [
+        HopShape("p2p", "inter_link", 1e3, 0, False, "x:", ""),
+        HopShape("p2p", "inter_link", math.nan, 0, True, "x:", ":b"),
+    ]
+    bad = SlotTransfers(sched, 1, [1, 1], [0, 1], shapes)
+    assert [ev.id for ev in bad.events()] == ["x:fwd:p0:v0:m1", "x:fwd:p0:v0:m1:b"]
+    with pytest.raises(ValueError, match=r"^event 'x:fwd:p0:v0:m1:b' bytes must be a finite number >= 0, got nan$"):
+        simulate_timeline(sched, costs, hw=flat_cluster(), transfers=bad)
+    with pytest.raises(ValueError, match="^hw is required when comm events are present$"):
+        simulate_timeline(sched, costs, transfers=bad)
+    with pytest.raises(ValueError, match="^transfers were built on another schedule$"):
+        simulate_timeline(build_1f1b_schedule(2, 4, 1), costs, hw=flat_cluster(), transfers=bad)
+    with pytest.raises(ValueError, match="^transfers built for different schedules cannot be joined$"):
+        bad + SlotTransfers(build_1f1b_schedule(2, 2, 1), 1)
+    for slots, hops, message in (
+        ([8], [0], "a hop's slot number is outside [0, 8)"),
+        ([-1], [0], "a hop's slot number is outside [0, 8)"),
+        ([0], [2], "a hop's shape number is outside [0, 2)"),
+        ([0, 1], [0], "2 slot numbers for 1 hops"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SlotTransfers(sched, 1, slots, hops, shapes)
+    # An equal schedule will do, and a shape no hop uses is not priced.
+    good = SlotTransfers([list(slots) for slots in sched], 1, [6], [0], shapes)
+    hop = simulate_timeline(sched, costs, hw=flat_cluster(), transfers=good).timeline.tasks["x:fwd:p1:v0:m1"]
+    assert (hop.device, hop.deps) == (1, ("fwd:p0:v0:m1",))
 
 
 @pytest.mark.parametrize("group_size", [0, 1])
