@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import UnpricedDtypeError
+
 
 # The value widths a model may declare, by the peak_flops key each is priced at.
 DTYPE_NAMES = {1: "fp8", 2: "bf16", 4: "fp32"}
@@ -86,7 +88,7 @@ class HardwareDescription:
         if name is None:
             raise ValueError(f"dtype_bytes must be one of {', '.join(map(str, DTYPE_NAMES))}, got {dtype_bytes!r}")
         alias = " or 'fp16'" if dtype_bytes == 2 else ""
-        raise ValueError(f"peak_flops lists no {name!r}{alias} rate for the model's {dtype_bytes}-byte dtype")
+        raise UnpricedDtypeError(f"peak_flops lists no {name!r}{alias} rate for the model's {dtype_bytes}-byte dtype")
 
     def tier(self, resource: str) -> tuple[float, float]:
         """(latency, bandwidth) of a link tier named by its resource."""

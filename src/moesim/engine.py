@@ -13,10 +13,22 @@ run serially per device in the given host order, ahead of device execution
 that task finishes on the device.
 
 The core, `run_columns`, takes the tasks as flat columns indexed by task
-position. Graph nodes are integers: with n tasks, node i executes task i
-and node n + i dispatches it; a dispatch node has edges only when its task
-is in a host order. `run_tasks` is the adapter for tasks named by string
-ids.
+position and walks the orders those columns already hold, one lane each:
+every chain is a lane of tasks and every host order a lane of dispatches.
+A task starts at the latest of its lanes' last finishes, its dependencies'
+finishes and, when it is hosted, its dispatch end; a task in two chains
+starts once both lanes reach it. A dispatch begins when the one before it
+in its host order ends, or, after a sync task, when that task finishes, so
+a host lane runs ahead of execution. A lane that reaches a task (or a
+dispatch) it cannot time yet parks until what it waits for completes; if
+tasks are left when no lane can move, the graph has a cycle. Each time is
+a max over the same `begin + length` sums whatever order the lanes move
+in. Node i is task i's execution and node n + i its dispatch, which has a
+time only when the task is in a host order.
+
+`run_tasks` is the adapter for tasks named by string ids. Besides the
+chain checks, it refuses a task that uses no resource (no lane would reach
+it) and a task listed more than once across the host orders.
 """
 
 from __future__ import annotations
@@ -49,14 +61,16 @@ TaskColumns = namedtuple(
 
 class TimelineResult:
     """Times of one run, held by task position: `begin` for every graph
-    node, `finish` for every task. The views keyed by task id (`start`,
-    `end`, `dispatch_end`, `host_delay`, `tasks`, `chains`) are built
-    together on first read, which rejects a task id given twice;
-    `host_delay` follows host order, the others task order.
+    node, `finish` for every task, and `ready` for every task: the latest
+    finish among its chain predecessors and dependencies, which the host
+    delays are measured from. The views keyed by task id (`start`, `end`,
+    `dispatch_end`, `host_delay`, `tasks`, `chains`) are built together on
+    first read, which rejects a task id given twice; `host_delay` follows
+    host order, the others task order.
     """
 
-    def __init__(self, columns: TaskColumns, names, begin: list, finish: list):
-        self.columns, self.begin, self.finish = columns, begin, finish
+    def __init__(self, columns: TaskColumns, names, begin: list, finish: list, ready: list):
+        self.columns, self.begin, self.finish, self.ready = columns, begin, finish, ready
         self._names = names  # () -> task ids by position
         self.makespan = max(finish, default=0.0)
 
@@ -82,65 +96,111 @@ class TimelineResult:
     def host_delays(self) -> list:
         """Per task in host order: how long its dispatch ended after its
         latest execute -> execute predecessor finished, at least 0."""
-        c, finish, n = self.columns, self.finish, len(self.finish)
-        hosted = [i for order in c.host_order.values() for i in order]
-        ready = [0.0] * n
-        if hosted:
-            for chain in c.chains.values():
-                for prev, nxt in zip(chain, chain[1:]):
-                    ready[nxt] = max(ready[nxt], finish[prev])
-            for i, deps in enumerate(c.deps):
-                for d in deps:
-                    ready[i] = max(ready[i], finish[d])
-        return [max(0.0, self.begin[n + i] + c.host_time[i] - ready[i]) for i in hosted]
+        begin, host_time, ready, n = self.begin, self.columns.host_time, self.ready, len(self.finish)
+        return [max(0.0, begin[n + i] + host_time[i] - ready[i]) for order in self.columns.host_order.values()
+                for i in order]
 
 
 def run_columns(columns: TaskColumns, names) -> TimelineResult:
     """Compute start and end times for tasks given as columns.
 
     names is a zero-argument function returning the task ids by position;
-    it runs only when a view keyed by id is read. Raises DeadlockError
-    when the combined graph has a cycle.
+    it runs only when a view keyed by id is read. Every task must be in at
+    least one chain and in at most one host order (`run_tasks` checks
+    both). Raises DeadlockError when the combined graph has a cycle.
     """
-    duration, sync = columns.duration, columns.sync_host
+    duration, host_time, sync, deps = columns.duration, columns.host_time, columns.sync_host, columns.deps
     n = len(duration)
-    hosted = any(columns.host_order.values())
-    size = 2 * n if hosted else n
-    length = duration + columns.host_time if hosted else duration
-    succ = [[] for _ in range(size)]
-    for i, deps in enumerate(columns.deps):
-        for d in deps:
-            succ[d].append(i)
-    for chain in columns.chains.values():
-        for prev, nxt in zip(chain, chain[1:]):
-            succ[prev].append(nxt)
-    for order in columns.host_order.values():
+    orders = [order for order in columns.host_order.values() if order]
+    begin = [0.0] * (2 * n if orders else n)
+    finish = [None] * n  # None until the task has run
+    ready = [0.0] * n
+    due = [0.0] * n  # dispatch end; None for a hosted task its host lane has not reached
+    need = [0] * n  # lanes that have not reached the task yet
+    chains = [chain for chain in columns.chains.values() if chain]
+    for chain in chains:
+        for i in chain:
+            need[i] += 1
+    for order in orders:
         for i in order:
-            succ[n + i].append(i)
-        for prev, nxt in zip(order, order[1:]):
-            succ[n + prev].append(n + nxt)
-            if sync[prev]:
-                succ[prev].append(n + nxt)
-    indeg = [0] * size
-    for out in succ:
-        for v in out:
-            indeg[v] += 1
-
-    begin = [0.0] * size
-    # Kahn's algorithm; the loop visits the nodes it appends.
-    visit = [u for u in range(size) if not indeg[u]]
-    for u in visit:
-        done = begin[u] + length[u]
-        for v in succ[u]:
-            if done > begin[v]:
-                begin[v] = done
-            indeg[v] -= 1
-            if not indeg[v]:
-                visit.append(v)
-    if len(visit) != size:
+            due[i] = None
+    # A lane is [positions, cursor, dispatches]. The lane that moves onto a task
+    # folds its last finish into the task's begin; a lane that cannot move
+    # parks on the node it waits for and resumes when that node completes.
+    lanes = []
+    for chain in chains:
+        need[chain[0]] -= 1
+        lanes.append([chain, 0, False])
+    lanes += [[order, 0, True] for order in orders]  # popped first: hosts run ahead
+    waiters = {}  # node -> parked lanes
+    done = 0
+    while lanes:
+        lane = lanes.pop()
+        seq, k, dispatches = lane
+        last = len(seq)
+        if dispatches:
+            while k < last:
+                i = seq[k]
+                b = 0.0
+                if k:
+                    p = seq[k - 1]
+                    e = begin[n + p] + host_time[p]
+                    if e > b:
+                        b = e
+                    if sync[p]:
+                        f = finish[p]
+                        if f is None:
+                            waiters.setdefault(p, []).append(lane)
+                            break
+                        if f > b:
+                            b = f
+                begin[n + i] = b
+                due[i] = b + host_time[i]
+                woken = waiters.pop(n + i, None)
+                if woken:
+                    lanes += woken
+                k += 1
+        else:
+            while k < last:
+                i = seq[k]
+                f = finish[i]
+                if f is None:  # i has not run: its other lanes, deps and dispatch first
+                    wait = i if need[i] else None
+                    if wait is None:
+                        b = begin[i]
+                        for d in deps[i]:
+                            f = finish[d]
+                            if f is None:
+                                wait = d
+                                break
+                            if f > b:
+                                b = f
+                        else:
+                            e = due[i]
+                            if e is None:
+                                wait = n + i
+                    if wait is not None:
+                        waiters.setdefault(wait, []).append(lane)
+                        break
+                    ready[i] = b
+                    if e > b:
+                        b = e
+                    begin[i] = b
+                    f = finish[i] = b + duration[i]
+                    done += 1
+                    woken = waiters.pop(i, None)
+                    if woken:
+                        lanes += woken
+                k += 1
+                if k < last:
+                    j = seq[k]
+                    need[j] -= 1
+                    if f > begin[j]:
+                        begin[j] = f
+        lane[1] = k
+    if done != n:
         raise DeadlockError("dependency cycle in timeline task graph")
-    finish = [b + d for b, d in zip(begin, duration)]
-    return TimelineResult(columns, names, begin, finish)
+    return TimelineResult(columns, names, begin, finish, ready)
 
 
 def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
@@ -149,8 +209,10 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
     tasks: iterable of Task. chains: {(device, resource): [task ids]} giving
     the execution order on each serial resource; every task must appear
     exactly once in the chain of each of its resources and in no other
-    chain, or ValueError names the task and the chain. host_order:
-    {device: [task ids]} enables host dispatch modeling for those devices.
+    chain, or ValueError names the task and the chain; a task that uses no
+    resource is refused too. host_order: {device: [task ids]} enables host
+    dispatch modeling for those devices; a task listed more than once across
+    the host orders is refused.
 
     Raises DeadlockError when the combined graph has a cycle.
     """
@@ -165,6 +227,8 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
                 raise ValueError(f"chain {key} references unknown task {tid!r}")
     placed = Counter((key, tid) for key, chain in chains.items() for tid in chain)
     for t in by_id.values():
+        if not t.resources:
+            raise ValueError(f"task {t.id!r} uses no resource")
         for key in dict.fromkeys((t.device, r) for r in t.resources):
             count = placed.pop((key, t.id), 0)
             if count != 1:
@@ -179,10 +243,14 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
             if dep not in index:
                 raise ValueError(f"task {t.id!r} depends on unknown task {dep!r}")
     host_order = host_order or {}
+    hosted = set()
     for order in host_order.values():
         for tid in order:
             if tid not in index:
                 raise ValueError(f"host order references unknown task {tid!r}")
+            if tid in hosted:
+                raise ValueError(f"task {tid!r} is listed more than once in the host orders")
+            hosted.add(tid)
     ids = list(by_id)
     fields = ("duration", "host_time", "device", "resources", "kind", "sync_host")
     columns = TaskColumns(

@@ -33,6 +33,10 @@ class DeadlockError(MoesimError):
     """The timeline task graph contains a dependency cycle."""
 
 
+class UnpricedDtypeError(MoesimError, ValueError):
+    """The cluster lists no peak rate for the model's dtype."""
+
+
 class InfeasibleMemoryError(MoesimError):
     """The memory plan does not fit the device: no fine-grained plan fits,
     or full-layer recompute does not."""

@@ -19,7 +19,7 @@ from itertools import chain
 
 from .cluster import HardwareDescription, kernel_time
 from .comm import MECHANISMS, dispatch_volumes
-from .errors import MoesimError
+from .errors import MoesimError, UnpricedDtypeError
 from .memory import (
     MemoryPlan, MemoryReport, infeasible_error, memory_report, select_memory_plan, _item_params_per_device,
 )
@@ -288,11 +288,13 @@ def search_space(
 ) -> SearchOutcome:
     """Score every candidate and rank by normalized combined throughput.
 
-    Candidates whose plan or memory is infeasible are collected with the
-    failure reason instead of aborting the search. Ranking normalizes each
-    axis to the best candidate and weighs it 0.5 in mode "both", 1.0 when
-    it is the only axis; ties break on the model id, making the order
-    total and deterministic.
+    Candidates whose plan or memory is infeasible, or whose dtype the
+    cluster cannot price, are collected with the failure reason instead of
+    aborting the search; a cluster that prices none of the candidates
+    raises the first one's UnpricedDtypeError before any is scored.
+    Ranking normalizes each axis to the best candidate and weighs it 0.5
+    in mode "both", 1.0 when it is the only axis; ties break on the model
+    id, making the order total and deterministic.
     """
     if mode not in ("both", "training", "inference"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -301,6 +303,16 @@ def search_space(
             raise ValueError(f"{name} must be >= 1, got {value}")
     features = features or SimulationFeatures()
     configs = enumerate_design_space(space) if isinstance(space, DesignSpace) else list(space)
+    unpriced = None
+    for cfg in configs:
+        try:
+            hw.peak_for_dtype_bytes(cfg.dtype_bytes)
+            break
+        except UnpricedDtypeError as exc:
+            unpriced = unpriced or exc
+    else:
+        if unpriced is not None:
+            raise unpriced
     jobs = [(cfg, plan, hw, features, mode) for cfg in configs]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

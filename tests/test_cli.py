@@ -292,6 +292,20 @@ def test_search_with_no_feasible_candidate_exits_one(tmp_path, capsys):
     assert out.count("skipped") == 4
 
 
+def test_search_ranks_the_candidates_the_cluster_can_price(tmp_path, capsys):
+    """A 1-byte candidate on the bf16-only cluster is skipped, not an error
+    for the whole search."""
+    paths = write_configs(tmp_path)
+    Path(paths["space"]).write_text(json.dumps({"base": MODEL, "ranges": {"dtype_bytes": [1, 2]}}))
+    rc = main(["search", "--cluster", paths["cluster"], "--plan", paths["plan"], "--space", paths["space"]])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert len(out) == 2
+    assert out[0].startswith("  1. ")
+    assert out[1].startswith("skipped ")
+    assert out[1].endswith(": UnpricedDtypeError: peak_flops lists no 'fp8' rate for the model's 1-byte dtype")
+
+
 def test_balance_saves_trace_and_report(tmp_path, capsys):
     paths = write_configs(tmp_path)
     trace_file = tmp_path / "trace.csv"

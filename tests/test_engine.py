@@ -1,16 +1,26 @@
 """The task-graph engine: input checks, deadlocks, a hand-timed host
-dispatch case, properties on random DAGs, and `covered_lengths`."""
+dispatch case, properties on random DAGs, the lane walk against the Kahn
+pass it replaced, its memory per task, and `covered_lengths`."""
 
 import random
 import re
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_pipeline import random_program
 
-from moesim.engine import Task, covered_lengths, run_tasks
+from moesim import engine
+from moesim.configio import load_cluster, load_model, load_plan
+from moesim.engine import Task, TaskColumns, covered_lengths, run_columns, run_tasks
 from moesim.errors import DeadlockError
+from moesim.pipeline import simulate_timeline
+from moesim.search import SimulationFeatures, training_report
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def compute(tid, device=0, duration=1.0, **kw):
@@ -60,6 +70,20 @@ def test_task_in_a_foreign_chain_rejected(key):
     """A chain of another device, or of a resource the task does not use."""
     with pytest.raises(ValueError, match=re.escape(f"chain {key} holds task 'a', which does not use that resource")):
         run_tasks([compute("a")], {(0, "compute"): ["a"], key: ["a"]})
+
+
+def test_task_on_no_resource_rejected():
+    # It would be in no chain, so no lane would ever reach it.
+    with pytest.raises(ValueError, match="task 'b' uses no resource"):
+        run_tasks([compute("a"), Task("b", 0, (), 1.0)], {(0, "compute"): ["a"]})
+
+
+@pytest.mark.parametrize("host_order", [{0: ["a", "b", "a"]}, {0: ["a"], 1: ["b", "a"]}])
+def test_task_in_the_host_orders_twice_rejected(host_order):
+    # Once a self-loop deadlock in one order, or a silent max over two.
+    tasks = [compute("a"), compute("b", device=1)]
+    with pytest.raises(ValueError, match="task 'a' is listed more than once in the host orders"):
+        run_tasks(tasks, {(0, "compute"): ["a"], (1, "compute"): ["b"]}, host_order)
 
 
 def test_input_checks_run_chains_then_deps_then_host_order():
@@ -192,6 +216,165 @@ def test_task_list_order_changes_no_value(graph, rng):
     b = run_tasks(shuffled, chains, host_order)
     for field in ("start", "end", "dispatch_end", "host_delay", "tasks", "chains", "makespan"):
         assert getattr(a, field) == getattr(b, field), field
+
+
+def kahn_oracle(columns):
+    """The engine's earlier core, kept verbatim as the reference: a Kahn
+    pass over a successor graph with one node per execution and one per
+    dispatch, then the host delays from a second walk over the chains and
+    dependencies. Returns (begin, finish, host delays, makespan)."""
+    duration, sync = columns.duration, columns.sync_host
+    n = len(duration)
+    hosted = any(columns.host_order.values())
+    size = 2 * n if hosted else n
+    length = duration + columns.host_time if hosted else duration
+    succ = [[] for _ in range(size)]
+    for i, deps in enumerate(columns.deps):
+        for d in deps:
+            succ[d].append(i)
+    for chain in columns.chains.values():
+        for prev, nxt in zip(chain, chain[1:]):
+            succ[prev].append(nxt)
+    for order in columns.host_order.values():
+        for i in order:
+            succ[n + i].append(i)
+        for prev, nxt in zip(order, order[1:]):
+            succ[n + prev].append(n + nxt)
+            if sync[prev]:
+                succ[prev].append(n + nxt)
+    indeg = [0] * size
+    for out in succ:
+        for v in out:
+            indeg[v] += 1
+
+    begin = [0.0] * size
+    # Kahn's algorithm; the loop visits the nodes it appends.
+    visit = [u for u in range(size) if not indeg[u]]
+    for u in visit:
+        done = begin[u] + length[u]
+        for v in succ[u]:
+            if done > begin[v]:
+                begin[v] = done
+            indeg[v] -= 1
+            if not indeg[v]:
+                visit.append(v)
+    if len(visit) != size:
+        raise DeadlockError("dependency cycle in timeline task graph")
+    finish = [b + d for b, d in zip(begin, duration)]
+
+    c = columns
+    hosted = [i for order in c.host_order.values() for i in order]
+    ready = [0.0] * n
+    if hosted:
+        for chain in c.chains.values():
+            for prev, nxt in zip(chain, chain[1:]):
+                ready[nxt] = max(ready[nxt], finish[prev])
+        for i, deps in enumerate(c.deps):
+            for d in deps:
+                ready[i] = max(ready[i], finish[d])
+    delays = [max(0.0, begin[n + i] + c.host_time[i] - ready[i]) for i in hosted]
+    return begin, finish, delays, max(finish, default=0.0)
+
+
+def assert_matches_oracle(columns):
+    """run_columns gives the oracle's bits, or both raise DeadlockError;
+    returns whether the graph ran."""
+    try:
+        want = kahn_oracle(columns)
+    except DeadlockError:
+        with pytest.raises(DeadlockError):
+            run_columns(columns, list)
+        return False
+    r = run_columns(columns, list)
+    got = (r.begin, r.finish, r.host_delays(), r.makespan)
+    assert list(map(repr, got)) == list(map(repr, want))  # repr: 0.0 and -0.0 differ
+    return True
+
+
+@st.composite
+def task_columns(draw):
+    """(shape, TaskColumns) with hosted tasks on any device, sync tasks and
+    tasks on two resources. "ordered": dependencies, chains and host orders
+    follow position order, so the graph is acyclic. "shuffled": a task may
+    wait on any other and every order is a random permutation, so cycles
+    may form. "cyclic": shuffled, plus two tasks that wait on each other."""
+    shape = draw(st.sampled_from(["ordered", "shuffled", "cyclic"]))
+    n = draw(st.integers(1, 12))
+    devices = draw(st.integers(1, 3))
+    device = [draw(st.integers(0, devices - 1)) for _ in range(n)]
+    resources = [draw(st.sampled_from(RESOURCES)) for _ in range(n)]
+    duration = [draw(TIMES) for _ in range(n)]
+    host_time = [draw(TIMES) for _ in range(n)]
+    sync = [draw(st.booleans()) for _ in range(n)]
+    deps = [sorted(draw(st.sets(st.integers(0, i - 1 if shape == "ordered" else n - 1), max_size=3)) - {i})
+            if i or shape != "ordered" else [] for i in range(n)]
+    if shape == "cyclic":
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        deps[a] = sorted({*deps[a], b})
+        deps[b] = sorted({*deps[b], a})
+    order = list(range(n)) if shape == "ordered" else draw(st.permutations(range(n)))
+    chains = {}
+    for i in order:
+        for r in resources[i]:
+            chains.setdefault((device[i], r), []).append(i)
+    hosted = draw(st.lists(st.integers(0, n - 1), unique=True))
+    if shape == "ordered":
+        hosted.sort()
+    host_order = {}
+    for i in hosted:
+        host_order.setdefault(draw(st.integers(0, devices - 1)), []).append(i)
+    kind = ["op"] * n
+    return shape, TaskColumns(duration, host_time, device, resources, kind, sync, deps, chains, host_order)
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(task_columns())
+def test_lane_walk_matches_the_kahn_oracle(drawn):
+    shape, columns = drawn
+    ran = assert_matches_oracle(columns)
+    assert ran or shape != "ordered"
+    assert not ran or shape != "cyclic"
+
+
+@settings(database=None, derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_lane_walk_matches_the_kahn_oracle_on_random_programs(seed, hosted, overlap):
+    schedule, costs, events, policy, hw = random_program(random.Random(seed))
+    hw = replace(hw, host_dispatch_time=0.05 if hosted else 0.0)
+    policy = replace(policy, overlap_comm=overlap)
+    columns = simulate_timeline(schedule, costs, events, policy, hw).timeline.columns
+    assert any(columns.host_order.values()) == hosted
+    assert assert_matches_oracle(columns)
+
+
+def test_engine_memory_per_task_stays_small(monkeypatch):
+    """run_columns and host_delays() on the reference step at m = 64 with
+    host dispatch allocate at most 250 bytes per task at their peak: the
+    times, and no successor list or dispatch node per task (the Kahn pass
+    took about 385)."""
+    cfg = load_model(CONFIGS / "model_reference.json")
+    hw = replace(load_cluster(CONFIGS / "cluster_6144.json"), host_dispatch_time=3e-6)
+    plan = replace(load_plan(CONFIGS / "plan_reference.json"), global_batch_size=96 * 64)
+    captured = []
+
+    def capture(columns, names):
+        captured.append(columns)
+        return run_columns(columns, names)
+
+    monkeypatch.setattr(engine, "run_columns", capture)
+    training_report(cfg, plan, hw, SimulationFeatures(dispatch_mechanism="alltoall"))
+    (columns,) = captured
+    n = len(columns.duration)
+    assert n > 10_000 and any(columns.host_order.values())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_columns(columns, list)
+        result.host_delays()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 250
 
 
 def overlap_reference(intervals, s, e):

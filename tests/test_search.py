@@ -15,7 +15,7 @@ from moesim.cli import _features
 from moesim.cluster import HardwareDescription
 from moesim.comm import MECHANISMS, CommEvent, dispatch_volumes
 from moesim.configio import load_cluster, load_model, load_plan
-from moesim.errors import InfeasibleMemoryError, PlanError
+from moesim.errors import InfeasibleMemoryError, PlanError, UnpricedDtypeError
 from moesim.model import DesignSpace, MlaDims, ModelConfig, count_parameters, model_id
 from moesim.parallel import ParallelPlan, assign_chunks, micro_batch_count, require_valid, tokens_per_device
 from moesim.pipeline import (
@@ -458,6 +458,30 @@ def test_search_ranks_and_collects_skips():
     assert out.ranked[0].training is not None
     assert out.ranked[0].inference is not None
     assert out.top(1) == out.ranked[:1]
+
+
+def test_search_skips_a_candidate_the_cluster_cannot_price():
+    """Once a ValueError that ended the whole search: the bf16-only cluster
+    has no fp8 rate, so the 1-byte candidate is skipped with the lookup's
+    message and the 2-byte one is still ranked."""
+    space = DesignSpace(base=bench_model(), ranges={"dtype_bytes": [1, 2]})
+    out = search_space(space, bench_plan(), bench_cluster())
+    assert [r.model for r in out.ranked] == [model_id(bench_model(dtype_bytes=2))]
+    assert out.skipped == ((model_id(bench_model(dtype_bytes=1)),
+                            "UnpricedDtypeError: peak_flops lists no 'fp8' rate for the model's 1-byte dtype"),)
+
+
+@pytest.mark.parametrize("mode", ["both", "training", "inference"])
+def test_search_raises_when_the_cluster_prices_no_candidate(mode):
+    fp8_only = bench_cluster(peak_flops={"fp8": 5e12})
+    message = "peak_flops lists no 'bf16' or 'fp16' rate for the model's 2-byte dtype"
+    with pytest.raises(UnpricedDtypeError, match=message):
+        search_space(small_space(), bench_plan(), fp8_only, mode=mode)
+    # one priced candidate, even one the plan then rejects, makes it a search
+    space = DesignSpace(base=bench_model(dtype_bytes=1), ranges={"dtype_bytes": [1, 2]})
+    bad_plan = ParallelPlan(tp=1, pp=2, vpp=1, ep=8, cp=1, micro_batch_size=1, global_batch_size=16)
+    out = search_space(space, bad_plan, fp8_only, mode=mode)
+    assert model_id(bench_model()) in dict(out.skipped)
 
 
 def test_search_is_deterministic():
