@@ -29,6 +29,10 @@ time only when the task is in a host order.
 `run_tasks` is the adapter for tasks named by string ids. Besides the
 chain checks, it refuses a task that uses no resource (no lane would reach
 it) and a task listed more than once across the host orders.
+
+`covered_lengths` measures how much of each window the union of some spans
+covers (the pipeline's overlap statistic). It takes both in order of
+start, as a serial chain runs them, so it sorts neither.
 """
 
 from __future__ import annotations
@@ -263,32 +267,38 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
 
 
 def merged_intervals(spans):
-    """Sorted union of the non-empty (start, end) spans."""
-    merged = []
-    for s, e in sorted(spans):
+    """Union of the non-empty (start, end) spans, given in order of start."""
+    merged, end = [], None  # end: of the span being grown, which is not in merged yet
+    for s, e in spans:
         if e > s:
-            if merged and s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
+            if end is not None and s <= end:
+                if e > end:
+                    end = e
             else:
-                merged.append((s, e))
+                if end is not None:
+                    merged.append((start, end))
+                start, end = s, e
+    if end is not None:
+        merged.append((start, end))
     return merged
 
 
 def covered_lengths(spans, windows) -> list:
     """For each (start, end) window, the length of it that the union of the
-    spans covers, added piece by piece from left to right. One sweep: the
-    windows go in order of start, and the first merged span a window can
-    reach only moves forward."""
+    spans covers, added piece by piece from left to right. Spans and
+    windows come in order of start, as a serial chain runs them, so one
+    sweep serves: the first merged span a window can reach only moves
+    forward."""
     merged = merged_intervals(spans)
     last, first = len(merged), 0
-    covered = [0.0] * len(windows)
-    for k in sorted(range(len(windows)), key=windows.__getitem__):
-        s, e = windows[k]
+    covered = []
+    for s, e in windows:
         while first < last and merged[first][1] <= s:
             first += 1
-        i = first
+        c, i = 0.0, first
         while i < last and merged[i][0] < e:
             a, b = merged[i]
-            covered[k] += (e if e < b else b) - (s if s > a else a)  # min(b, e) - max(a, s), inlined
+            c += (e if e < b else b) - (s if s > a else a)  # min(b, e) - max(a, s), inlined
             i += 1
+        covered.append(c)
     return covered

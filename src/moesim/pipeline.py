@@ -4,12 +4,13 @@ The schedule is the one-forward-one-backward family: classic 1F1B when
 vpp == 1, and the interleaved variant when vpp > 1 (which requires the
 micro batch count to divide evenly by the stage count; plans violating
 that are rejected at validation). The simulation turns the schedule's
-slots and any communication events into one ordered program per device:
-for each slot in schedule order, the events spliced in before it, its
-compute tasks, and the events spliced in after it, then the device's
-remaining events. Each serial resource (compute, inter_link, intra_link)
-runs the program's tasks that use it, in program order, and the host
-launches the whole program in that order.
+slots, the transfers' hops and any communication events into one ordered
+program per device: for each slot in schedule order, the hops into it in
+row order, the events spliced in before it, its compute tasks, and the
+events spliced in after it, then the device's remaining events. Each
+serial resource (compute, inter_link, intra_link) runs the program's tasks
+that use it, in program order, and the host launches the whole program in
+that order.
 
 Tasks are integer positions. Each stage's compute tasks are one
 contiguous run, in the order its compute chain runs them; the transfers'
@@ -20,10 +21,11 @@ group size. The first hop into a slot waits on the slot's dataflow parent,
 read from one parent table (one ``dataflow_parent`` call per slot), and
 each later hop on the hop before it. Hand-built CommEvents name a slot by
 its ScheduleSlot record and an event by its id; a reference to neither is
-rejected, and no CommEvent can name a transfer by id. Hops and events
-become the same event rows, and from there one program per device. Slot
-ids (``{phase}:p{stage}:v{chunk}:m{micro_batch}``) only spell task ids,
-which are spelled only when a timeline view keyed by id is read or
+rejected, and no CommEvent can name a transfer by id. Hops go into the
+programs by slot number; only events are placed by their references, with
+their same-device event dependencies pulled in ahead of them. Slot ids
+(``{phase}:p{stage}:v{chunk}:m{micro_batch}``) only spell task ids, which
+are spelled only when a timeline view keyed by id is read or
 ``SlotTransfers.events()`` is called.
 
 The report gives step time, bubble fraction, communication overlap and
@@ -38,7 +40,7 @@ import math
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import reduce
-from itertools import count
+from itertools import chain, compress, count
 from operator import add
 from typing import NamedTuple
 
@@ -66,6 +68,11 @@ class ScheduleSlot(NamedTuple):
     vpp_stage: int
     micro_batch: int
     phase: str  # "fwd" | "bwd"
+
+
+# Builds a slot from a 4-tuple in C: the schedule and the parent table make
+# one per slot, and the namedtuple's own constructor is a Python function.
+_new_tuple = tuple.__new__
 
 
 def _require_nonnegative(name, value) -> None:
@@ -162,9 +169,10 @@ def build_1f1b_schedule(p: int, m: int, v: int = 1) -> list:
     stages = []
     for s in range(p):
         warmup = min(warmup_forwards(p, s, v), total)
-        phases = ["fwd"] * warmup + ["fwd", "bwd"] * (total - warmup) + ["bwd"] * warmup
-        order = {"fwd": iter(fwd_order), "bwd": iter(bwd_order)}
-        stages.append([ScheduleSlot(s, *next(order[ph]), ph) for ph in phases])
+        fwd = [_new_tuple(ScheduleSlot, (s, c, mb, "fwd")) for c, mb in fwd_order]
+        bwd = [_new_tuple(ScheduleSlot, (s, c, mb, "bwd")) for c, mb in bwd_order]
+        steady = chain.from_iterable(zip(fwd[warmup:], bwd))
+        stages.append([*fwd[:warmup], *steady, *bwd[total - warmup:]])
     return stages
 
 
@@ -173,15 +181,15 @@ def dataflow_parent(slot: ScheduleSlot, p: int, v: int) -> ScheduleSlot | None:
     s, c, mb, phase = slot
     if phase == "fwd":
         if s > 0:
-            return ScheduleSlot(s - 1, c, mb, "fwd")
+            return _new_tuple(ScheduleSlot, (s - 1, c, mb, "fwd"))
         if c > 0:
-            return ScheduleSlot(p - 1, c - 1, mb, "fwd")
+            return _new_tuple(ScheduleSlot, (p - 1, c - 1, mb, "fwd"))
         return None
     if s < p - 1:
-        return ScheduleSlot(s + 1, c, mb, "bwd")
+        return _new_tuple(ScheduleSlot, (s + 1, c, mb, "bwd"))
     if c < v - 1:
-        return ScheduleSlot(0, c + 1, mb, "bwd")
-    return ScheduleSlot(p - 1, v - 1, mb, "fwd")
+        return _new_tuple(ScheduleSlot, (0, c + 1, mb, "bwd"))
+    return _new_tuple(ScheduleSlot, (p - 1, v - 1, mb, "fwd"))
 
 
 def uniform_chunk_costs(p: int, v: int, fwd: float, bwd: float) -> dict:
@@ -208,9 +216,10 @@ class SlotTransfers:
     stage, each stage's slots in order), and runs on that slot's stage; its
     shape is ``shapes[hops[i]]``, a ``HopShape``. A hop that is not chained
     waits on its slot's dataflow parent (on nothing at a graph source); a
-    chained one waits on the hop before it, which must feed the same slot.
-    ``len()`` is the hop count, and ``a + b`` lists a's hops, then b's.
-    Ids are spelled only by ``ids`` and ``events``.
+    chained one waits on the hop before it, which must feed the same slot:
+    a chained first row, or one whose previous row feeds another slot, is
+    refused. ``len()`` is the hop count, and ``a + b`` lists a's hops, then
+    b's. Ids are spelled only by ``ids`` and ``events``.
     """
 
     __slots__ = ("schedule", "vpp", "slots", "hops", "shapes")
@@ -224,6 +233,13 @@ class SlotTransfers:
         for name, column, size in (("slot", self.slots, slot_count), ("shape", self.hops, len(self.shapes))):
             if column and not 0 <= min(column) <= max(column) < size:
                 raise ValueError(f"a hop's {name} number is outside [0, {size})")
+        chained = [sh.chained for sh in self.shapes]
+        if any(chained):  # the boundary transfers have no chained shape and skip the pass
+            slots = self.slots
+            for i in compress(count(), map(chained.__getitem__, self.hops)):
+                if i == 0 or slots[i - 1] != slots[i]:
+                    before = "it is the first row" if i == 0 else f"row {i - 1} feeds slot {slots[i - 1]}"
+                    raise ValueError(f"hop row {i} is chained to the hop before it into slot {slots[i]}, but {before}")
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -233,9 +249,13 @@ class SlotTransfers:
             return NotImplemented
         if other.schedule is not self.schedule or other.vpp != self.vpp:
             raise ValueError("transfers built for different schedules cannot be joined")
-        offset = len(self.shapes)
-        hops = self.hops + [h + offset for h in other.hops]
-        return SlotTransfers(self.schedule, self.vpp, self.slots + other.slots, hops, self.shapes + other.shapes)
+        # Both sides passed the checks, and b's first row, the only one that
+        # meets a new row before it, is not chained: the join needs none.
+        joined = object.__new__(SlotTransfers)
+        joined.schedule, joined.vpp = self.schedule, self.vpp
+        joined.slots, joined.shapes = self.slots + other.slots, self.shapes + other.shapes
+        joined.hops = self.hops + [h + len(self.shapes) for h in other.hops]
+        return joined
 
     def ids(self) -> list:
         flat = [sl for slots in self.schedule for sl in slots]
@@ -289,12 +309,15 @@ def simulate_timeline(
     """Execute the schedule plus comm events and measure the step.
 
     chunk_costs maps (pp_stage, vpp_stage) to ChunkCost. ``transfers``, a
-    ``SlotTransfers`` built on this schedule, are placed first and the
-    ``CommEvent``s after them; a CommEvent cannot name a transfer by id.
-    Comm events run on their link resource; with policy.overlap_comm False
-    they additionally occupy the device's compute stream (fully exposed),
-    inserted right before the slot each one feeds. Backward slots are split
-    into an immediate part and a deferrable weight-gradient part when
+    ``SlotTransfers`` built on this schedule, take task positions first and
+    the ``CommEvent``s after them; a CommEvent cannot name a transfer by id.
+    Each slot's hops go into its device's program just before it, in row
+    order, ahead of any event that feeds the slot. Comm runs on its link
+    resource; with policy.overlap_comm False it additionally occupies the
+    device's compute stream (fully exposed). The overlap statistic sweeps
+    each link chain against its device's compute spans, both in order of
+    start, and folds the covered lengths in task order. Backward slots are
+    split into an immediate part and a deferrable weight-gradient part when
     policy.decouple_dw is set; downstream work waits only on the immediate
     part. Host dispatch is modeled when hw.host_dispatch_time > 0.
     """
@@ -335,26 +358,15 @@ def simulate_timeline(
         runs[s] = slice(len(device), len(duration))
         device += [s] * (len(duration) - len(device))
     base = len(duration)
+    ends = first[1:] + [base]  # slot number -> end of its compute tasks
     wait = [f + tpl.wait for f, tpl in zip(first, tpl_of)]
-    # The parent table: what the first part of each slot waits on, by slot
-    # number: its dataflow parent's waited-on part, or nothing at a graph
-    # source.
-    parents = (slot_at.get(dataflow_parent(sl, p, v)) for sl in slot_at)
-    parent_wait = [() if up is None else (wait[up],) for up in parents]
-    deps = [()] * base
-    for f, dep in zip(first, parent_wait):
-        deps[f] = dep
 
-    # Event rows. Each event gets a duration, resources, device and deps,
-    # its same-device event deps (local, by event index) and its place in
-    # its device's program: before the same-device slot it feeds, else
-    # after the last same-device slot it depends on, else in the device's
-    # tail. Its deps are its own in listed order, then the events feeding
-    # it in event order. Pricing is pure, so each distinct (kind, resource,
-    # bytes, group size) is priced once, and its bytes checked then.
-    priced, link_of, local = {}, {}, []
-    # before, after: slot number -> event indices; tails: device -> event indices
-    before, after, tails = defaultdict(list), defaultdict(list), defaultdict(list)
+    # Hop rows. A hop feeds a slot on its own device and waits on the slot's
+    # parent or on the hop before it, which feeds the same slot, so its rows
+    # come straight from the columns. Pricing is pure, so each distinct
+    # (kind, resource, bytes, group size) is priced once, and its bytes
+    # checked then.
+    priced, link_of = {}, {}
     resources = [COMPUTE] * base
 
     def seconds(shape, name):
@@ -366,35 +378,49 @@ def simulate_timeline(
     def link(res):
         return link_of.setdefault(res, (res,) if policy.overlap_comm else ("compute", res))
 
-    # A hop feeds a slot on its own device and waits on the slot's parent
-    # or on the hop before it, so its rows come straight from the columns.
     hop_slots, hop_shapes, shapes = transfers.slots, transfers.hops, transfers.shapes
     cost = dict.fromkeys(hop_shapes)  # the shapes in use, in the order of their first hop
     for h in cost:
         cost[h] = seconds(shapes[h][:4], lambda h=h: f"event {transfers.ids()[hop_shapes.index(h)]!r} bytes")
     links = [link(sh.resource) for sh in shapes]
     chained = [sh.chained for sh in shapes]
+    # The parent table: what the first part of each slot waits on, by slot
+    # number: its dataflow parent's waited-on part, or nothing at a graph
+    # source. The hops feeding a slot, in row order, run on its device just
+    # before it, and its first part waits on its parent, then on them.
+    parents = map(slot_at.get, [dataflow_parent(sl, p, v) for sl in slot_at])
+    parent_wait = [() if up is None else (wait[up],) for up in parents]
+    fed = [[] for _ in first]  # slot number -> positions of the hops feeding it
+    for j, g in zip(count(base), hop_slots):
+        fed[g].append(j)
+    deps = [()] * base
+    for f, dep, hops_in in zip(first, parent_wait, fed):
+        deps[f] = (*dep, *hops_in)
     device += [device[first[g]] for g in hop_slots]
     duration += map(cost.__getitem__, hop_shapes)
-    resources += [links[h] for h in hop_shapes]
+    resources += map(links.__getitem__, hop_shapes)
     deps += [(j - 1,) if chained[h] else parent_wait[g] for j, g, h in zip(count(base), hop_slots, hop_shapes)]
-    local += [(j - 1,) if chained[h] else () for j, h in enumerate(hop_shapes)]
-    for j, g in enumerate(hop_slots):
-        deps[first[g]] += (base + j,)
-        before[g].append(j)
 
-    # CommEvents name slots by ScheduleSlot record and events by id, each
-    # resolved once.
-    hops = len(transfers)
+    # Event rows, after the hops. Each event gets a duration, resources,
+    # device and deps, its same-device event deps (local, by event index)
+    # and its place in its device's program: after the hops into the
+    # same-device slot it feeds, else after the last same-device slot it
+    # depends on, else in the device's tail. Its deps are its own in listed
+    # order, then the events feeding it in event order. CommEvents name
+    # slots by ScheduleSlot record and events by id, each resolved once.
+    ebase = len(duration)  # position of event 0
+    local = []
+    # before, after: slot number -> event indices; tails: device -> event indices
+    before, after, tails = defaultdict(list), defaultdict(list), defaultdict(list)
     event_at = {}  # event id -> position
-    for pos, ev in enumerate(events, base + hops):
+    for pos, ev in enumerate(events, ebase):
         if ev.id in event_at:
             raise ValueError(f"duplicate task id {ev.id!r}")
         event_at[ev.id] = pos
     unknown_feed = None
     device += [ev.device for ev in events]
     deps += [()] * len(events)
-    for j, ev in enumerate(events, hops):
+    for j, ev in enumerate(events):
         eid, ekind, res, nbytes, refs, dev, group, feeds = ev
         duration.append(seconds((ekind, res, nbytes, group), f"event {eid!r} bytes"))
         resources.append(link(res))
@@ -405,18 +431,18 @@ def simulate_timeline(
                 home = g if device[first[g]] == dev else home
             elif (e := event_at.get(ref)) is not None:
                 own.append(e)
-                near += (e - base,) if device[e] == dev else ()
+                near += (e - ebase,) if device[e] == dev else ()
             else:
                 raise ValueError(f"task {eid!r} depends on unknown task {_spelled(ref)!r}")
-        deps[base + j] = (*own, *deps[base + j])
+        deps[ebase + j] = (*own, *deps[ebase + j])
         local.append(near)
         if (g := slot_at.get(feeds)) is not None:
-            deps[first[g]] += (base + j,)
+            deps[first[g]] += (ebase + j,)
             if device[first[g]] == dev:
                 before[g].append(j)
                 continue
         elif (e := event_at.get(feeds)) is not None:
-            deps[e] += (base + j,)
+            deps[e] += (ebase + j,)
         elif feeds is not None:
             unknown_feed = unknown_feed or ev
         if home is not None:
@@ -425,28 +451,28 @@ def simulate_timeline(
             tails[dev].append(j)
     if unknown_feed is not None:
         raise ValueError(f"task {unknown_feed.id!r} feeds unknown task {_spelled(unknown_feed.feeds)!r}")
-    kind += ["comm"] * len(local)
-    sync += [False] * len(local)
+    kind += ["comm"] * (len(duration) - base)
+    sync += [False] * (len(duration) - base)
 
-    # Every device runs one program: per slot, the events spliced in before
-    # it, its compute tasks and the events spliced in after it; then the
-    # tail. Same-device event dependencies are pulled in ahead of their
-    # dependents, depth first and without recursion, so every serial chain
-    # taken from a program is a linear extension of the dependency graph
-    # whatever order the caller built the event list in.
-    placed = [False] * len(local)
+    # Every device runs one program: per slot, the hops into it, the events
+    # spliced in before it, its compute tasks and the events spliced in
+    # after it; then the tail. Same-device event dependencies are pulled in
+    # ahead of their dependents, depth first and without recursion, so every
+    # serial chain taken from a program is a linear extension of the
+    # dependency graph whatever order the caller built the event list in.
+    placed = [False] * len(events)
 
     def emit(indices, program):
         for j in indices:
             if not placed[j] and all(map(placed.__getitem__, local[j])):
                 placed[j] = True
-                program.append(base + j)
+                program.append(ebase + j)
             elif not placed[j]:
                 todo = [(j, False)]  # (event index, dependencies placed), last first
                 while todo:
                     k, ready = todo.pop()
                     if ready:
-                        program.append(base + k)
+                        program.append(ebase + k)
                     elif not placed[k]:
                         placed[k] = True
                         todo.append((k, True))
@@ -456,18 +482,30 @@ def simulate_timeline(
     for dev in sorted({s for s, slots in enumerate(schedule) if slots} | tails.keys()):
         program = programs[dev] = []
         for g in stage_slots.get(dev, ()):
-            emit(before.get(g, ()), program)
-            program += range(first[g], first[g] + len(tpl_of[g].kinds))
-            emit(after.get(g, ()), program)
+            program += fed[g]
+            if g in before:
+                emit(before[g], program)
+            program += range(first[g], ends[g])
+            if g in after:
+                emit(after[g], program)
         emit(tails.get(dev, ()), program)
 
-    # Each serial resource runs its share of the program in program order;
-    # the host launches the whole program in that order.
-    chains = {}
+    # Each serial resource runs its share of the program in program order.
+    # One pass cuts the program by resource tuple. Tasks use COMPUTE or a
+    # link tuple, so a resource is on one tuple, whose cut is its chain, or
+    # on every tuple (compute, when comm does not overlap), and its chain is
+    # the whole program. Keys go in the order the resources are first used.
+    # The host launches the whole program.
+    chains, link_chains = {}, defaultdict(list)  # link_chains: device -> its link resources' chains
     for dev, program in programs.items():
+        cuts = {res: [] for res in map(resources.__getitem__, program)}  # in order of first use
         for pos in program:
-            for r in resources[pos]:
-                chains.setdefault((dev, r), []).append(pos)
+            cuts[resources[pos]].append(pos)
+        for r in dict.fromkeys(chain.from_iterable(cuts)):
+            holders = [res for res in cuts if r in res]
+            lane = chains[(dev, r)] = cuts[holders[0]] if len(holders) == 1 else list(program)
+            if r != COMPUTE[0]:
+                link_chains[dev].append(lane)
     columns = engine.TaskColumns(
         duration, [host_time] * len(duration), device, resources, kind, sync, deps, chains,
         programs if host_time > 0 else {},
@@ -482,13 +520,18 @@ def simulate_timeline(
     busy = tuple(reduce(add, duration[run], 0) for run in runs.values())
     bubble = 1.0 - reduce(add, busy, 0) / (p * result.makespan) if result.makespan > 0 else 0.0
     total_comm = reduce(add, duration[base:], 0)
-    covered = {}  # event position -> time its device's compute covers
-    for dev, program in programs.items():
+    # Every comm task is on one link chain. A stage's compute run and each
+    # chain run in order of start, so each chain's windows sweep its
+    # device's compute spans in one pass, merged once per device.
+    covered = [0.0] * (len(duration) - base)  # by comm task, hops then events
+    for dev, lanes in link_chains.items():
         run = runs.get(dev, slice(0))  # no compute on a device without a stage
-        comms = [i for i in program if i >= base]
-        windows = [(begin[i], finish[i]) for i in comms]
-        covered.update(zip(comms, engine.covered_lengths(zip(begin[run], finish[run]), windows)))
-    overlapped = reduce(add, map(covered.__getitem__, range(base, len(duration))), 0.0)
+        spans = engine.merged_intervals(zip(begin[run], finish[run]))
+        for lane in lanes:
+            windows = zip(map(begin.__getitem__, lane), map(finish.__getitem__, lane))
+            for i, c in zip(lane, engine.covered_lengths(spans, windows)):
+                covered[i - base] = c
+    overlapped = reduce(add, covered, 0.0)
     return StepReport(
         step_time=result.makespan,
         bubble_ratio=bubble,

@@ -1,6 +1,6 @@
 """The task-graph engine: input checks, deadlocks, a hand-timed host
 dispatch case, properties on random DAGs, the lane walk against the Kahn
-pass it replaced, its memory per task, and `covered_lengths`."""
+pass it replaced, its memory per task, and the overlap sweep."""
 
 import random
 import re
@@ -15,7 +15,7 @@ from test_pipeline import random_program
 
 from moesim import engine
 from moesim.configio import load_cluster, load_model, load_plan
-from moesim.engine import Task, TaskColumns, covered_lengths, run_columns, run_tasks
+from moesim.engine import Task, TaskColumns, covered_lengths, merged_intervals, run_columns, run_tasks
 from moesim.errors import DeadlockError
 from moesim.pipeline import simulate_timeline
 from moesim.search import SimulationFeatures, training_report
@@ -389,10 +389,10 @@ def overlap_reference(intervals, s, e):
 
 
 def test_covered_lengths_match_left_to_right_scan():
-    """The sweep, given the spans in shuffled order and the windows in
-    drawn order, returns each window's scan of the sorted spans, bit for
-    bit."""
-    rng, shuffler = random.Random(7), random.Random(8)
+    """The sweep, given the spans and the windows in order of start, as a
+    serial chain runs them, returns each window's scan of the spans, bit
+    for bit."""
+    rng = random.Random(7)
     for _ in range(300):
         intervals, t = [], rng.uniform(-5.0, 5.0)
         for _ in range(rng.randint(0, 12)):
@@ -406,5 +406,13 @@ def test_covered_lengths_match_left_to_right_scan():
         starts += [rng.uniform(b, a) for (_, b), (a, _) in zip(intervals, intervals[1:])]  # gaps
         windows = [(s, e) for s in starts
                    for e in (s, s + rng.uniform(0.0, 1.0), s + rng.uniform(0.0, hi - lo + 2.0), hi + 5.0)]
-        spans = shuffler.sample(intervals, len(intervals))
-        assert covered_lengths(spans, windows) == [overlap_reference(intervals, s, e) for s, e in windows]
+        windows.sort(key=lambda w: w[0])
+        assert covered_lengths(intervals, windows) == [overlap_reference(intervals, s, e) for s, e in windows]
+
+
+def test_merged_intervals_join_touching_and_nested_spans():
+    """Spans in order of start: empty ones drop out, and touching, nested
+    or overlapping ones join into one."""
+    spans = [(0.0, 1.0), (1.0, 2.0), (1.5, 1.7), (3.0, 3.0), (4.0, 5.0), (4.5, 6.0), (7.0, 6.5), (8.0, 9.0)]
+    assert merged_intervals(spans) == [(0.0, 2.0), (4.0, 6.0), (8.0, 9.0)]
+    assert merged_intervals([]) == merged_intervals([(2.0, 2.0)]) == []

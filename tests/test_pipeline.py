@@ -8,7 +8,9 @@ import random
 import re
 import subprocess
 import sys
+from collections import defaultdict
 from functools import reduce
+from itertools import count
 from operator import add
 from pathlib import Path
 
@@ -18,18 +20,26 @@ from hypothesis import strategies as st
 
 import moesim
 
+from moesim import engine
 from moesim.cluster import CommGroup, HardwareDescription, collective_time
-from moesim.comm import CommEvent
+from moesim.comm import MECHANISMS, CommEvent
 from moesim.engine import run_tasks
 from moesim.model import MlaDims, ModelConfig, flops_per_token
-from moesim.parallel import ParallelPlan
+from moesim.parallel import ParallelPlan, assign_chunks
 from moesim.pipeline import (
+    COMPUTE,
     SERIALIZED,
     ChunkCost,
     HopShape,
     OverlapPolicy,
     ScheduleSlot,
     SlotTransfers,
+    StepReport,
+    _comm_seconds,
+    _Parts,
+    _require_nonnegative,
+    _slot_parts,
+    _spelled,
     analytic_bubble_ratio,
     build_1f1b_schedule,
     dataflow_parent,
@@ -38,6 +48,8 @@ from moesim.pipeline import (
     summarize,
     uniform_chunk_costs,
 )
+from moesim.search import boundary_transfer_events, chunk_costs_from_model, slot_dispatch_events
+from test_search import bench_cluster, bench_model
 
 
 def test_analytic_bubble_reference_points():
@@ -374,6 +386,29 @@ def test_slot_transfers_are_checked_like_events():
     assert (hop.device, hop.deps) == (1, ("fwd:p0:v0:m1",))
 
 
+def test_slot_transfers_refuse_a_chained_row_they_cannot_chain():
+    """A chained hop waits on the row before it, so that row must feed the
+    same slot: a chained first row (it would wait on the step's last
+    compute task) and a chained row after another slot's row are refused
+    with the row named, also as the right side of ``a + b``."""
+    sched = build_1f1b_schedule(2, 2)
+    plain = HopShape("p2p", "intra_link", 1e9, 0, False, "x:", "")
+    chained = HopShape("p2p", "intra_link", 1e9, 0, True, "x:", ":b")
+    first = "^hop row 0 is chained to the hop before it into slot 3, but it is the first row$"
+    with pytest.raises(ValueError, match=first):
+        SlotTransfers(sched, 1, [3], [0], [chained])
+    with pytest.raises(ValueError, match="^hop row 1 is chained to the hop before it into slot 1, but row 0 feeds slot 2$"):
+        SlotTransfers(sched, 1, [2, 1], [0, 1], [plain, chained])
+    with pytest.raises(ValueError, match="^hop row 3 is chained to the hop before it into slot 1, but row 2 feeds slot 2$"):
+        SlotTransfers(sched, 1, [2, 2, 2, 1], [0, 1, 1, 1], [plain, chained])
+    head = SlotTransfers(sched, 1, [3], [0], [plain])
+    with pytest.raises(ValueError, match=first):
+        head + SlotTransfers(sched, 1, [3], [0], [chained])
+    joined = head + SlotTransfers(sched, 1, [2, 2], [0, 1], [plain, chained])
+    assert (joined.slots, joined.hops) == ([3, 2, 2], [0, 1, 2])
+    assert [ev.dependencies for ev in joined.events()][1:] == [(ScheduleSlot(1, 0, 0, "bwd"),), ("x:bwd:p0:v0:m0",)]
+
+
 @pytest.mark.parametrize("group_size", [0, 1])
 def test_plain_transfer_is_priced_as_a_p2p_between_two_devices(group_size):
     """An event with group_size <= 1 costs a p2p of its bytes in a group of
@@ -536,7 +571,21 @@ def random_program(rng):
         num_nodes=1,
         host_dispatch_time=rng.choice([0.0, 0.05]),
     )
-    all_slots = [sl for slots in schedule for sl in slots]
+    events = random_events(rng, [sl for slots in schedule for sl in slots], p, v)
+    policy = OverlapPolicy(
+        overlap_comm=rng.random() < 0.5,
+        decouple_dw=rng.random() < 0.5,
+        dw_fraction=rng.choice([0.0, 0.3, 0.5]),
+        host_gmm_first=rng.random() < 0.5,
+    )
+    return schedule, costs, events, policy, hw
+
+
+def random_events(rng, all_slots, p, v):
+    """Up to eight CommEvents in shuffled order that wait on and feed
+    ``all_slots`` of a p-stage, v-chunk schedule: follow-up transfers into
+    the slot the previous event fed, events on devices without a stage,
+    and collectives with group_size > 1."""
     events = []
     for j in range(rng.randint(0, 8)):
         draw = rng.random()
@@ -570,13 +619,7 @@ def random_program(rng):
             )
         )
     rng.shuffle(events)
-    policy = OverlapPolicy(
-        overlap_comm=rng.random() < 0.5,
-        decouple_dw=rng.random() < 0.5,
-        dw_fraction=rng.choice([0.0, 0.3, 0.5]),
-        host_gmm_first=rng.random() < 0.5,
-    )
-    return schedule, costs, events, policy, hw
+    return events
 
 
 # (step_time, bubble_ratio, comm_overlap_rate, exposed_comm_time,
@@ -684,3 +727,320 @@ def test_report_figures_are_left_folds_over_the_timeline(seed, hosted, overlap):
     assert repr(rep.per_stage_busy) == repr(busy)
     assert repr(rep.bubble_ratio) == repr(bubble)
     assert repr(rep.host_idle_time) == repr(reduce(add, tl.host_delay.values(), 0))
+
+
+# The simulator and the overlap sweep as they were before hops were placed
+# by slot, kept verbatim as the oracle for the program and chain assembly.
+def oracle_merged_intervals(spans):
+    """Sorted union of the non-empty (start, end) spans."""
+    merged = []
+    for s, e in sorted(spans):
+        if e > s:
+            if merged and s <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
+            else:
+                merged.append((s, e))
+    return merged
+
+
+def oracle_covered_lengths(spans, windows) -> list:
+    """For each (start, end) window, the length of it that the union of the
+    spans covers, added piece by piece from left to right. One sweep: the
+    windows go in order of start, and the first merged span a window can
+    reach only moves forward."""
+    merged = oracle_merged_intervals(spans)
+    last, first = len(merged), 0
+    covered = [0.0] * len(windows)
+    for k in sorted(range(len(windows)), key=windows.__getitem__):
+        s, e = windows[k]
+        while first < last and merged[first][1] <= s:
+            first += 1
+        i = first
+        while i < last and merged[i][0] < e:
+            a, b = merged[i]
+            covered[k] += (e if e < b else b) - (s if s > a else a)  # min(b, e) - max(a, s), inlined
+            i += 1
+    return covered
+
+
+def oracle_simulate_timeline(
+    schedule,
+    chunk_costs,
+    comm_events=(),
+    policy: OverlapPolicy | None = None,
+    hw: HardwareDescription | None = None,
+    transfers: SlotTransfers | None = None,
+) -> StepReport:
+    """The simulator as it was before hops were placed by slot: every hop
+    and event goes through ``emit``, the chains take one append per task
+    and resource, and the overlap sweep sorts its spans and windows."""
+    policy = policy or OverlapPolicy()
+    events = tuple(comm_events)
+    transfers = transfers if transfers is not None else SlotTransfers(schedule, 1)
+    if transfers.schedule is not schedule and transfers.schedule != schedule:
+        raise ValueError("transfers were built on another schedule")
+    if (events or transfers) and hw is None:
+        raise ValueError("hw is required when comm events are present")
+    p = len(schedule)
+    v = 1 + max((sl.vpp_stage for slots in schedule for sl in slots), default=0)
+    host_time = hw.host_dispatch_time if hw is not None else 0.0
+
+    # Task positions: each slot's compute tasks in schedule order, then the
+    # transfers' hops, then the events in event order. Parts are derived once
+    # per (phase, stage, chunk).
+    templates, slot_at, stage_slots = {}, {}, {}  # slot_at: slot -> slot number
+    runs = {}  # stage -> slice of its compute task positions
+    tpl_of, first = [], []  # by slot number
+    duration, kind, sync, device = [], [], [], []
+    for s, slots in enumerate(schedule):
+        stage_slots[s] = range(len(tpl_of), len(tpl_of) + len(slots))
+        for sl in slots:
+            key = (sl.phase, sl.pp_stage, sl.vpp_stage)
+            if key not in templates:
+                parts = _slot_parts(sl.phase, chunk_costs[key[1:]], policy, host_time > 0)
+                templates[key] = _Parts(*zip(*parts), len(parts) - 1 - (parts[-1][2] == "bwd_dw"))
+            tpl = templates[key]
+            if sl in slot_at:
+                raise ValueError(f"duplicate task id {slot_id(sl) + tpl.suffixes[0]!r}")
+            slot_at[sl] = len(tpl_of)
+            tpl_of.append(tpl)
+            first.append(len(duration))
+            duration += tpl.durations
+            kind += tpl.kinds
+            sync += tpl.syncs
+        runs[s] = slice(len(device), len(duration))
+        device += [s] * (len(duration) - len(device))
+    base = len(duration)
+    wait = [f + tpl.wait for f, tpl in zip(first, tpl_of)]
+    # The parent table: what the first part of each slot waits on, by slot
+    # number: its dataflow parent's waited-on part, or nothing at a graph
+    # source.
+    parents = (slot_at.get(dataflow_parent(sl, p, v)) for sl in slot_at)
+    parent_wait = [() if up is None else (wait[up],) for up in parents]
+    deps = [()] * base
+    for f, dep in zip(first, parent_wait):
+        deps[f] = dep
+
+    # Event rows. Each event gets a duration, resources, device and deps,
+    # its same-device event deps (local, by event index) and its place in
+    # its device's program: before the same-device slot it feeds, else
+    # after the last same-device slot it depends on, else in the device's
+    # tail. Its deps are its own in listed order, then the events feeding
+    # it in event order. Pricing is pure, so each distinct (kind, resource,
+    # bytes, group size) is priced once, and its bytes checked then.
+    priced, link_of, local = {}, {}, []
+    # before, after: slot number -> event indices; tails: device -> event indices
+    before, after, tails = defaultdict(list), defaultdict(list), defaultdict(list)
+    resources = [COMPUTE] * base
+
+    def seconds(shape, name):
+        if shape not in priced:
+            _require_nonnegative(name, shape[2])
+            priced[shape] = _comm_seconds(*shape, hw)
+        return priced[shape]
+
+    def link(res):
+        return link_of.setdefault(res, (res,) if policy.overlap_comm else ("compute", res))
+
+    # A hop feeds a slot on its own device and waits on the slot's parent
+    # or on the hop before it, so its rows come straight from the columns.
+    hop_slots, hop_shapes, shapes = transfers.slots, transfers.hops, transfers.shapes
+    cost = dict.fromkeys(hop_shapes)  # the shapes in use, in the order of their first hop
+    for h in cost:
+        cost[h] = seconds(shapes[h][:4], lambda h=h: f"event {transfers.ids()[hop_shapes.index(h)]!r} bytes")
+    links = [link(sh.resource) for sh in shapes]
+    chained = [sh.chained for sh in shapes]
+    device += [device[first[g]] for g in hop_slots]
+    duration += map(cost.__getitem__, hop_shapes)
+    resources += [links[h] for h in hop_shapes]
+    deps += [(j - 1,) if chained[h] else parent_wait[g] for j, g, h in zip(count(base), hop_slots, hop_shapes)]
+    local += [(j - 1,) if chained[h] else () for j, h in enumerate(hop_shapes)]
+    for j, g in enumerate(hop_slots):
+        deps[first[g]] += (base + j,)
+        before[g].append(j)
+
+    # CommEvents name slots by ScheduleSlot record and events by id, each
+    # resolved once.
+    hops = len(transfers)
+    event_at = {}  # event id -> position
+    for pos, ev in enumerate(events, base + hops):
+        if ev.id in event_at:
+            raise ValueError(f"duplicate task id {ev.id!r}")
+        event_at[ev.id] = pos
+    unknown_feed = None
+    device += [ev.device for ev in events]
+    deps += [()] * len(events)
+    for j, ev in enumerate(events, hops):
+        eid, ekind, res, nbytes, refs, dev, group, feeds = ev
+        duration.append(seconds((ekind, res, nbytes, group), f"event {eid!r} bytes"))
+        resources.append(link(res))
+        own, near, home = [], (), None  # home: the last same-device slot depended on
+        for ref in refs:
+            if (g := slot_at.get(ref)) is not None:
+                own.append(wait[g])
+                home = g if device[first[g]] == dev else home
+            elif (e := event_at.get(ref)) is not None:
+                own.append(e)
+                near += (e - base,) if device[e] == dev else ()
+            else:
+                raise ValueError(f"task {eid!r} depends on unknown task {_spelled(ref)!r}")
+        deps[base + j] = (*own, *deps[base + j])
+        local.append(near)
+        if (g := slot_at.get(feeds)) is not None:
+            deps[first[g]] += (base + j,)
+            if device[first[g]] == dev:
+                before[g].append(j)
+                continue
+        elif (e := event_at.get(feeds)) is not None:
+            deps[e] += (base + j,)
+        elif feeds is not None:
+            unknown_feed = unknown_feed or ev
+        if home is not None:
+            after[home].append(j)
+        else:
+            tails[dev].append(j)
+    if unknown_feed is not None:
+        raise ValueError(f"task {unknown_feed.id!r} feeds unknown task {_spelled(unknown_feed.feeds)!r}")
+    kind += ["comm"] * len(local)
+    sync += [False] * len(local)
+
+    # Every device runs one program: per slot, the events spliced in before
+    # it, its compute tasks and the events spliced in after it; then the
+    # tail. Same-device event dependencies are pulled in ahead of their
+    # dependents, depth first and without recursion, so every serial chain
+    # taken from a program is a linear extension of the dependency graph
+    # whatever order the caller built the event list in.
+    placed = [False] * len(local)
+
+    def emit(indices, program):
+        for j in indices:
+            if not placed[j] and all(map(placed.__getitem__, local[j])):
+                placed[j] = True
+                program.append(base + j)
+            elif not placed[j]:
+                todo = [(j, False)]  # (event index, dependencies placed), last first
+                while todo:
+                    k, ready = todo.pop()
+                    if ready:
+                        program.append(base + k)
+                    elif not placed[k]:
+                        placed[k] = True
+                        todo.append((k, True))
+                        todo += [(d, False) for d in reversed(local[k])]
+
+    programs = {}
+    for dev in sorted({s for s, slots in enumerate(schedule) if slots} | tails.keys()):
+        program = programs[dev] = []
+        for g in stage_slots.get(dev, ()):
+            emit(before.get(g, ()), program)
+            program += range(first[g], first[g] + len(tpl_of[g].kinds))
+            emit(after.get(g, ()), program)
+        emit(tails.get(dev, ()), program)
+
+    # Each serial resource runs its share of the program in program order;
+    # the host launches the whole program in that order.
+    chains = {}
+    for dev, program in programs.items():
+        for pos in program:
+            for r in resources[pos]:
+                chains.setdefault((dev, r), []).append(pos)
+    columns = engine.TaskColumns(
+        duration, [host_time] * len(duration), device, resources, kind, sync, deps, chains,
+        programs if host_time > 0 else {},
+    )
+
+    def names():
+        slots = [slot_id(sl) + x for sl, tpl in zip(slot_at, tpl_of) for x in tpl.suffixes]
+        return slots + transfers.ids() + [ev.id for ev in events]
+
+    result = engine.run_columns(columns, names)
+    begin, finish = result.begin, result.finish
+    busy = tuple(reduce(add, duration[run], 0) for run in runs.values())
+    bubble = 1.0 - reduce(add, busy, 0) / (p * result.makespan) if result.makespan > 0 else 0.0
+    total_comm = reduce(add, duration[base:], 0)
+    covered = {}  # event position -> time its device's compute covers
+    for dev, program in programs.items():
+        run = runs.get(dev, slice(0))  # no compute on a device without a stage
+        comms = [i for i in program if i >= base]
+        windows = [(begin[i], finish[i]) for i in comms]
+        covered.update(zip(comms, oracle_covered_lengths(zip(begin[run], finish[run]), windows)))
+    overlapped = reduce(add, map(covered.__getitem__, range(base, len(duration))), 0.0)
+    return StepReport(
+        step_time=result.makespan,
+        bubble_ratio=bubble,
+        comm_overlap_rate=1.0 if total_comm == 0 else overlapped / total_comm,
+        exposed_comm_time=total_comm - overlapped,
+        host_idle_time=reduce(add, result.host_delays(), 0),
+        per_stage_busy=busy,
+        timeline=result,
+    )
+
+
+def hop_program(seed, mechanism, nodes, pp, vpp, rounds, ep, hosted, overlap):
+    """A small training step with both builders' hops and random CommEvents
+    that wait on and feed the slots those hops feed, with host dispatch and
+    overlap as given."""
+    rng = random.Random(seed)
+    cfg = bench_model(num_layers=8, num_routed_experts=8)
+    plan = ParallelPlan(tp=1, pp=pp, vpp=vpp, ep=ep, dp=ep, micro_batch_size=1)
+    schedule = build_1f1b_schedule(pp, rounds * pp, vpp)
+    hw = bench_cluster(num_nodes=nodes, host_dispatch_time=1e-6 if hosted else 0.0)
+    layout = assign_chunks(cfg, plan)
+    transfers = boundary_transfer_events(schedule, cfg, plan, hw)
+    transfers += slot_dispatch_events(schedule, cfg, plan, layout, hw, mechanism)
+    flat = [sl for slots in schedule for sl in slots]
+    fed = [flat[g] for g in dict.fromkeys(transfers.slots)] or flat
+    events = random_events(rng, fed, pp, vpp)
+    policy = OverlapPolicy(overlap_comm=overlap, decouple_dw=rng.random() < 0.5, host_gmm_first=rng.random() < 0.5)
+    return schedule, chunk_costs_from_model(cfg, plan, layout, hw), events, policy, hw, transfers
+
+
+HOP_PROGRAMS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    mechanism=st.sampled_from(MECHANISMS),
+    nodes=st.sampled_from((1, 2, 4)),
+    pp=st.integers(1, 4),
+    vpp=st.integers(1, 2),
+    rounds=st.integers(1, 3),
+    ep=st.sampled_from((1, 2, 4)),
+    hosted=st.booleans(),
+    overlap=st.booleans(),
+)
+
+
+@settings(database=None, derandomize=True, max_examples=120, deadline=None)
+@given(**HOP_PROGRAMS)
+def test_hops_and_events_are_placed_like_the_oracle(**draw):
+    """Hops placed by slot and chains cut by resource give the oracle's
+    step: the same task columns, chains with their key order, host order,
+    every view keyed by id and every report figure, bit for bit."""
+    step = hop_program(**draw)
+    rep, ref = simulate_timeline(*step), oracle_simulate_timeline(*step)
+    got, want = rep.timeline.columns, ref.timeline.columns
+    for field in ("duration", "device", "resources", "kind", "sync_host", "deps"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert list(got.chains.items()) == list(want.chains.items())
+    assert list(got.host_order.items()) == list(want.host_order.items())
+    assert bool(got.host_order) == draw["hosted"]
+    for view in ("start", "end", "dispatch_end", "host_delay", "tasks", "chains"):
+        assert list(getattr(rep.timeline, view).items()) == list(getattr(ref.timeline, view).items()), view
+    figures = [f.name for f in dataclasses.fields(rep) if f.name != "timeline"]
+    assert [repr(getattr(rep, f)) for f in figures] == [repr(getattr(ref, f)) for f in figures]
+
+
+@settings(database=None, derandomize=True, max_examples=120, deadline=None)
+@given(**HOP_PROGRAMS)
+def test_compute_runs_and_link_chains_run_in_order_of_start(**draw):
+    """What the overlap sweep takes unsorted: every stage's compute tasks,
+    in position order, begin in order and do not overlap, and every link
+    chain's tasks begin in order."""
+    tl = simulate_timeline(*hop_program(**draw)).timeline
+    c, begin, finish = tl.columns, tl.begin, tl.finish
+    for s in range(draw["pp"]):
+        run = [i for i, (d, k) in enumerate(zip(c.device, c.kind)) if d == s and k != "comm"]
+        assert all(finish[i] <= begin[j] for i, j in zip(run, run[1:]))
+        assert all(begin[i] <= begin[j] for i, j in zip(run, run[1:]))
+    links = [chain for (_, r), chain in c.chains.items() if r != "compute"]
+    assert sum(map(len, links)) == c.kind.count("comm")
+    for chain in links:
+        assert all(begin[i] <= begin[j] for i, j in zip(chain, chain[1:]))
