@@ -22,7 +22,7 @@ from .balance import (
     trace_statistics,
 )
 from .cluster import CommGroup, HardwareDescription, collective_time, kernel_time
-from .comm import CommEvent, DispatchVolumes, dispatch_volumes
+from .comm import DispatchVolumes, dispatch_volumes
 from .configio import load_cluster, load_model, load_plan, load_space, load_trace_spec
 from .errors import (
     DeadlockError,

@@ -18,7 +18,6 @@ Three dispatch mechanisms are modeled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 MECHANISMS = ("hierarchical", "alltoall", "allgather")
 
@@ -32,30 +31,6 @@ class DispatchVolumes:
     @property
     def total_bytes(self) -> float:
         return self.inter_node_bytes + self.intra_node_bytes
-
-
-class CommEvent(NamedTuple):
-    """One hand-built communication op for the timeline simulator, as a
-    plain record.
-
-    ``dependencies`` hold the schedule slots (``ScheduleSlot`` records)
-    and the ids of the events this event waits for; ``feeds`` optionally
-    holds the slot or event id that must wait for this event, and must
-    refer to one that exists. An id names another CommEvent, never a hop
-    of the ``pipeline.SlotTransfers`` rows the training step is built
-    from. ``simulate_timeline`` resolves each reference once per call.
-    ``group_size`` > 1 makes the duration follow the collective cost
-    model; otherwise the event is a plain transfer.
-    """
-
-    id: str
-    kind: str  # allgather | alltoall | p2p | ...
-    resource: str  # inter_link | intra_link
-    bytes: float
-    dependencies: tuple = ()
-    device: int = 0
-    group_size: int = 0
-    feeds: tuple | str | None = None  # a ScheduleSlot, an event id or None
 
 
 def dispatch_volumes(

@@ -3,9 +3,11 @@
 Tasks occupy one or more serial resources on a device. Execution order per
 resource is fixed up front (the chain), so timing reduces to a longest-path
 pass over the combined graph of chain edges, dependency edges, and host
-dispatch edges. Because enabling an overlap feature only removes edges
-while chains stay fixed, features can never lengthen the step, and no two
-tasks on one resource can ever overlap.
+dispatch edges, and no two tasks on one resource can ever overlap. An
+overlap feature that only removes edges while the chains keep their order
+can never lengthen the step. `host_gmm_first` is not one: it reorders a
+forward's grouped matmul and permute on the chains, so that argument does
+not cover it.
 
 Host modeling: every task may carry a host-side dispatch cost. Dispatches
 run serially per device in the given host order, ahead of device execution

@@ -4,34 +4,26 @@ The schedule is the one-forward-one-backward family: classic 1F1B when
 vpp == 1, and the interleaved variant when vpp > 1 (which requires the
 micro batch count to divide evenly by the stage count; plans violating
 that are rejected at validation). The simulation turns the schedule's
-slots, the transfers' hops and any communication events into one ordered
-program per device: for each slot in schedule order, the hops into it in
-row order, the events spliced in before it, its compute tasks, and the
-events spliced in after it, then the device's remaining events. Each
-serial resource (compute, inter_link, intra_link) runs the program's tasks
-that use it, in program order, and the host launches the whole program in
-that order.
+slots and the transfers' hops into one ordered program per device: for
+each slot in schedule order, the hops into it in row order, then its
+compute tasks. Each serial resource (compute, inter_link, intra_link) runs
+the program's tasks that use it, in program order, and the host launches
+the whole program in that order.
 
 Tasks are integer positions. Each stage's compute tasks are one
 contiguous run, in the order its compute chain runs them; the transfers'
-hops follow, then the events, in event order. The training step's
-transfers come as ``SlotTransfers`` rows: each hop names the slot it feeds
-by its number in schedule order and carries its kind, resource, bytes and
-group size. The first hop into a slot waits on the slot's dataflow parent,
-read from one parent table (one ``dataflow_parent`` call per slot), and
-each later hop on the hop before it. Hand-built CommEvents name a slot by
-its ScheduleSlot record and an event by its id; a reference to neither is
-rejected, and no CommEvent can name a transfer by id. Hops go into the
-programs by slot number; only events are placed by their references, with
-their same-device event dependencies pulled in ahead of them. Slot ids
-(``{phase}:p{stage}:v{chunk}:m{micro_batch}``) only spell task ids, which
-are spelled only when a timeline view keyed by id is read or
-``SlotTransfers.events()`` is called.
+hops follow in row order. The transfers come as ``SlotTransfers`` rows:
+each hop names the slot it feeds by its number in schedule order and
+carries its kind, resource, bytes and group size. The first hop into a
+slot waits on the slot's dataflow parent, read from one parent table (one
+``dataflow_parent`` call per slot), and each later hop on the hop before
+it. Slot ids (``{phase}:p{stage}:v{chunk}:m{micro_batch}``) only spell task
+ids, which are spelled only when a timeline view keyed by id is read.
 
 The report gives step time, bubble fraction, communication overlap and
 host-induced idle time. Every figure that adds floats is a left fold
-(``functools.reduce``) in task, event or host order: from Python 3.12
-``sum()`` compensates its rounding, so its bits depend on the interpreter.
+(``functools.reduce``) in task or host order: from Python 3.12 ``sum()``
+compensates its rounding, so its bits depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -46,7 +38,6 @@ from typing import NamedTuple
 
 from . import engine
 from .cluster import CommGroup, HardwareDescription, collective_time
-from .comm import CommEvent
 from .model import ModelConfig
 from .parallel import ParallelPlan
 
@@ -133,11 +124,6 @@ def slot_id(slot: ScheduleSlot) -> str:
     return f"{slot.phase}:p{slot.pp_stage}:v{slot.vpp_stage}:m{slot.micro_batch}"
 
 
-def _spelled(ref) -> str:
-    """An event's slot or event reference as error messages name it."""
-    return ref if isinstance(ref, str) else slot_id(ref)
-
-
 def _interleaved_order(i: int, p: int, v: int, backward: bool):
     group, r = divmod(i, p * v)
     chunk, lane = divmod(r, p)
@@ -219,13 +205,13 @@ class SlotTransfers:
     chained one waits on the hop before it, which must feed the same slot:
     a chained first row, or one whose previous row feeds another slot, is
     refused. ``len()`` is the hop count, and ``a + b`` lists a's hops, then
-    b's. Ids are spelled only by ``ids`` and ``events``.
+    b's. Ids are spelled only by ``ids``.
     """
 
-    __slots__ = ("schedule", "vpp", "slots", "hops", "shapes")
+    __slots__ = ("schedule", "slots", "hops", "shapes")
 
-    def __init__(self, schedule, vpp: int, slots=(), hops=(), shapes=()):
-        self.schedule, self.vpp = schedule, vpp
+    def __init__(self, schedule, slots=(), hops=(), shapes=()):
+        self.schedule = schedule
         self.slots, self.hops, self.shapes = list(slots), list(hops), list(shapes)
         if len(self.slots) != len(self.hops):
             raise ValueError(f"{len(self.slots)} slot numbers for {len(self.hops)} hops")
@@ -247,12 +233,12 @@ class SlotTransfers:
     def __add__(self, other: SlotTransfers) -> SlotTransfers:
         if not isinstance(other, SlotTransfers):
             return NotImplemented
-        if other.schedule is not self.schedule or other.vpp != self.vpp:
+        if other.schedule is not self.schedule:
             raise ValueError("transfers built for different schedules cannot be joined")
         # Both sides passed the checks, and b's first row, the only one that
         # meets a new row before it, is not chained: the join needs none.
         joined = object.__new__(SlotTransfers)
-        joined.schedule, joined.vpp = self.schedule, self.vpp
+        joined.schedule = self.schedule
         joined.slots, joined.shapes = self.slots + other.slots, self.shapes + other.shapes
         joined.hops = self.hops + [h + len(self.shapes) for h in other.hops]
         return joined
@@ -261,21 +247,6 @@ class SlotTransfers:
         flat = [sl for slots in self.schedule for sl in slots]
         shapes = self.shapes
         return [shapes[h].prefix + slot_id(flat[g]) + shapes[h].suffix for g, h in zip(self.slots, self.hops)]
-
-    def events(self) -> list:
-        """The hops as ``CommEvent`` records, in hop order."""
-        flat = [sl for slots in self.schedule for sl in slots]
-        events = []
-        for eid, g, h in zip(self.ids(), self.slots, self.hops):
-            kind, resource, nbytes, group, chained = self.shapes[h][:5]
-            sl = flat[g]
-            if chained:
-                prior = (events[-1].id,)
-            else:
-                parent = dataflow_parent(sl, len(self.schedule), self.vpp)
-                prior = (parent,) if parent is not None else ()
-            events.append(CommEvent(eid, kind, resource, nbytes, prior, sl.pp_stage, group, sl))
-        return events
 
 
 def _slot_parts(phase: str, cost: ChunkCost, policy: OverlapPolicy, split_fwd: bool) -> list:
@@ -301,61 +272,59 @@ def _slot_parts(phase: str, cost: ChunkCost, policy: OverlapPolicy, split_fwd: b
 def simulate_timeline(
     schedule,
     chunk_costs,
-    comm_events=(),
+    *,
     policy: OverlapPolicy | None = None,
     hw: HardwareDescription | None = None,
     transfers: SlotTransfers | None = None,
 ) -> StepReport:
-    """Execute the schedule plus comm events and measure the step.
+    """Execute the schedule plus its transfers and measure the step.
 
     chunk_costs maps (pp_stage, vpp_stage) to ChunkCost. ``transfers``, a
-    ``SlotTransfers`` built on this schedule, take task positions first and
-    the ``CommEvent``s after them; a CommEvent cannot name a transfer by id.
-    Each slot's hops go into its device's program just before it, in row
-    order, ahead of any event that feeds the slot. Comm runs on its link
-    resource; with policy.overlap_comm False it additionally occupies the
-    device's compute stream (fully exposed). The overlap statistic sweeps
-    each link chain against its device's compute spans, both in order of
-    start, and folds the covered lengths in task order. Backward slots are
-    split into an immediate part and a deferrable weight-gradient part when
+    ``SlotTransfers`` built on this schedule, take task positions after the
+    compute tasks. Each slot's hops go into its device's program just before
+    it, in row order. Comm runs on its link resource; with
+    policy.overlap_comm False it additionally occupies the device's compute
+    stream (fully exposed). The overlap statistic sweeps each link chain
+    against its device's compute spans, both in order of start, and folds
+    the covered lengths in task order. Backward slots are split into an
+    immediate part and a deferrable weight-gradient part when
     policy.decouple_dw is set; downstream work waits only on the immediate
     part. Host dispatch is modeled when hw.host_dispatch_time > 0.
     """
     policy = policy or OverlapPolicy()
-    events = tuple(comm_events)
-    transfers = transfers if transfers is not None else SlotTransfers(schedule, 1)
+    transfers = transfers if transfers is not None else SlotTransfers(schedule)
     if transfers.schedule is not schedule and transfers.schedule != schedule:
         raise ValueError("transfers were built on another schedule")
-    if (events or transfers) and hw is None:
-        raise ValueError("hw is required when comm events are present")
+    if transfers and hw is None:
+        raise ValueError("hw is required when transfers are present")
     p = len(schedule)
     v = 1 + max((sl.vpp_stage for slots in schedule for sl in slots), default=0)
     host_time = hw.host_dispatch_time if hw is not None else 0.0
 
     # Task positions: each slot's compute tasks in schedule order, then the
-    # transfers' hops, then the events in event order. Parts are derived once
-    # per (phase, stage, chunk).
-    templates, slot_at, stage_slots = {}, {}, {}  # slot_at: slot -> slot number
-    runs = {}  # stage -> slice of its compute task positions
+    # transfers' hops in row order. Parts are derived once per (phase,
+    # stage, chunk).
+    templates, slot_at, stage_slots = {}, {}, []  # slot_at: slot -> slot number
+    runs = []  # by stage: slice of its compute task positions
     tpl_of, first = [], []  # by slot number
     duration, kind, sync, device = [], [], [], []
     for s, slots in enumerate(schedule):
-        stage_slots[s] = range(len(tpl_of), len(tpl_of) + len(slots))
+        stage_slots.append(range(len(tpl_of), len(tpl_of) + len(slots)))
         for sl in slots:
-            key = (sl.phase, sl.pp_stage, sl.vpp_stage)
-            if key not in templates:
-                parts = _slot_parts(sl.phase, chunk_costs[key[1:]], policy, host_time > 0)
-                templates[key] = _Parts(*zip(*parts), len(parts) - 1 - (parts[-1][2] == "bwd_dw"))
-            tpl = templates[key]
-            if sl in slot_at:
+            key = (sl[3], sl[0], sl[1])  # (phase, pp_stage, vpp_stage)
+            tpl = templates.get(key)
+            if tpl is None:
+                parts = _slot_parts(key[0], chunk_costs[key[1:]], policy, host_time > 0)
+                tpl = templates[key] = _Parts(*zip(*parts), len(parts) - 1 - (parts[-1][2] == "bwd_dw"))
+            g = len(tpl_of)
+            if slot_at.setdefault(sl, g) != g:
                 raise ValueError(f"duplicate task id {slot_id(sl) + tpl.suffixes[0]!r}")
-            slot_at[sl] = len(tpl_of)
             tpl_of.append(tpl)
             first.append(len(duration))
             duration += tpl.durations
             kind += tpl.kinds
             sync += tpl.syncs
-        runs[s] = slice(len(device), len(duration))
+        runs.append(slice(len(device), len(duration)))
         device += [s] * (len(duration) - len(device))
     base = len(duration)
     ends = first[1:] + [base]  # slot number -> end of its compute tasks
@@ -366,23 +335,16 @@ def simulate_timeline(
     # come straight from the columns. Pricing is pure, so each distinct
     # (kind, resource, bytes, group size) is priced once, and its bytes
     # checked then.
-    priced, link_of = {}, {}
-    resources = [COMPUTE] * base
-
-    def seconds(shape, name):
-        if shape not in priced:
-            _require_nonnegative(name, shape[2])
-            priced[shape] = _comm_seconds(*shape, hw)
-        return priced[shape]
-
-    def link(res):
-        return link_of.setdefault(res, (res,) if policy.overlap_comm else ("compute", res))
-
     hop_slots, hop_shapes, shapes = transfers.slots, transfers.hops, transfers.shapes
     cost = dict.fromkeys(hop_shapes)  # the shapes in use, in the order of their first hop
+    priced = {}
     for h in cost:
-        cost[h] = seconds(shapes[h][:4], lambda h=h: f"event {transfers.ids()[hop_shapes.index(h)]!r} bytes")
-    links = [link(sh.resource) for sh in shapes]
+        shape = shapes[h][:4]
+        if shape not in priced:
+            _require_nonnegative(lambda h=h: f"event {transfers.ids()[hop_shapes.index(h)]!r} bytes", shape[2])
+            priced[shape] = _comm_seconds(*shape, hw)
+        cost[h] = priced[shape]
+    links = [(sh.resource,) if policy.overlap_comm else ("compute", sh.resource) for sh in shapes]
     chained = [sh.chained for sh in shapes]
     # The parent table: what the first part of each slot waits on, by slot
     # number: its dataflow parent's waited-on part, or nothing at a graph
@@ -398,97 +360,21 @@ def simulate_timeline(
         deps[f] = (*dep, *hops_in)
     device += [device[first[g]] for g in hop_slots]
     duration += map(cost.__getitem__, hop_shapes)
+    resources = [COMPUTE] * base
     resources += map(links.__getitem__, hop_shapes)
     deps += [(j - 1,) if chained[h] else parent_wait[g] for j, g, h in zip(count(base), hop_slots, hop_shapes)]
+    kind += ["comm"] * len(hop_slots)
+    sync += [False] * len(hop_slots)
 
-    # Event rows, after the hops. Each event gets a duration, resources,
-    # device and deps, its same-device event deps (local, by event index)
-    # and its place in its device's program: after the hops into the
-    # same-device slot it feeds, else after the last same-device slot it
-    # depends on, else in the device's tail. Its deps are its own in listed
-    # order, then the events feeding it in event order. CommEvents name
-    # slots by ScheduleSlot record and events by id, each resolved once.
-    ebase = len(duration)  # position of event 0
-    local = []
-    # before, after: slot number -> event indices; tails: device -> event indices
-    before, after, tails = defaultdict(list), defaultdict(list), defaultdict(list)
-    event_at = {}  # event id -> position
-    for pos, ev in enumerate(events, ebase):
-        if ev.id in event_at:
-            raise ValueError(f"duplicate task id {ev.id!r}")
-        event_at[ev.id] = pos
-    unknown_feed = None
-    device += [ev.device for ev in events]
-    deps += [()] * len(events)
-    for j, ev in enumerate(events):
-        eid, ekind, res, nbytes, refs, dev, group, feeds = ev
-        duration.append(seconds((ekind, res, nbytes, group), f"event {eid!r} bytes"))
-        resources.append(link(res))
-        own, near, home = [], (), None  # home: the last same-device slot depended on
-        for ref in refs:
-            if (g := slot_at.get(ref)) is not None:
-                own.append(wait[g])
-                home = g if device[first[g]] == dev else home
-            elif (e := event_at.get(ref)) is not None:
-                own.append(e)
-                near += (e - ebase,) if device[e] == dev else ()
-            else:
-                raise ValueError(f"task {eid!r} depends on unknown task {_spelled(ref)!r}")
-        deps[ebase + j] = (*own, *deps[ebase + j])
-        local.append(near)
-        if (g := slot_at.get(feeds)) is not None:
-            deps[first[g]] += (ebase + j,)
-            if device[first[g]] == dev:
-                before[g].append(j)
-                continue
-        elif (e := event_at.get(feeds)) is not None:
-            deps[e] += (ebase + j,)
-        elif feeds is not None:
-            unknown_feed = unknown_feed or ev
-        if home is not None:
-            after[home].append(j)
-        else:
-            tails[dev].append(j)
-    if unknown_feed is not None:
-        raise ValueError(f"task {unknown_feed.id!r} feeds unknown task {_spelled(unknown_feed.feeds)!r}")
-    kind += ["comm"] * (len(duration) - base)
-    sync += [False] * (len(duration) - base)
-
-    # Every device runs one program: per slot, the hops into it, the events
-    # spliced in before it, its compute tasks and the events spliced in
-    # after it; then the tail. Same-device event dependencies are pulled in
-    # ahead of their dependents, depth first and without recursion, so every
-    # serial chain taken from a program is a linear extension of the
-    # dependency graph whatever order the caller built the event list in.
-    placed = [False] * len(events)
-
-    def emit(indices, program):
-        for j in indices:
-            if not placed[j] and all(map(placed.__getitem__, local[j])):
-                placed[j] = True
-                program.append(ebase + j)
-            elif not placed[j]:
-                todo = [(j, False)]  # (event index, dependencies placed), last first
-                while todo:
-                    k, ready = todo.pop()
-                    if ready:
-                        program.append(ebase + k)
-                    elif not placed[k]:
-                        placed[k] = True
-                        todo.append((k, True))
-                        todo += [(d, False) for d in reversed(local[k])]
-
+    # Every device runs one program: per slot, the hops into it, then its
+    # compute tasks.
     programs = {}
-    for dev in sorted({s for s, slots in enumerate(schedule) if slots} | tails.keys()):
-        program = programs[dev] = []
-        for g in stage_slots.get(dev, ()):
-            program += fed[g]
-            if g in before:
-                emit(before[g], program)
-            program += range(first[g], ends[g])
-            if g in after:
-                emit(after[g], program)
-        emit(tails.get(dev, ()), program)
+    for dev, numbers in enumerate(stage_slots):
+        if numbers:
+            program = programs[dev] = []
+            for g in numbers:
+                program += fed[g]
+                program += range(first[g], ends[g])
 
     # Each serial resource runs its share of the program in program order.
     # One pass cuts the program by resource tuple. Tasks use COMPUTE or a
@@ -513,20 +399,19 @@ def simulate_timeline(
 
     def names():
         slots = [slot_id(sl) + x for sl, tpl in zip(slot_at, tpl_of) for x in tpl.suffixes]
-        return slots + transfers.ids() + [ev.id for ev in events]
+        return slots + transfers.ids()
 
     result = engine.run_columns(columns, names)
     begin, finish = result.begin, result.finish
-    busy = tuple(reduce(add, duration[run], 0) for run in runs.values())
+    busy = tuple(reduce(add, duration[run], 0) for run in runs)
     bubble = 1.0 - reduce(add, busy, 0) / (p * result.makespan) if result.makespan > 0 else 0.0
     total_comm = reduce(add, duration[base:], 0)
     # Every comm task is on one link chain. A stage's compute run and each
     # chain run in order of start, so each chain's windows sweep its
     # device's compute spans in one pass, merged once per device.
-    covered = [0.0] * (len(duration) - base)  # by comm task, hops then events
+    covered = [0.0] * (len(duration) - base)  # by hop
     for dev, lanes in link_chains.items():
-        run = runs.get(dev, slice(0))  # no compute on a device without a stage
-        spans = engine.merged_intervals(zip(begin[run], finish[run]))
+        spans = engine.merged_intervals(zip(begin[runs[dev]], finish[runs[dev]]))
         for lane in lanes:
             windows = zip(map(begin.__getitem__, lane), map(finish.__getitem__, lane))
             for i, c in zip(lane, engine.covered_lengths(spans, windows)):

@@ -89,7 +89,7 @@ def _stage_crossing_resource(plan: ParallelPlan, hw: HardwareDescription) -> str
     return "intra_link"
 
 
-def _slot_transfers(schedule, vpp: int, shapes: list, per_slot: list) -> SlotTransfers:
+def _slot_transfers(schedule, shapes: list, per_slot: list) -> SlotTransfers:
     """The transfers into every slot, on the slot's own stage.
 
     ``per_slot`` lists each slot's transfers, by slot number and in order,
@@ -98,7 +98,7 @@ def _slot_transfers(schedule, vpp: int, shapes: list, per_slot: list) -> SlotTra
     before it).
     """
     slots = [g for g, these in enumerate(per_slot) for _ in these]
-    return SlotTransfers(schedule, vpp, slots, chain.from_iterable(per_slot), shapes)
+    return SlotTransfers(schedule, slots, chain.from_iterable(per_slot), shapes)
 
 
 def boundary_transfer_events(
@@ -118,7 +118,7 @@ def boundary_transfer_events(
     shapes = [HopShape("p2p", _stage_crossing_resource(plan, hw), volume, 0, False, "p2p:", "")]
     parents = ((sl, dataflow_parent(sl, len(schedule), plan.vpp)) for sl in chain.from_iterable(schedule))
     per_slot = [(0,) if up is not None and up.pp_stage != sl.pp_stage else () for sl, up in parents]
-    return _slot_transfers(schedule, plan.vpp, shapes, per_slot)
+    return _slot_transfers(schedule, shapes, per_slot)
 
 
 def slot_dispatch_events(
@@ -137,7 +137,7 @@ def slot_dispatch_events(
     itself, so overlap can only come from other micro batches' compute.
     """
     if plan.ep == 1:
-        return SlotTransfers(schedule, plan.vpp)
+        return SlotTransfers(schedule)
     tokens_dev = tokens_per_device(cfg, plan)
     vols = dispatch_volumes(
         mechanism, tokens_dev, cfg.hidden_size, cfg.dtype_bytes, cfg.top_k, plan.tp, plan.ep
@@ -162,7 +162,7 @@ def slot_dispatch_events(
             for i, (tier, kind, res, vol, group) in enumerate(tiers if layers else ())
         )
     per_slot = [chunk_hops[(sl.pp_stage, sl.vpp_stage)] for sl in chain.from_iterable(schedule)]
-    return _slot_transfers(schedule, plan.vpp, list(index), per_slot)
+    return _slot_transfers(schedule, list(index), per_slot)
 
 
 def training_report(
@@ -185,7 +185,7 @@ def training_report(
         if not mem.feasible:
             raise infeasible_error(mem, "with full-layer recompute")
     m = micro_batch_count(plan)
-    # The step's slots, events and task columns (tens of thousands) form no
+    # The step's slots, hop rows and task columns (tens of thousands) form no
     # reference cycle, and reference counting frees them as this returns; a
     # cyclic collection over them meanwhile would only scan them.
     collecting = gc.isenabled()

@@ -28,7 +28,7 @@ from moesim.balance import (
     run_balance_simulation,
 )
 from moesim.cli import main
-from moesim.comm import CommEvent, dispatch_volumes
+from moesim.comm import dispatch_volumes
 from moesim.configio import load_cluster, load_model, load_plan, load_trace_spec
 from moesim.model import count_parameters
 from moesim.parallel import assign_chunks, partition_contiguous
@@ -36,11 +36,11 @@ from moesim.pipeline import (
     OverlapPolicy,
     analytic_bubble_ratio,
     build_1f1b_schedule,
-    dataflow_parent,
     simulate_timeline,
     uniform_chunk_costs,
 )
 from moesim.search import SimulationFeatures, training_report
+from test_pipeline import random_transfers
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -314,39 +314,16 @@ def test_c08_scheduler_soundness_on_randomized_simulations():
             num_nodes=1,
             host_dispatch_time=rng.choice([0.0, 0.05]),
         )
-        all_slots = [(s, sl) for s, slots in enumerate(schedule) for sl in slots]
-        events = []
-        for j in range(rng.randint(0, 4)):
-            draw = rng.random()
-            if draw < 0.25 and events and events[-1].feeds is not None:
-                # Two-phase pattern: a follow-up transfer into the same slot.
-                prev = events[-1]
-                stage, deps, feeds = prev.device, (prev.id,), prev.feeds
-            else:
-                stage, sl = rng.choice(all_slots)
-                parent = dataflow_parent(sl, p, v)
-                deps = (parent,) if draw < 0.55 and parent is not None else ()
-                feeds = None if draw > 0.9 else sl
-            events.append(
-                CommEvent(
-                    id=f"e{j}",
-                    kind="p2p",
-                    resource=rng.choice(["inter_link", "intra_link"]),
-                    bytes=rng.uniform(1e9, 5e11),
-                    dependencies=deps,
-                    device=stage,
-                    feeds=feeds,
-                )
-            )
+        transfers = random_transfers(rng, schedule, range(2 * m * v * p))
         base = dict(
             decouple_dw=rng.random() < 0.5,
             host_gmm_first=rng.random() < 0.5,
         )
         on = simulate_timeline(
-            schedule, costs, events, OverlapPolicy(overlap_comm=True, **base), hw
+            schedule, costs, policy=OverlapPolicy(overlap_comm=True, **base), hw=hw, transfers=transfers
         )
         off = simulate_timeline(
-            schedule, costs, events, OverlapPolicy(overlap_comm=False, **base), hw
+            schedule, costs, policy=OverlapPolicy(overlap_comm=False, **base), hw=hw, transfers=transfers
         )
         for report in (on, off):
             _scan_for_conflicts(report.timeline)

@@ -339,10 +339,10 @@ def test_lane_walk_matches_the_kahn_oracle(drawn):
 @settings(database=None, derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_lane_walk_matches_the_kahn_oracle_on_random_programs(seed, hosted, overlap):
-    schedule, costs, events, policy, hw = random_program(random.Random(seed))
-    hw = replace(hw, host_dispatch_time=0.05 if hosted else 0.0)
-    policy = replace(policy, overlap_comm=overlap)
-    columns = simulate_timeline(schedule, costs, events, policy, hw).timeline.columns
+    args, opts = random_program(random.Random(seed))
+    opts["hw"] = replace(opts["hw"], host_dispatch_time=0.05 if hosted else 0.0)
+    opts["policy"] = replace(opts["policy"], overlap_comm=overlap)
+    columns = simulate_timeline(*args, **opts).timeline.columns
     assert any(columns.host_order.values()) == hosted
     assert assert_matches_oracle(columns)
 

@@ -22,7 +22,7 @@ import moesim
 
 from moesim import engine
 from moesim.cluster import CommGroup, HardwareDescription, collective_time
-from moesim.comm import MECHANISMS, CommEvent
+from moesim.comm import MECHANISMS
 from moesim.engine import run_tasks
 from moesim.model import MlaDims, ModelConfig, flops_per_token
 from moesim.parallel import ParallelPlan, assign_chunks
@@ -39,7 +39,6 @@ from moesim.pipeline import (
     _Parts,
     _require_nonnegative,
     _slot_parts,
-    _spelled,
     analytic_bubble_ratio,
     build_1f1b_schedule,
     dataflow_parent,
@@ -183,150 +182,93 @@ def flat_cluster():
     )
 
 
+def hops(schedule, *rows, shapes):
+    """SlotTransfers on ``schedule`` from (slot, shape index) rows."""
+    flat = [sl for slots in schedule for sl in slots]
+    return SlotTransfers(schedule, [flat.index(sl) for sl, _ in rows], [h for _, h in rows], shapes)
+
+
 def hidden_comm_case(policy):
-    """Single stage, two micro batches; a 2 ms transfer that must land
-    before the second forward while the first backward (3 ms) runs."""
-    sched = build_1f1b_schedule(1, 2, 1)
-    costs = uniform_chunk_costs(1, 1, 3e-3, 3e-3)
-    ev = CommEvent(
-        id="xfer",
-        kind="p2p",
-        resource="inter_link",
-        bytes=1e6,  # 1 ms latency + 1 ms on the wire
-        dependencies=(ScheduleSlot(0, 0, 0, "fwd"),),
-        device=0,
-        feeds=ScheduleSlot(0, 0, 1, "fwd"),
-    )
-    return simulate_timeline(sched, costs, [ev], policy=policy, hw=flat_cluster())
+    """Two stages, two micro batches; a 2 ms transfer into stage 1's second
+    forward that waits on stage 0's second forward (done at 6 ms) and must
+    land while stage 1 runs its first backward (6-9 ms)."""
+    sched = build_1f1b_schedule(2, 2, 1)
+    costs = uniform_chunk_costs(2, 1, 3e-3, 3e-3)
+    shape = HopShape("p2p", "inter_link", 1e6, 0, False, "", ":xfer")  # 1 ms latency + 1 ms on the wire
+    transfers = hops(sched, (ScheduleSlot(1, 0, 1, "fwd"), 0), shapes=[shape])
+    return simulate_timeline(sched, costs, policy=policy, hw=flat_cluster(), transfers=transfers)
 
 
 def test_comm_fully_hidden_behind_backward():
     rep = hidden_comm_case(OverlapPolicy(decouple_dw=False))
-    # compute chain F0 B0 F1 B1 runs back to back; the transfer sits
+    # stage 1 runs F0 B0 F1 B1 back to back from 3 ms; the transfer sits
     # entirely inside B0's interval
-    assert rep.step_time == pytest.approx(12e-3, abs=1e-12)
-    assert rep.timeline.start["xfer"] == pytest.approx(3e-3)
-    assert rep.timeline.end["xfer"] == pytest.approx(5e-3)
+    assert rep.step_time == pytest.approx(18e-3, abs=1e-12)
+    assert rep.timeline.start["fwd:p1:v0:m1:xfer"] == pytest.approx(6e-3)
+    assert rep.timeline.end["fwd:p1:v0:m1:xfer"] == pytest.approx(8e-3)
     assert rep.comm_overlap_rate == pytest.approx(1.0, abs=1e-12)
     assert rep.exposed_comm_time == pytest.approx(0.0, abs=1e-15)
 
 
 def test_task_deps_are_own_then_dataflow_parent_then_feeding_events():
-    """A slot's first task waits on its dataflow parent, then on the events
-    feeding it in event order; an event waits on its own dependencies, then
-    on the events feeding it in event order, listed before or after it.
-    Later tasks of a slot get no dataflow dep."""
+    """A slot's first task waits on its dataflow parent, then on the hops
+    feeding it in row order, whatever order the slots' rows come in; an
+    unchained hop waits on its slot's parent (on nothing at a graph
+    source), a chained one on the row before it. Later tasks of a slot get
+    no dataflow dep."""
     sched = build_1f1b_schedule(2, 1, 1)
     costs = uniform_chunk_costs(2, 1, 1e-3, 2e-3)
-
-    def event(eid, deps, device, feeds):
-        return CommEvent(eid, "p2p", "inter_link", 1e3, dependencies=deps, device=device, feeds=feeds)
-
-    f0, f1 = ScheduleSlot(0, 0, 0, "fwd"), ScheduleSlot(1, 0, 0, "fwd")
-    events = [
-        event("b", (f0,), 1, f1),
-        event("d", (), 0, "a"),
-        event("a", (f0,), 1, f1),
-        event("c", (f0,), 0, "a"),
+    shapes = [
+        HopShape("p2p", "inter_link", 1e3, 0, False, "", ":a"),
+        HopShape("p2p", "inter_link", 1e3, 0, True, "", ":b"),
+        HopShape("p2p", "intra_link", 1e3, 0, False, "", ":c"),
     ]
-    tasks = simulate_timeline(sched, costs, events, hw=flat_cluster()).timeline.tasks
-    assert tasks["fwd:p1:v0:m0"].deps == ("fwd:p0:v0:m0", "b", "a")
-    assert tasks["a"].deps == ("fwd:p0:v0:m0", "d", "c")
-    assert tasks["bwd:p0:v0:m0:dx"].deps == ("bwd:p1:v0:m0:dx",)
+    f0, f1, b0 = ScheduleSlot(0, 0, 0, "fwd"), ScheduleSlot(1, 0, 0, "fwd"), ScheduleSlot(0, 0, 0, "bwd")
+    transfers = hops(sched, (f1, 0), (f1, 1), (b0, 2), (f0, 2), (f1, 2), shapes=shapes)
+    tasks = simulate_timeline(sched, costs, hw=flat_cluster(), transfers=transfers).timeline.tasks
+    assert tasks["fwd:p1:v0:m0"].deps == ("fwd:p0:v0:m0", "fwd:p1:v0:m0:a", "fwd:p1:v0:m0:b", "fwd:p1:v0:m0:c")
+    assert tasks["fwd:p1:v0:m0:a"].deps == tasks["fwd:p1:v0:m0:c"].deps == ("fwd:p0:v0:m0",)
+    assert tasks["fwd:p1:v0:m0:b"].deps == ("fwd:p1:v0:m0:a",)
+    assert tasks["fwd:p0:v0:m0:c"].deps == ()
+    assert tasks["fwd:p0:v0:m0"].deps == ("fwd:p0:v0:m0:c",)
+    assert tasks["bwd:p0:v0:m0:dx"].deps == ("bwd:p1:v0:m0:dx", "bwd:p0:v0:m0:c")
     assert tasks["bwd:p0:v0:m0:dw"].deps == ()
 
 
-def test_event_names_resolve_like_task_ids():
-    """An event refers to a slot by its record (standing for the part
-    downstream work waits on, or for the first part when fed) and to an
-    event by its id; an id that is already taken or a reference to no slot
-    or event is rejected."""
+def test_a_slot_listed_twice_is_refused():
+    """Each slot is one set of tasks; a schedule naming one twice is
+    refused with the first task id it would repeat."""
     sched = build_1f1b_schedule(1, 1, 1)
     costs = uniform_chunk_costs(1, 1, 1e-3, 2e-3)
     hw = dataclasses.replace(flat_cluster(), host_dispatch_time=1e-4)
-
-    def run(*events):
-        return simulate_timeline(sched, costs, list(events), hw=hw).timeline.tasks
-
-    def event(eid, deps=(), feeds=None):
-        return CommEvent(eid, "p2p", "inter_link", 1e3, dependencies=deps, feeds=feeds)
-
-    tasks = run(
-        event("a", (ScheduleSlot(0, 0, 0, "fwd"),)),
-        event("b", ("a",), ScheduleSlot(0, 0, 0, "bwd")),
-    )
-    assert tasks["a"].deps == ("fwd:p0:v0:m0:permute",)
-    assert tasks["bwd:p0:v0:m0:dx"].deps == ("fwd:p0:v0:m0:permute", "b")
-    # A split slot's own id names no task, so an event may take it.
-    assert run(event("fwd:p0:v0:m0"))["fwd:p0:v0:m0"].kind == "comm"
-    for taken in ("fwd:p0:v0:m0:pre", "a"):
-        with pytest.raises(ValueError, match=f"duplicate task id '{taken}'"):
-            run(event("a"), event(taken))
-    # A string is an event id, never a slot or one of its compute tasks.
-    for name in ("fwd:p0:v0:m0", "fwd:p0:v0:m0:gmm"):
-        with pytest.raises(ValueError, match=f"task 'a' depends on unknown task '{name}'"):
-            run(event("a", (name,)))
-    with pytest.raises(ValueError, match="task 'a' depends on unknown task 'fwd:p0:v0:m1'"):
-        run(event("a", (ScheduleSlot(0, 0, 1, "fwd"),)))
-    with pytest.raises(ValueError, match="duplicate task id 'fwd:p0:v0:m0:pre'"):
+    with pytest.raises(ValueError, match="^duplicate task id 'fwd:p0:v0:m0:pre'$"):
         simulate_timeline([sched[0] * 2], costs, hw=hw)
-
-
-def test_event_feeding_no_task_is_rejected():
-    sched = build_1f1b_schedule(1, 2, 1)
-    costs = uniform_chunk_costs(1, 1, 1e-3, 2e-3)
-    ev = CommEvent("x", "p2p", "inter_link", 1e3, feeds=ScheduleSlot(0, 0, 9, "fwd"))
-    with pytest.raises(ValueError, match="task 'x' feeds unknown task 'fwd:p0:v0:m9'"):
-        simulate_timeline(sched, costs, [ev], hw=flat_cluster())
-    # Every event's dependencies are checked before any event's feeds.
-    later = CommEvent("y", "p2p", "inter_link", 1e3, dependencies=("z",))
-    with pytest.raises(ValueError, match="task 'y' depends on unknown task 'z'"):
-        simulate_timeline(sched, costs, [ev, later], hw=flat_cluster())
-
-
-def test_dependency_on_an_event_named_like_a_split_slot_waits_on_the_event():
-    """An event may take a split slot's id; a dependency on that id waits
-    on the event, not on the slot, so the event is pulled in ahead of its
-    dependent in the device's tail."""
-    sched = build_1f1b_schedule(1, 1, 1)
-    costs = uniform_chunk_costs(1, 1, 1e-3, 2e-3)
-    hw = dataclasses.replace(flat_cluster(), host_dispatch_time=1e-4)
-    events = [
-        CommEvent("b", "p2p", "inter_link", 1e3, dependencies=("fwd:p0:v0:m0",)),
-        CommEvent("fwd:p0:v0:m0", "p2p", "inter_link", 1e3),
-    ]
-    tl = simulate_timeline(sched, costs, events, hw=hw).timeline
-    assert tl.tasks["b"].deps == ("fwd:p0:v0:m0",)
-    assert tl.chains[(0, "inter_link")] == ["fwd:p0:v0:m0", "b"]
+    with pytest.raises(ValueError, match="^duplicate task id 'bwd:p0:v0:m0:dx'$"):
+        simulate_timeline([sched[0][::-1] * 2], costs)
 
 
 def test_event_taking_a_compute_task_id_is_refused_when_views_are_read():
-    """Event ids are checked against the compute-task ids when the views
+    """Hop ids are checked against the compute-task ids when the views
     keyed by id are first built, not during the simulation."""
     sched = build_1f1b_schedule(1, 1, 1)
     costs = uniform_chunk_costs(1, 1, 1e-3, 2e-3)
-    events = [CommEvent("bwd:p0:v0:m0:dw", "p2p", "inter_link", 1e3)]
-    rep = simulate_timeline(sched, costs, events, hw=flat_cluster())
+    shape = HopShape("p2p", "inter_link", 1e3, 0, False, "", ":dw")
+    transfers = hops(sched, (ScheduleSlot(0, 0, 0, "bwd"), 0), shapes=[shape])
+    rep = simulate_timeline(sched, costs, hw=flat_cluster(), transfers=transfers)
     with pytest.raises(ValueError, match="duplicate task id 'bwd:p0:v0:m0:dw'"):
         rep.timeline.tasks
 
 
-def test_long_same_device_event_chain_listed_dependents_first():
-    """Same-device dependencies are pulled ahead without recursion, so a
-    chain longer than the interpreter's recursion limit still runs in
-    dependency order."""
-    n = sys.getrecursionlimit() + 500
-    events = [
-        CommEvent(f"e{i}", "p2p", "intra_link", 1e3, dependencies=(f"e{i - 1}",) if i else ())
-        for i in range(n)
-    ]
+def test_the_timeline_takes_its_options_by_keyword():
+    """policy, hw and transfers are keyword-only: a call in the old
+    positional form, with an event list third, cannot be read as a policy."""
     sched, costs = build_1f1b_schedule(1, 1, 1), uniform_chunk_costs(1, 1, 1.0, 1.0)
-    rep = simulate_timeline(sched, costs, events[::-1], hw=flat_cluster())
-    assert rep.timeline.chains[(0, "intra_link")] == [f"e{i}" for i in range(n)]
+    with pytest.raises(TypeError):
+        simulate_timeline(sched, costs, [], OverlapPolicy(), flat_cluster())
 
 
 def test_timeline_views_are_built_on_first_read():
-    rep = simulate_timeline(*random_program(random.Random(13)))
+    rep = simulate(random_program(random.Random(13)))
     assert not {"start", "end", "tasks"} & vars(rep.timeline).keys()
     assert max(rep.timeline.end.values()) == rep.step_time
     assert {"start", "end", "tasks"} <= vars(rep.timeline).keys()
@@ -343,14 +285,15 @@ def test_chunk_cost_must_be_a_finite_number_at_least_zero(field, value):
 
 @pytest.mark.parametrize("nbytes", [-1e12, math.nan, math.inf, True, "1e9"])
 def test_event_bytes_must_be_a_finite_number_at_least_zero(nbytes):
-    """The event is named; the check runs when a transfer shape is first
-    priced, so a bad event after good ones of other shapes is caught."""
+    """The hop is named; the check runs when a transfer shape is first
+    priced, so a bad hop after good ones of other shapes is caught."""
     sched, costs = build_1f1b_schedule(1, 1, 1), uniform_chunk_costs(1, 1, 1.0, 1.0)
-    good = CommEvent("good", "p2p", "inter_link", 1e3)
-    bad = CommEvent("bad", "p2p", "inter_link", nbytes)
-    message = rf"^event 'bad' bytes must be a finite number >= 0, got {re.escape(repr(nbytes))}$"
+    shapes = [HopShape("p2p", "inter_link", 1e3, 0, False, "good:", ""),
+              HopShape("p2p", "inter_link", nbytes, 0, False, "bad:", "")]
+    transfers = hops(sched, (ScheduleSlot(0, 0, 0, "bwd"), 0), (ScheduleSlot(0, 0, 0, "fwd"), 1), shapes=shapes)
+    message = rf"^event 'bad:fwd:p0:v0:m0' bytes must be a finite number >= 0, got {re.escape(repr(nbytes))}$"
     with pytest.raises(ValueError, match=message):
-        simulate_timeline(sched, costs, [good, bad], hw=flat_cluster())
+        simulate_timeline(sched, costs, hw=flat_cluster(), transfers=transfers)
 
 
 def test_slot_transfers_are_checked_like_events():
@@ -362,26 +305,26 @@ def test_slot_transfers_are_checked_like_events():
         HopShape("p2p", "inter_link", 1e3, 0, False, "x:", ""),
         HopShape("p2p", "inter_link", math.nan, 0, True, "x:", ":b"),
     ]
-    bad = SlotTransfers(sched, 1, [1, 1], [0, 1], shapes)
-    assert [ev.id for ev in bad.events()] == ["x:fwd:p0:v0:m1", "x:fwd:p0:v0:m1:b"]
+    bad = SlotTransfers(sched, [1, 1], [0, 1], shapes)
+    assert bad.ids() == ["x:fwd:p0:v0:m1", "x:fwd:p0:v0:m1:b"]
     with pytest.raises(ValueError, match=r"^event 'x:fwd:p0:v0:m1:b' bytes must be a finite number >= 0, got nan$"):
         simulate_timeline(sched, costs, hw=flat_cluster(), transfers=bad)
-    with pytest.raises(ValueError, match="^hw is required when comm events are present$"):
+    with pytest.raises(ValueError, match="^hw is required when transfers are present$"):
         simulate_timeline(sched, costs, transfers=bad)
     with pytest.raises(ValueError, match="^transfers were built on another schedule$"):
         simulate_timeline(build_1f1b_schedule(2, 4, 1), costs, hw=flat_cluster(), transfers=bad)
     with pytest.raises(ValueError, match="^transfers built for different schedules cannot be joined$"):
-        bad + SlotTransfers(build_1f1b_schedule(2, 2, 1), 1)
-    for slots, hops, message in (
+        bad + SlotTransfers(build_1f1b_schedule(2, 2, 1))
+    for slots, hop_shapes, message in (
         ([8], [0], "a hop's slot number is outside [0, 8)"),
         ([-1], [0], "a hop's slot number is outside [0, 8)"),
         ([0], [2], "a hop's shape number is outside [0, 2)"),
         ([0, 1], [0], "2 slot numbers for 1 hops"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            SlotTransfers(sched, 1, slots, hops, shapes)
+            SlotTransfers(sched, slots, hop_shapes, shapes)
     # An equal schedule will do, and a shape no hop uses is not priced.
-    good = SlotTransfers([list(slots) for slots in sched], 1, [6], [0], shapes)
+    good = SlotTransfers([list(slots) for slots in sched], [6], [0], shapes)
     hop = simulate_timeline(sched, costs, hw=flat_cluster(), transfers=good).timeline.tasks["x:fwd:p1:v0:m1"]
     assert (hop.device, hop.deps) == (1, ("fwd:p0:v0:m1",))
 
@@ -396,61 +339,55 @@ def test_slot_transfers_refuse_a_chained_row_they_cannot_chain():
     chained = HopShape("p2p", "intra_link", 1e9, 0, True, "x:", ":b")
     first = "^hop row 0 is chained to the hop before it into slot 3, but it is the first row$"
     with pytest.raises(ValueError, match=first):
-        SlotTransfers(sched, 1, [3], [0], [chained])
+        SlotTransfers(sched, [3], [0], [chained])
     with pytest.raises(ValueError, match="^hop row 1 is chained to the hop before it into slot 1, but row 0 feeds slot 2$"):
-        SlotTransfers(sched, 1, [2, 1], [0, 1], [plain, chained])
+        SlotTransfers(sched, [2, 1], [0, 1], [plain, chained])
     with pytest.raises(ValueError, match="^hop row 3 is chained to the hop before it into slot 1, but row 2 feeds slot 2$"):
-        SlotTransfers(sched, 1, [2, 2, 2, 1], [0, 1, 1, 1], [plain, chained])
-    head = SlotTransfers(sched, 1, [3], [0], [plain])
+        SlotTransfers(sched, [2, 2, 2, 1], [0, 1, 1, 1], [plain, chained])
+    head = SlotTransfers(sched, [3], [0], [plain])
     with pytest.raises(ValueError, match=first):
-        head + SlotTransfers(sched, 1, [3], [0], [chained])
-    joined = head + SlotTransfers(sched, 1, [2, 2], [0, 1], [plain, chained])
+        head + SlotTransfers(sched, [3], [0], [chained])
+    joined = head + SlotTransfers(sched, [2, 2], [0, 1], [plain, chained])
     assert (joined.slots, joined.hops) == ([3, 2, 2], [0, 1, 2])
-    assert [ev.dependencies for ev in joined.events()][1:] == [(ScheduleSlot(1, 0, 0, "bwd"),), ("x:bwd:p0:v0:m0",)]
+    costs = uniform_chunk_costs(2, 1, 1.0, 1.0)
+    tasks = simulate_timeline(sched, costs, hw=flat_cluster(), transfers=joined).timeline.tasks
+    assert [tasks[hop].deps for hop in joined.ids()[1:]] == [("bwd:p1:v0:m0:dx",), ("x:bwd:p0:v0:m0",)]
 
 
 @pytest.mark.parametrize("group_size", [0, 1])
 def test_plain_transfer_is_priced_as_a_p2p_between_two_devices(group_size):
-    """An event with group_size <= 1 costs a p2p of its bytes in a group of
+    """A hop with group_size <= 1 costs a p2p of its bytes in a group of
     two on its link tier, whatever kind it names; zero bytes cost the
     latency."""
     hw = flat_cluster()
     sched, costs = build_1f1b_schedule(1, 1, 1), uniform_chunk_costs(1, 1, 1.0, 1.0)
-    events = [CommEvent("a", "allgather", "inter_link", 3e6, group_size=group_size),
-              CommEvent("z", "p2p", "intra_link", 0, group_size=group_size)]
-    tasks = simulate_timeline(sched, costs, events, hw=hw).timeline.tasks
-    assert tasks["a"].duration == collective_time("p2p", 3e6, CommGroup(2, *hw.tier("inter_link")))
-    assert tasks["z"].duration == hw.intra_node_latency
+    shapes = [HopShape("allgather", "inter_link", 3e6, group_size, False, "a:", ""),
+              HopShape("p2p", "intra_link", 0, group_size, False, "z:", "")]
+    transfers = hops(sched, (ScheduleSlot(0, 0, 0, "fwd"), 0), (ScheduleSlot(0, 0, 0, "fwd"), 1), shapes=shapes)
+    tasks = simulate_timeline(sched, costs, hw=hw, transfers=transfers).timeline.tasks
+    assert tasks["a:fwd:p0:v0:m0"].duration == collective_time("p2p", 3e6, CommGroup(2, *hw.tier("inter_link")))
+    assert tasks["z:fwd:p0:v0:m0"].duration == hw.intra_node_latency
 
 
 def test_comm_serialized_is_fully_exposed():
     rep = hidden_comm_case(SERIALIZED)
-    assert rep.step_time == pytest.approx(14e-3, abs=1e-12)
+    # the transfer now holds stage 1's compute stream between B0 and F1
+    assert rep.step_time == pytest.approx(20e-3, abs=1e-12)
     assert rep.comm_overlap_rate == pytest.approx(0.0, abs=1e-12)
     assert rep.exposed_comm_time == pytest.approx(2e-3, abs=1e-12)
 
 
 def test_overlap_never_increases_step_time():
+    shape = HopShape("p2p", "inter_link", 5e5, 0, False, "act:", "")
     for p, m, v in [(2, 4, 1), (4, 8, 2), (2, 2, 1)]:
         sched = build_1f1b_schedule(p, m, v)
         costs = uniform_chunk_costs(p, v, 2e-3, 4e-3)
-        events = []
-        for mb in range(m):
-            for s in range(p - 1):
-                events.append(
-                    CommEvent(
-                        id=f"act:{s}:{mb}",
-                        kind="p2p",
-                        resource="inter_link",
-                        bytes=5e5,
-                        dependencies=(ScheduleSlot(s, 0, mb, "fwd"),),
-                        device=s + 1,
-                        feeds=ScheduleSlot(s + 1, 0, mb, "fwd"),
-                    )
-                )
+        # an activation send into every later stage's chunk-0 forward
+        rows = [(ScheduleSlot(s + 1, 0, mb, "fwd"), 0) for mb in range(m) for s in range(p - 1)]
+        transfers = hops(sched, *rows, shapes=[shape])
         hw = flat_cluster()
-        fast = simulate_timeline(sched, costs, events, OverlapPolicy(), hw)
-        slow = simulate_timeline(sched, costs, events, SERIALIZED, hw)
+        fast = simulate_timeline(sched, costs, policy=OverlapPolicy(), hw=hw, transfers=transfers)
+        slow = simulate_timeline(sched, costs, policy=SERIALIZED, hw=hw, transfers=transfers)
         assert fast.step_time <= slow.step_time + 1e-15
 
 
@@ -543,9 +480,9 @@ def test_slot_id_format():
 
 def random_program(rng):
     """A random timeline input in the style of test_c08, extended with
-    events on devices that have no pipeline stage, collectives with
-    group_size > 1, host dispatch, and a shuffled event list (so dependents
-    may precede their dependencies)."""
+    collectives with group_size > 1, host dispatch, and hop rows listed in
+    shuffled slot order: the positional arguments and the keyword options
+    of a ``simulate_timeline`` call."""
     p = rng.randint(1, 4)
     v = rng.randint(1, 3)
     m = p * rng.randint(1, 2) if v > 1 else rng.randint(1, 4)
@@ -571,78 +508,77 @@ def random_program(rng):
         num_nodes=1,
         host_dispatch_time=rng.choice([0.0, 0.05]),
     )
-    events = random_events(rng, [sl for slots in schedule for sl in slots], p, v)
+    transfers = random_transfers(rng, schedule, range(2 * m * v * p))
     policy = OverlapPolicy(
         overlap_comm=rng.random() < 0.5,
         decouple_dw=rng.random() < 0.5,
         dw_fraction=rng.choice([0.0, 0.3, 0.5]),
         host_gmm_first=rng.random() < 0.5,
     )
-    return schedule, costs, events, policy, hw
+    return (schedule, costs), dict(policy=policy, hw=hw, transfers=transfers)
 
 
-def random_events(rng, all_slots, p, v):
-    """Up to eight CommEvents in shuffled order that wait on and feed
-    ``all_slots`` of a p-stage, v-chunk schedule: follow-up transfers into
-    the slot the previous event fed, events on devices without a stage,
-    and collectives with group_size > 1."""
-    events = []
+def random_transfers(rng, schedule, candidates):
+    """Up to eight hops into the slots numbered ``candidates``, drawn as
+    runs: a hop that waits on its slot's dataflow parent, then perhaps
+    chained follow-up hops into the same slot. Some runs feed graph
+    sources; group sizes are 0, 1, 2, 4 or 8 on either link; the runs are
+    listed in shuffled order. Hop j has a shape of its own, ``e{j}:``."""
+    flat = [sl for slots in schedule for sl in slots]
+    p, v = len(schedule), 1 + max(sl.vpp_stage for sl in flat)
+    candidates = list(candidates)
+    sources = [g for g in candidates if dataflow_parent(flat[g], p, v) is None] or candidates
+    runs, shapes = [], []  # runs: [(slot number, shape index), ...]
     for j in range(rng.randint(0, 8)):
         draw = rng.random()
-        if draw < 0.25 and events and events[-1].feeds is not None:
-            # Two-phase pattern: a follow-up transfer into the same slot.
-            prev = events[-1]
-            device, deps, feeds = prev.device, (prev.id,), prev.feeds
-        elif draw > 0.85:
-            # A device without a pipeline stage: it may wait on any slot
-            # but feeds none, so its serial chains cannot form a cycle.
-            device = p + rng.randint(0, 1)
-            deps = (rng.choice(all_slots),) if draw < 0.95 else ()
-            feeds = None
+        follow = draw < 0.25 and bool(runs)
+        if follow:
+            g = runs[-1][0][0]
         else:
-            sl = rng.choice(all_slots)
-            device = sl.pp_stage
-            parent = dataflow_parent(sl, p, v)
-            deps = (parent,) if draw < 0.55 and parent is not None else ()
-            feeds = None if draw > 0.8 else sl
+            g = rng.choice(sources if draw > 0.85 else candidates)
+            runs.append([])
         group = rng.choice([0, 1, 2, 4, 8])
-        events.append(
-            CommEvent(
-                id=f"e{j}",
-                kind=rng.choice(["p2p", "allgather", "alltoall"]) if group > 1 else "p2p",
-                resource=rng.choice(["inter_link", "intra_link"]),
-                bytes=rng.uniform(1e9, 5e11),
-                dependencies=deps,
-                device=device,
-                group_size=group,
-                feeds=feeds,
-            )
-        )
-    rng.shuffle(events)
-    return events
+        shapes.append(HopShape(
+            kind=rng.choice(["p2p", "allgather", "alltoall"]) if group > 1 else "p2p",
+            resource=rng.choice(["inter_link", "intra_link"]),
+            bytes=rng.uniform(1e9, 5e11),
+            group_size=group,
+            chained=follow,
+            prefix=f"e{j}:",
+            suffix="",
+        ))
+        runs[-1].append((g, j))
+    rng.shuffle(runs)
+    rows = [row for run in runs for row in run]
+    return SlotTransfers(schedule, [g for g, _ in rows], [h for _, h in rows], shapes)
+
+
+def simulate(program):
+    """The step of a ``random_program`` or ``hop_program`` draw."""
+    args, opts = program
+    return simulate_timeline(*args, **opts)
 
 
 # (step_time, bubble_ratio, comm_overlap_rate, exposed_comm_time,
 # host_idle_time, per_stage_busy) of random_program(random.Random(seed)),
-# recorded before the timeline derived its chains and host order from one
-# program per device.
+# recorded before the timeline lost its hand-built event path.
 PINNED_REPORTS = {
-    0: (128.48774667504262, 0.7929179302987366, 0.0, 91.6463914623686, 0, (26.79032280220253, 23.067719705381652, 44.69637192214144, 11.875619621152197)),
-    1: (41.06763929065834, 0.5616116452653159, 0.3250063221302272, 39.78217882336105, 0, (11.247330847582628, 24.759818795355734)),
-    2: (2.515576092773161, 0.6332016980913829, 0.0, 3.7937753683869397, 0, (0.9227090391511092,)),
-    13: (78.6477846662739, 0.675477166524016, 0.0, 32.1736136495122, 1.400000000000006, (9.068755784368228, 21.330310358895144, 46.16993963626139)),
-    15: (43.04341906627275, 0.9867086058977321, 0.024629474737013858, 43.33280289905584, 10.244907049097943, (0.0, 1.1442140926378044)),
-    24: (99.971641039251, 0.6667967841048412, 0.05239809761477656, 47.689966586275304, 22.70081793205369, (42.464220812462784, 21.244886216908963, 28.675429675493433, 40.85895246551425)),
-    26: (34.355384519651736, 0.3590884251772407, 0.0, 25.563948032819034, 1.099999999999999, (16.711776395713287, 27.325750796549592)),
-    34: (95.83614754801451, 0.6488142927887157, 0.0, 54.841223804573474, 1.549999999999962, (29.343620574110037, 26.81545020903103, 44.809784976022314)),
-    36: (33.46535605045114, 0.8531094254826361, 0.0, 29.18821242948941, 0, (3.400334099436356, 4.754021553699604, 6.592880476900769)),
+    0: (140.26217364248203, 0.8103016100367869, 0.14662794968080844, 74.97239533279956, 0, (26.79032280220253, 23.067719705381663, 44.696371922141466, 11.87561962115219)),
+    1: (63.64615388289917, 0.7171301999710231, 0.0, 47.65515324478289, 0, (11.247330847582626, 24.759818795355734)),
+    2: (5.393454878813343, 0.8289205973010528, 0.0, 4.470745839662234, 0, (0.9227090391511092,)),
+    13: (72.76303773463394, 0.6492312206701653, 0.12214851668912616, 28.243654465695254, 1.5000000000000078, (9.068755784368228, 21.330310358895144, 46.16993963626139)),
+    15: (43.48899772210065, 0.9868447865831554, 0.0, 42.42825044940451, 0.4000000000000036, (0.0, 1.1442140926378044)),
+    24: (98.8961417493048, 0.6631731865027078, 0.03559934482343489, 48.535397518076564, 4.324809574696949, (42.464220812462784, 21.244886216908963, 28.675429675493433, 40.85895246551425)),
+    26: (50.24910471151282, 0.561807842696019, 0.0, 16.970706299217092, 1.1500000000000121, (16.711776395713287, 27.325750796549592)),
+    34: (109.91979624594889, 0.6938105200109042, 0.07768381193129371, 53.545458278733506, 3.71448960888762, (29.343620574110037, 26.81545020903103, 44.809784976022314)),
+    36: (43.93544855952614, 0.888114369197374, 0.0, 29.18821242948941, 0, (3.400334099436356, 4.754021553699604, 6.592880476900769)),
 }
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_REPORTS))
 def test_random_program_reports_stay_pinned(seed):
     step, bubble, rate, exposed, idle, busy = PINNED_REPORTS[seed]
-    rep = simulate_timeline(*random_program(random.Random(seed)))
+    rep = simulate(random_program(random.Random(seed)))
     assert rep.step_time == step
     assert rep.bubble_ratio == bubble
     assert rep.comm_overlap_rate == rate
@@ -654,10 +590,10 @@ def test_random_program_reports_stay_pinned(seed):
 def test_random_program_timelines_stay_pinned():
     """One SHA-256 over random programs 0-199: every report field, every
     time view with its key order, every task's deps in order and every
-    chain, recorded before event names were resolved once per call."""
+    chain, recorded before the timeline lost its hand-built event path."""
     digest = hashlib.sha256()
     for seed in range(200):
-        rep = simulate_timeline(*random_program(random.Random(seed)))
+        rep = simulate(random_program(random.Random(seed)))
         tl = rep.timeline
         digest.update(repr((
             [getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "timeline"],
@@ -665,7 +601,7 @@ def test_random_program_timelines_stay_pinned():
             [(tid, task.deps) for tid, task in tl.tasks.items()],
             list(tl.chains.items()),
         )).encode())
-    assert digest.hexdigest() == "66ae0492ca14d623c1ca6164c1e772d94505bd76ca281812b9c13c9a33abe683"
+    assert digest.hexdigest() == "a56a6a8272ddad3a52d9c136c937ded955aa4705a8af2d62215bf9a4feaa8079"
 
 
 def test_report_does_not_depend_on_string_hash_seed():
@@ -673,9 +609,8 @@ def test_report_does_not_depend_on_string_hash_seed():
     interpreters with different hash seeds report the same bits."""
     code = (
         "import dataclasses, random\n"
-        "from test_pipeline import random_program\n"
-        "from moesim.pipeline import simulate_timeline\n"
-        "rep = simulate_timeline(*random_program(random.Random(24)))\n"
+        "from test_pipeline import random_program, simulate\n"
+        "rep = simulate(random_program(random.Random(24)))\n"
         "print(repr(dataclasses.replace(rep, timeline=None)))\n"
     )
     path = os.pathsep.join([str(Path(__file__).parent), str(Path(moesim.__file__).parents[1])])
@@ -695,9 +630,9 @@ def test_report_does_not_depend_on_string_hash_seed():
 def test_run_tasks_adapter_agrees_with_the_pipeline(seed, hosted):
     """The string adapter, given the timeline's own tasks, chains and host
     order, reproduces every time the pipeline computed, in the same order."""
-    schedule, costs, events, policy, hw = random_program(random.Random(seed))
-    hw = dataclasses.replace(hw, host_dispatch_time=0.05 if hosted else 0.0)
-    tl = simulate_timeline(schedule, costs, events, policy, hw).timeline
+    args, opts = random_program(random.Random(seed))
+    opts["hw"] = dataclasses.replace(opts["hw"], host_dispatch_time=0.05 if hosted else 0.0)
+    tl = simulate_timeline(*args, **opts).timeline
     host_order = {}
     for tid in tl.host_delay:
         host_order.setdefault(tl.tasks[tid].device, []).append(tid)
@@ -715,9 +650,10 @@ def test_report_figures_are_left_folds_over_the_timeline(seed, hosted, overlap):
     idle time adds the host delays left to right in host order. All start
     from int 0. `sum()` compensates its rounding from Python 3.12 on, so
     these are the bits on every interpreter."""
-    schedule, costs, events, policy, hw = random_program(random.Random(seed))
-    hw = dataclasses.replace(hw, host_dispatch_time=0.05 if hosted else 0.0)
-    rep = simulate_timeline(schedule, costs, events, dataclasses.replace(policy, overlap_comm=overlap), hw)
+    (schedule, costs), opts = random_program(random.Random(seed))
+    opts["hw"] = dataclasses.replace(opts["hw"], host_dispatch_time=0.05 if hosted else 0.0)
+    opts["policy"] = dataclasses.replace(opts["policy"], overlap_comm=overlap)
+    rep = simulate_timeline(schedule, costs, **opts)
     tl = rep.timeline
     busy = tuple(
         reduce(add, (t.duration for t in tl.tasks.values() if t.device == s and t.kind != "comm"), 0)
@@ -731,6 +667,13 @@ def test_report_figures_are_left_folds_over_the_timeline(seed, hosted, overlap):
 
 # The simulator and the overlap sweep as they were before hops were placed
 # by slot, kept verbatim as the oracle for the program and chain assembly.
+# It is fed rows only; its event path, and the reference spelling that path
+# names errors with, are reached by no caller.
+def _spelled(ref) -> str:
+    """An event's slot or event reference as error messages name it."""
+    return ref if isinstance(ref, str) else slot_id(ref)
+
+
 def oracle_merged_intervals(spans):
     """Sorted union of the non-empty (start, end) spans."""
     merged = []
@@ -776,7 +719,7 @@ def oracle_simulate_timeline(
     and resource, and the overlap sweep sorts its spans and windows."""
     policy = policy or OverlapPolicy()
     events = tuple(comm_events)
-    transfers = transfers if transfers is not None else SlotTransfers(schedule, 1)
+    transfers = transfers if transfers is not None else SlotTransfers(schedule)
     if transfers.schedule is not schedule and transfers.schedule != schedule:
         raise ValueError("transfers were built on another schedule")
     if (events or transfers) and hw is None:
@@ -977,8 +920,8 @@ def oracle_simulate_timeline(
 
 
 def hop_program(seed, mechanism, nodes, pp, vpp, rounds, ep, hosted, overlap):
-    """A small training step with both builders' hops and random CommEvents
-    that wait on and feed the slots those hops feed, with host dispatch and
+    """A small training step with both builders' hops and, after them,
+    random hop rows into the slots those hops feed, with host dispatch and
     overlap as given."""
     rng = random.Random(seed)
     cfg = bench_model(num_layers=8, num_routed_experts=8)
@@ -988,11 +931,10 @@ def hop_program(seed, mechanism, nodes, pp, vpp, rounds, ep, hosted, overlap):
     layout = assign_chunks(cfg, plan)
     transfers = boundary_transfer_events(schedule, cfg, plan, hw)
     transfers += slot_dispatch_events(schedule, cfg, plan, layout, hw, mechanism)
-    flat = [sl for slots in schedule for sl in slots]
-    fed = [flat[g] for g in dict.fromkeys(transfers.slots)] or flat
-    events = random_events(rng, fed, pp, vpp)
+    fed = list(dict.fromkeys(transfers.slots)) or range(sum(map(len, schedule)))
+    transfers += random_transfers(rng, schedule, fed)
     policy = OverlapPolicy(overlap_comm=overlap, decouple_dw=rng.random() < 0.5, host_gmm_first=rng.random() < 0.5)
-    return schedule, chunk_costs_from_model(cfg, plan, layout, hw), events, policy, hw, transfers
+    return (schedule, chunk_costs_from_model(cfg, plan, layout, hw)), dict(policy=policy, hw=hw, transfers=transfers)
 
 
 HOP_PROGRAMS = dict(
@@ -1014,8 +956,8 @@ def test_hops_and_events_are_placed_like_the_oracle(**draw):
     """Hops placed by slot and chains cut by resource give the oracle's
     step: the same task columns, chains with their key order, host order,
     every view keyed by id and every report figure, bit for bit."""
-    step = hop_program(**draw)
-    rep, ref = simulate_timeline(*step), oracle_simulate_timeline(*step)
+    args, opts = hop_program(**draw)
+    rep, ref = simulate_timeline(*args, **opts), oracle_simulate_timeline(*args, **opts)
     got, want = rep.timeline.columns, ref.timeline.columns
     for field in ("duration", "device", "resources", "kind", "sync_host", "deps"):
         assert getattr(got, field) == getattr(want, field), field
@@ -1034,7 +976,7 @@ def test_compute_runs_and_link_chains_run_in_order_of_start(**draw):
     """What the overlap sweep takes unsorted: every stage's compute tasks,
     in position order, begin in order and do not overlap, and every link
     chain's tasks begin in order."""
-    tl = simulate_timeline(*hop_program(**draw)).timeline
+    tl = simulate(hop_program(**draw)).timeline
     c, begin, finish = tl.columns, tl.begin, tl.finish
     for s in range(draw["pp"]):
         run = [i for i, (d, k) in enumerate(zip(c.device, c.kind)) if d == s and k != "comm"]

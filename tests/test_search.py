@@ -2,7 +2,8 @@
 
 import gc
 from argparse import Namespace
-from dataclasses import fields, replace
+from collections import namedtuple
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,13 @@ import moesim.memory
 import moesim.search
 from moesim.cli import _features
 from moesim.cluster import HardwareDescription
-from moesim.comm import MECHANISMS, CommEvent, dispatch_volumes
+from moesim.comm import MECHANISMS, dispatch_volumes
 from moesim.configio import load_cluster, load_model, load_plan
 from moesim.errors import InfeasibleMemoryError, PlanError, UnpricedDtypeError
 from moesim.model import DesignSpace, MlaDims, ModelConfig, count_parameters, model_id
 from moesim.parallel import ParallelPlan, assign_chunks, micro_batch_count, require_valid, tokens_per_device
 from moesim.pipeline import (
-    SERIALIZED, OverlapPolicy, ScheduleSlot, build_1f1b_schedule, dataflow_parent, simulate_timeline, slot_id,
+    SERIALIZED, OverlapPolicy, ScheduleSlot, build_1f1b_schedule, dataflow_parent, slot_id,
 )
 from moesim.search import (
     SimulationFeatures,
@@ -70,6 +71,29 @@ def bench_model(**overrides):
     return ModelConfig(**args)
 
 
+# A hop spelled out for the assertions below: its id, what it waits on
+# (its slot's dataflow parent, nothing at a graph source, or the previous
+# hop's id when chained), the device it runs on and the slot it feeds.
+Hop = namedtuple("Hop", "id kind resource bytes dependencies device group_size feeds", defaults=((), 0, 0, None))
+
+
+def hop_records(transfers):
+    """The rows of ``transfers`` as ``Hop`` records, in row order."""
+    flat = [sl for slots in transfers.schedule for sl in slots]
+    p, v = len(transfers.schedule), 1 + max((sl.vpp_stage for sl in flat), default=0)
+    records = []
+    for hid, g, h in zip(transfers.ids(), transfers.slots, transfers.hops):
+        kind, resource, nbytes, group, chained = transfers.shapes[h][:5]
+        sl = flat[g]
+        if chained:
+            prior = (records[-1].id,)
+        else:
+            parent = dataflow_parent(sl, p, v)
+            prior = (parent,) if parent is not None else ()
+        records.append(Hop(hid, kind, resource, nbytes, prior, sl.pp_stage, group, sl))
+    return records
+
+
 def bench_plan():
     return ParallelPlan(tp=1, pp=2, vpp=1, ep=2, cp=1, micro_batch_size=1, global_batch_size=16)
 
@@ -97,7 +121,7 @@ def test_boundary_transfers_follow_cross_stage_dataflow():
     cfg = bench_model()
     plan = ParallelPlan(tp=1, pp=2, vpp=1, ep=2, dp=4, cp=1, micro_batch_size=1, global_batch_size=16)
     schedule = build_1f1b_schedule(2, 2, 1)
-    events = boundary_transfer_events(schedule, cfg, plan, bench_cluster()).events()
+    events = hop_records(boundary_transfer_events(schedule, cfg, plan, bench_cluster()))
     # stage 1 receives each forward, stage 0 each backward
     assert {e.id for e in events} == {
         "p2p:fwd:p1:v0:m0",
@@ -121,7 +145,7 @@ def test_boundary_transfers_single_stream_without_extra_head():
     cfg = bench_model(num_mtp_layers=0)
     plan = ParallelPlan(tp=1, pp=2, vpp=1, ep=2, dp=4, cp=1, micro_batch_size=1, global_batch_size=16)
     schedule = build_1f1b_schedule(2, 1, 1)
-    events = boundary_transfer_events(schedule, cfg, plan, bench_cluster()).events()
+    events = hop_records(boundary_transfer_events(schedule, cfg, plan, bench_cluster()))
     assert all(e.bytes == pytest.approx(128 * 64 * 2) for e in events)
 
 
@@ -130,7 +154,7 @@ def test_dispatch_events_two_tiers_with_dependency():
     plan = ParallelPlan(tp=1, pp=1, vpp=1, ep=2, dp=8, cp=1, micro_batch_size=1, global_batch_size=16)
     schedule = build_1f1b_schedule(1, 1, 1)
     layout = assign_chunks(cfg, plan)
-    events = slot_dispatch_events(schedule, cfg, plan, layout, bench_cluster(), "hierarchical").events()
+    events = hop_records(slot_dispatch_events(schedule, cfg, plan, layout, bench_cluster(), "hierarchical"))
     assert [e.id for e in events] == [
         "disp:fwd:p0:v0:m0:inter",
         "disp:fwd:p0:v0:m0:intra",
@@ -154,7 +178,7 @@ def test_dispatch_events_absent_without_expert_parallelism():
     cfg = bench_model()
     plan = ParallelPlan(tp=1, pp=1, vpp=1, ep=1, dp=8, cp=1, micro_batch_size=1, global_batch_size=16)
     schedule = build_1f1b_schedule(1, 1, 1)
-    assert slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), bench_cluster()).events() == []
+    assert hop_records(slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), bench_cluster())) == []
 
 
 def test_dispatch_events_single_node_are_intra_only():
@@ -162,7 +186,7 @@ def test_dispatch_events_single_node_are_intra_only():
     plan = ParallelPlan(tp=1, pp=1, vpp=1, ep=2, dp=4, cp=1, micro_batch_size=1, global_batch_size=16)
     schedule = build_1f1b_schedule(1, 1, 1)
     layout = assign_chunks(cfg, plan)
-    events = slot_dispatch_events(schedule, cfg, plan, layout, bench_cluster(num_nodes=1), "hierarchical").events()
+    events = hop_records(slot_dispatch_events(schedule, cfg, plan, layout, bench_cluster(num_nodes=1), "hierarchical"))
     assert [e.id for e in events] == ["disp:fwd:p0:v0:m0:intra", "disp:bwd:p0:v0:m0:intra"]
     assert all(e.resource == "intra_link" for e in events)
     # with no inter phase to wait on, each event waits on the slot's parent
@@ -178,7 +202,7 @@ def test_dispatch_inter_event_group_and_kind(mechanism, group_size, kind):
     plan = ParallelPlan(tp=2, pp=1, vpp=1, ep=2, dp=4, cp=1, micro_batch_size=1, global_batch_size=16)
     schedule = build_1f1b_schedule(1, 1, 1)
     cfg = bench_model()
-    events = slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), bench_cluster(), mechanism).events()
+    events = hop_records(slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), bench_cluster(), mechanism))
     inter = {e.id: e for e in events}["disp:fwd:p0:v0:m0:inter"]
     assert (inter.resource, inter.group_size, inter.kind) == ("inter_link", group_size, kind)
 
@@ -204,7 +228,7 @@ def test_dispatch_bytes_are_conserved_across_tiers(mechanism, nodes, pp, vpp, ro
     plan = ParallelPlan(tp=tp, pp=pp, vpp=vpp, ep=ep, dp=ep, micro_batch_size=1)
     schedule = build_1f1b_schedule(pp, rounds * pp, vpp)
     layout = assign_chunks(cfg, plan)
-    events = slot_dispatch_events(schedule, cfg, plan, layout, bench_cluster(num_nodes=nodes), mechanism).events()
+    events = hop_records(slot_dispatch_events(schedule, cfg, plan, layout, bench_cluster(num_nodes=nodes), mechanism))
     vols = dispatch_volumes(
         mechanism, int(tokens_per_device(cfg, plan)), cfg.hidden_size, cfg.dtype_bytes, cfg.top_k, tp, ep
     )
@@ -239,8 +263,8 @@ def test_built_events_feed_their_own_slot_and_wait_on_its_parent(mechanism, node
     plan = ParallelPlan(tp=1, pp=pp, vpp=vpp, ep=ep, dp=ep, micro_batch_size=1)
     schedule = build_1f1b_schedule(pp, rounds * pp, vpp)
     hw = bench_cluster(num_nodes=nodes)
-    boundary = boundary_transfer_events(schedule, cfg, plan, hw).events()
-    dispatch = slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), hw, mechanism).events()
+    boundary = hop_records(boundary_transfer_events(schedule, cfg, plan, hw))
+    dispatch = hop_records(slot_dispatch_events(schedule, cfg, plan, assign_chunks(cfg, plan), hw, mechanism))
     stage_of = {sl: s for s, slots in enumerate(schedule) for sl in slots}
     for events in (boundary, dispatch):
         previous = {}  # slot -> id of the last transfer feeding it
@@ -254,7 +278,8 @@ def test_built_events_feed_their_own_slot_and_wait_on_its_parent(mechanism, node
 
 
 # The two builders as they were before they shared one schedule walk, kept
-# verbatim as the oracle for the shared walk.
+# verbatim as the oracle for the shared walk, except that each spells its
+# transfers as `Hop` records.
 def oracle_boundary_transfer_events(schedule, cfg, plan, hw):
     tokens_dev = tokens_per_device(cfg, plan)
     streams = 2 if cfg.num_mtp_layers > 0 else 1
@@ -267,7 +292,7 @@ def oracle_boundary_transfer_events(schedule, cfg, plan, hw):
             if parent is None or parent.pp_stage == sl.pp_stage:
                 continue
             events.append(
-                CommEvent(
+                Hop(
                     id=f"p2p:{slot_id(sl)}", kind="p2p", resource=resource, bytes=volume,
                     dependencies=(parent,), device=sl.pp_stage, feeds=sl,
                 )
@@ -306,7 +331,7 @@ def oracle_slot_dispatch_events(schedule, cfg, plan, assignment, hw, mechanism="
             scale = 2.0 * layers
             for tier, kind, resource, volume, group in tiers:
                 events.append(
-                    CommEvent(
+                    Hop(
                         id=f"disp:{sid}:{tier}", kind=kind, resource=resource, bytes=volume * scale,
                         dependencies=prior, device=sl.pp_stage, group_size=group, feeds=sl,
                     )
@@ -336,49 +361,10 @@ def test_builders_match_the_oracle(mechanism, nodes, pp, vpp, rounds, tp, ep, la
     schedule = build_1f1b_schedule(pp, rounds * pp, vpp)
     layout = assign_chunks(cfg, plan)
     hw = bench_cluster(num_nodes=nodes)
-    built = boundary_transfer_events(schedule, cfg, plan, hw).events()
+    built = hop_records(boundary_transfer_events(schedule, cfg, plan, hw))
     assert built == oracle_boundary_transfer_events(schedule, cfg, plan, hw)
-    built = slot_dispatch_events(schedule, cfg, plan, layout, hw, mechanism).events()
+    built = hop_records(slot_dispatch_events(schedule, cfg, plan, layout, hw, mechanism))
     assert built == oracle_slot_dispatch_events(schedule, cfg, plan, layout, hw, mechanism)
-
-
-@settings(database=None, derandomize=True, max_examples=120, deadline=None)
-@given(
-    mechanism=st.sampled_from(MECHANISMS),
-    nodes=st.sampled_from((1, 2, 4)),
-    pp=st.integers(1, 4),
-    vpp=st.integers(1, 2),
-    rounds=st.integers(1, 3),
-    tp=st.sampled_from((1, 2)),
-    ep=st.sampled_from((1, 2, 4)),
-    layers=st.integers(7, 10),
-    dense=st.integers(0, 4),
-    mtp=st.integers(0, 1),
-    hosted=st.booleans(),
-    overlap=st.booleans(),
-)
-def test_transfers_run_like_their_events(
-    mechanism, nodes, pp, vpp, rounds, tp, ep, layers, dense, mtp, hosted, overlap
-):
-    """The step the timeline builds from the builders' slot-numbered rows
-    is the step it builds from the same transfers as CommEvent records:
-    every report figure has the same repr, and every view keyed by id
-    holds the same items in the same order."""
-    cfg = bench_model(num_layers=layers, num_dense_layers=dense, num_mtp_layers=mtp, num_routed_experts=8)
-    plan = ParallelPlan(tp=tp, pp=pp, vpp=vpp, ep=ep, dp=ep, micro_batch_size=1)
-    schedule = build_1f1b_schedule(pp, rounds * pp, vpp)
-    layout = assign_chunks(cfg, plan)
-    hw = bench_cluster(num_nodes=nodes, host_dispatch_time=1e-6 if hosted else 0.0)
-    costs = chunk_costs_from_model(cfg, plan, layout, hw)
-    policy = OverlapPolicy(overlap_comm=overlap)
-    transfers = boundary_transfer_events(schedule, cfg, plan, hw)
-    transfers += slot_dispatch_events(schedule, cfg, plan, layout, hw, mechanism)
-    rows = simulate_timeline(schedule, costs, policy=policy, hw=hw, transfers=transfers)
-    records = simulate_timeline(schedule, costs, comm_events=transfers.events(), policy=policy, hw=hw)
-    figures = [f.name for f in fields(rows) if f.name != "timeline"]
-    assert [repr(getattr(rows, f)) for f in figures] == [repr(getattr(records, f)) for f in figures]
-    for view in ("start", "end", "dispatch_end", "host_delay", "tasks", "chains"):
-        assert list(getattr(rows.timeline, view).items()) == list(getattr(records.timeline, view).items()), view
 
 
 def test_training_report_basics():
@@ -658,23 +644,6 @@ def reference_step():
     return cfg, require_valid(plan, cfg, hw), hw
 
 
-def test_the_reference_step_builds_no_comm_event_record(monkeypatch):
-    """The builders hand the timeline slot-numbered rows: no CommEvent is
-    made, and so no event id is spelled, on the training path."""
-    made = []
-    original = CommEvent.__new__
-
-    def counted(cls, *args, **kwargs):
-        made.append(args[:1])
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(CommEvent, "__new__", staticmethod(counted))
-    training_report(*reference_step())
-    assert made == []
-    CommEvent("probe", "p2p", "inter_link", 0.0)
-    assert made == [("probe",)]
-
-
 def test_the_reference_step_finds_each_dataflow_parent_at_most_twice(monkeypatch):
     """Once for the timeline's parent table and once for the boundary
     walk's crossing test; the dispatch builder needs none."""
@@ -709,9 +678,9 @@ def test_each_builder_counts_its_hops(monkeypatch):
     training_report(cfg, plan, hw)
     boundary, dispatch = built
     m = micro_batch_count(plan)
-    assert len(boundary) == len(boundary.events()) == 2 * m * (plan.pp * plan.vpp - 1) == 992
+    assert len(boundary) == 2 * m * (plan.pp * plan.vpp - 1) == 992
     routed = sum(any(kind in ("moe", "mtp") for kind, _ in c.items) for c in assign_chunks(cfg, plan).chunks)
-    assert len(dispatch) == len(dispatch.events()) == 2 * (2 * m * routed) == 1920
+    assert len(dispatch) == 2 * (2 * m * routed) == 1920
 
 
 @pytest.mark.parametrize("fine_grained, calls", [(True, 2), (False, 1)])
