@@ -7,6 +7,14 @@ computes the auxiliary balance loss at a chosen accounting window,
 capacity-overflow drop rates, device load imbalance for a given expert
 placement, and runs a replanning benchmark that compares a managed
 placement against a static one.
+
+numpy is imported inside the functions that use it, not at module level,
+so `import moesim.cli` and the commands that never call this module
+(validate, simulate, search) do not load it: numpy was about 40 % of a
+fresh `moesim simulate`. `cli` must keep importing this module at module
+level: `bench/tracing.py` patches `generate_trace` and its siblings in
+`cli`'s namespace, and a process that imports `cli` before it forks
+compiles this module once, not in every child.
 """
 
 from __future__ import annotations
@@ -14,8 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EmptyWindowError, ParseError, SlotMismatchError, ZeroMeanError
 
@@ -58,6 +64,7 @@ class RoutingTrace:
     tasks: np.ndarray  # (steps, tokens) int
 
     def __post_init__(self):
+        import numpy as np
         if self.experts.ndim != 3 or not self.experts.shape[2]:
             raise ValueError("experts must be a (steps, tokens, k >= 1) array")
         if self.experts.shape != self.scores.shape:
@@ -92,6 +99,7 @@ class RoutingTrace:
         """Tokens routed to each expert, per step: a (steps, num_experts)
         array. One of more than TRACE_TABLE_CELLS cells raises ValueError
         before anything is allocated."""
+        import numpy as np
         n = self.num_experts
         if self.steps * n > TRACE_TABLE_CELLS:
             need = f"{self.steps} steps of {n} experts need a {self.steps} x {n} expert count table"
@@ -123,6 +131,7 @@ class RoutingTrace:
         within a token. Every error names the file, including a
         `num_experts` line that is not an integer >= 1 and an expert id
         outside [0, num_experts)."""
+        import numpy as np
         with open(path, newline="") as fh:
             first = fh.readline().rstrip("\n")
             if first != TRACE_HEADER:
@@ -194,6 +203,7 @@ def generate_trace(spec: TraceSpec, seed: int = 0) -> RoutingTrace:
     experts via Gumbel perturbation of the log probabilities and carry
     softmax-normalized scores over the selected set.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     e, k = spec.num_experts, spec.top_k
     alpha = np.full(e, spec.concentration)
@@ -258,6 +268,7 @@ def aux_loss(trace: RoutingTrace, window_tokens: int | None = None) -> AuxLossRe
     f_i = N / (k * T) * count_i and p_i the sum of expert i's gate scores
     divided by T. Perfectly uniform routing gives exactly 1.
     """
+    import numpy as np
     n = trace.num_experts
     k = trace.top_k
     flat_e = trace.experts.reshape(-1, k)
@@ -295,6 +306,7 @@ def capacity_drop_stats(trace: RoutingTrace, capacity_factor: float) -> DropStat
     """Tokens dropped when each expert accepts at most
     ceil(capacity_factor * T * k / N) routed tokens per step, in arrival
     (token index) order."""
+    import numpy as np
     if not capacity_factor >= 0:
         raise ValueError(f"capacity_factor must be a non-negative number, got {capacity_factor}")
     n, k = trace.num_experts, trace.top_k
@@ -308,6 +320,7 @@ def capacity_drop_stats(trace: RoutingTrace, capacity_factor: float) -> DropStat
 
 def device_load_stats(loads) -> float:
     """Coefficient of variation (population std over mean) of device loads."""
+    import numpy as np
     arr = np.asarray(loads, dtype=np.float64)
     mean = arr.mean()
     if mean == 0:
@@ -317,6 +330,7 @@ def device_load_stats(loads) -> float:
 
 def predict_loads(history: np.ndarray, window: int) -> np.ndarray:
     """Mean per-expert load over the last `window` observed steps."""
+    import numpy as np
     hist = np.asarray(history, dtype=np.float64)
     if hist.ndim != 2 or not hist.shape[0]:
         raise ValueError("history must be (steps >= 1, num_experts)")
@@ -335,6 +349,7 @@ class Placement:
 
 
 def contiguous_placement(num_experts: int, num_devices: int) -> np.ndarray:
+    import numpy as np
     if num_experts % num_devices != 0:
         raise SlotMismatchError(
             f"{num_experts} experts do not split evenly over {num_devices} devices"
@@ -362,6 +377,7 @@ def _exact_place(arr: np.ndarray, num_devices: int, slots: int) -> np.ndarray:
 
     Ties prefer the flattest sorted load vector, then the lexicographically
     smallest expert-to-device map, so the result is deterministic."""
+    import numpy as np
     n = arr.shape[0]
     best_key = None
     best = None
@@ -390,6 +406,7 @@ def _lpt_place(arr: np.ndarray, num_devices: int, slots: int) -> np.ndarray:
     """Heaviest expert first onto the least-loaded device with a free slot,
     then pairwise swaps while any swap reduces the sum of squared device
     loads (the mean is fixed, so this descends directly on the CV)."""
+    import numpy as np
     n = arr.shape[0]
     device_of = np.zeros(n, dtype=np.int64)
     dev_load = np.zeros(num_devices)
@@ -430,6 +447,7 @@ def greedy_place(
     Small instances are solved exactly by exhaustive search; larger ones
     fall back to heaviest-first greedy placement followed by pairwise swap
     refinement. The result is deterministic for a given input."""
+    import numpy as np
     arr = np.asarray(loads, dtype=np.float64)
     n = arr.shape[0]
     if num_devices * slots_per_device != n:
@@ -447,6 +465,7 @@ def greedy_place(
 
 
 def placement_loads(counts: np.ndarray, device_of_expert: np.ndarray, num_devices: int) -> np.ndarray:
+    import numpy as np
     return np.bincount(
         np.asarray(device_of_expert), weights=np.asarray(counts, dtype=np.float64), minlength=num_devices
     )
@@ -467,6 +486,7 @@ def trace_statistics(trace: RoutingTrace) -> TraceStats:
     routed slots that went to expert i; a perfectly uniform router puts
     every entry at 1/N (= top_k / (N * top_k)). A table of more than
     TRACE_TABLE_CELLS cells raises ValueError before anything is allocated."""
+    import numpy as np
     n, k = trace.num_experts, trace.top_k
     num_tasks = int(trace.tasks.max(initial=0)) + 1
     for table, rows in (("coactivation", n), ("task_expert_share", num_tasks)):
@@ -509,6 +529,7 @@ def run_balance_simulation(
 ) -> BalanceRunResult:
     """Replay a trace against a static placement and a managed one that
     replans from recent load history every `replan_interval` steps."""
+    import numpy as np
     args = {"num_devices": num_devices, "replan_interval": replan_interval, "history_window": history_window}
     for name, value in args.items():
         if value < 1:

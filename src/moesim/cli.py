@@ -20,8 +20,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .balance import RoutingTrace, aux_loss, generate_trace, run_balance_simulation, trace_statistics
 from .comm import MECHANISMS
 from .configio import load_cluster, load_model, load_plan, load_space, load_trace_spec
@@ -38,12 +36,9 @@ def _jsonable(obj):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, (frozenset, set)):
         return sorted(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    np = sys.modules.get("numpy")  # only balance and trace-stats make numpy values, and they load it
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
+        return _jsonable(obj.tolist())
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

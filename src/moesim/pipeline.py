@@ -269,34 +269,12 @@ def _slot_parts(phase: str, cost: ChunkCost, policy: OverlapPolicy, split_fwd: b
     return [("", cost.fwd if phase == "fwd" else cost.bwd, phase, False)]
 
 
-def simulate_timeline(
-    schedule,
-    chunk_costs,
-    *,
-    policy: OverlapPolicy | None = None,
-    hw: HardwareDescription | None = None,
-    transfers: SlotTransfers | None = None,
-) -> StepReport:
-    """Execute the schedule plus its transfers and measure the step.
-
-    chunk_costs maps (pp_stage, vpp_stage) to ChunkCost. ``transfers``, a
-    ``SlotTransfers`` built on this schedule, take task positions after the
-    compute tasks. Each slot's hops go into its device's program just before
-    it, in row order. Comm runs on its link resource; with
-    policy.overlap_comm False it additionally occupies the device's compute
-    stream (fully exposed). The overlap statistic sweeps each link chain
-    against its device's compute spans, both in order of start, and folds
-    the covered lengths in task order. Backward slots are split into an
-    immediate part and a deferrable weight-gradient part when
-    policy.decouple_dw is set; downstream work waits only on the immediate
-    part. Host dispatch is modeled when hw.host_dispatch_time > 0.
-    """
-    policy = policy or OverlapPolicy()
-    transfers = transfers if transfers is not None else SlotTransfers(schedule)
-    if transfers.schedule is not schedule and transfers.schedule != schedule:
-        raise ValueError("transfers were built on another schedule")
-    if transfers and hw is None:
-        raise ValueError("hw is required when transfers are present")
+def _step_program(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDescription | None,
+                  transfers: SlotTransfers) -> tuple:
+    """(task columns, compute-part templates by (phase, stage, chunk), each
+    stage's compute run, each device's link chains) of one step. The tables
+    only the build reads (slot numbers, parent table, hops by slot, priced
+    shapes) end with this frame, before the engine walks the columns."""
     p = len(schedule)
     v = 1 + max((sl.vpp_stage for slots in schedule for sl in slots), default=0)
     host_time = hw.host_dispatch_time if hw is not None else 0.0
@@ -396,15 +374,48 @@ def simulate_timeline(
         duration, [host_time] * len(duration), device, resources, kind, sync, deps, chains,
         programs if host_time > 0 else {},
     )
+    return columns, templates, runs, link_chains
+
+
+def simulate_timeline(
+    schedule,
+    chunk_costs,
+    *,
+    policy: OverlapPolicy | None = None,
+    hw: HardwareDescription | None = None,
+    transfers: SlotTransfers | None = None,
+) -> StepReport:
+    """Execute the schedule plus its transfers and measure the step.
+
+    chunk_costs maps (pp_stage, vpp_stage) to ChunkCost. ``transfers``, a
+    ``SlotTransfers`` built on this schedule, take task positions after the
+    compute tasks. Each slot's hops go into its device's program just before
+    it, in row order. Comm runs on its link resource; with
+    policy.overlap_comm False it additionally occupies the device's compute
+    stream (fully exposed). The overlap statistic sweeps each link chain
+    against its device's compute spans, both in order of start, and folds
+    the covered lengths in task order. Backward slots are split into an
+    immediate part and a deferrable weight-gradient part when
+    policy.decouple_dw is set; downstream work waits only on the immediate
+    part. Host dispatch is modeled when hw.host_dispatch_time > 0.
+    """
+    policy = policy or OverlapPolicy()
+    transfers = transfers if transfers is not None else SlotTransfers(schedule)
+    if transfers.schedule is not schedule and transfers.schedule != schedule:
+        raise ValueError("transfers were built on another schedule")
+    if transfers and hw is None:
+        raise ValueError("hw is required when transfers are present")
+    columns, templates, runs, link_chains = _step_program(schedule, chunk_costs, policy, hw, transfers)
 
     def names():
-        slots = [slot_id(sl) + x for sl, tpl in zip(slot_at, tpl_of) for x in tpl.suffixes]
-        return slots + transfers.ids()
+        return [slot_id(sl) + x for stage in schedule for sl in stage
+                for x in templates[(sl[3], sl[0], sl[1])].suffixes] + transfers.ids()
 
     result = engine.run_columns(columns, names)
-    begin, finish = result.begin, result.finish
+    begin, finish, duration = result.begin, result.finish, columns.duration
+    base = len(duration) - len(transfers)
     busy = tuple(reduce(add, duration[run], 0) for run in runs)
-    bubble = 1.0 - reduce(add, busy, 0) / (p * result.makespan) if result.makespan > 0 else 0.0
+    bubble = 1.0 - reduce(add, busy, 0) / (len(schedule) * result.makespan) if result.makespan > 0 else 0.0
     total_comm = reduce(add, duration[base:], 0)
     # Every comm task is on one link chain. A stage's compute run and each
     # chain run in order of start, so each chain's windows sweep its

@@ -13,7 +13,6 @@ by the weighted sum.
 from __future__ import annotations
 
 import gc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
@@ -315,6 +314,9 @@ def search_space(
             raise unpriced
     jobs = [(cfg, plan, hw, features, mode) for cfg in configs]
     if workers > 1:
+        # Imported here: it loads multiprocessing, ~15 ms a serial search does not need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_score_one, jobs))
     else:

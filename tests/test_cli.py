@@ -2,11 +2,15 @@
 
 Each test drives ``main(argv)`` in process with small JSON configs written
 to ``tmp_path``, then asserts on the exit code, the printed report, and any
-files the command wrote. The final test reruns every subcommand with the
-same seed and requires byte-identical output.
+files the command wrote. The cold-start checks also run it in a fresh
+interpreter, to see which modules a command loads. The final test reruns
+every subcommand with the same seed and requires byte-identical output.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +204,58 @@ def test_readme_simulate_block_is_the_reference_output(capsys):
     assert capsys.readouterr().out == expected
 
 
+# Runs `moesim.cli.main` on each argv in a fresh interpreter with `src/` on
+# the path. Prints one JSON object: each call's exit code and stdout, and
+# which of the watched modules were loaded that were not loaded before
+# `moesim.cli` was imported (a .pth file may load modules at start-up).
+COLD_START = r"""
+import contextlib, io, json, sys
+baseline = set(sys.modules)
+import moesim.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = moesim.cli.main(argv)
+    runs.append([code, out.getvalue()])
+watched = ("numpy", "concurrent.futures", "multiprocessing")
+print(json.dumps({"runs": runs, "loaded": [m for m in watched if m in sys.modules and m not in baseline]}))
+"""
+
+
+def cold_start(argvs):
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)], cwd=ROOT, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": pythonpath}, check=True)
+    return json.loads(done.stdout)
+
+
+def test_simulate_and_serial_search_start_without_numpy_or_a_process_pool(tmp_path, capsys):
+    """Only balance, trace-stats and search --workers N > 1 need numpy or a
+    process pool; a fresh simulate or serial search loads neither."""
+    paths = write_configs(tmp_path)
+    configs = ROOT / "configs"
+    simulate = ["simulate", "--model", str(configs / "model_reference.json"),
+                "--cluster", str(configs / "cluster_6144.json"), "--plan", str(configs / "plan_reference.json")]
+    search = ["search", "--cluster", paths["cluster"], "--plan", paths["plan"], "--space", paths["space"],
+              "--workers", "1"]
+    cold = cold_start([simulate, search])
+    assert cold["loaded"] == []
+    assert cold["runs"][0] == [0, readme_block("$ moesim simulate")]
+    assert main(search) == 0
+    assert cold["runs"][1] == [0, capsys.readouterr().out]
+
+
+def test_balance_loads_numpy_on_first_use(tmp_path, capsys):
+    paths = write_configs(tmp_path)
+    balance = ["balance", "--spec", paths["spec"], "--devices", "4", "--seed", "3"]
+    cold = cold_start([balance])
+    assert "numpy" in cold["loaded"]
+    assert main(balance) == 0
+    assert cold["runs"] == [[0, capsys.readouterr().out]]
+    assert "cv reduction" in cold["runs"][0][1]
+
+
 def test_readme_python_block_runs(monkeypatch, capsys):
     text = (ROOT / "README.md").read_text()
     block = next(b for b in text.split("```")[1::2] if b.startswith("python\n"))
@@ -269,6 +325,22 @@ def test_search_ranks_candidates_and_writes_json_plus_csv(tmp_path, capsys):
     assert csv_lines[1] == "rank,model,score,train_tps,train_mfu,train_step_time,inference_tps,inference_mfu"
     assert len(csv_lines) == 4
     assert csv_lines[2].startswith("1,")
+
+
+def test_search_with_two_workers_writes_the_serial_bytes(tmp_path, capsys):
+    """The process pool is imported only for --workers above one; its
+    report must not differ from the in-process one by a byte."""
+    paths = write_configs(tmp_path)
+    written = []
+    for workers in ("1", "2"):
+        out_file = tmp_path / f"workers{workers}.json"
+        argv = ["search", "--cluster", paths["cluster"], "--plan", paths["plan"], "--space", paths["space"],
+                "--workers", workers, "--out", str(out_file)]
+        assert main(argv) == 0
+        csv_file = tmp_path / f"workers{workers}.csv"
+        written.append((capsys.readouterr().out, out_file.read_bytes(), csv_file.read_bytes()))
+    assert written[0] == written[1]
+    assert len(json.loads(written[0][1])["ranked"]) == 2
 
 
 def test_search_with_no_feasible_candidate_exits_one(tmp_path, capsys):
