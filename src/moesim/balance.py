@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .cluster import _require_nonnegative
 from .errors import EmptyWindowError, ParseError, SlotMismatchError, ZeroMeanError
 
 TRACE_HEADER = "# moesim-trace v1"
@@ -54,6 +55,10 @@ class TraceSpec:
             raise ValueError("num_tasks must be >= 1")
         if self.task_mix and len(self.task_mix) != self.num_tasks:
             raise ValueError("task_mix length must equal num_tasks")
+        for i, weight in enumerate(self.task_mix):
+            _require_nonnegative(f"task_mix[{i}]", weight)
+        if self.task_mix and not 0 < sum(self.task_mix) < math.inf:
+            raise ValueError(f"task_mix must have a finite sum > 0, got {list(self.task_mix)}")
 
 
 @dataclass
@@ -334,6 +339,8 @@ def predict_loads(history: np.ndarray, window: int) -> np.ndarray:
     hist = np.asarray(history, dtype=np.float64)
     if hist.ndim != 2 or not hist.shape[0]:
         raise ValueError("history must be (steps >= 1, num_experts)")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     return hist[-window:].mean(axis=0)
 
 

@@ -29,6 +29,12 @@ _RATES = (
 _DELAYS = ("intra_node_latency", "inter_node_latency", "host_dispatch_time")
 
 
+def _require_nonnegative(name, value) -> None:
+    """name is the string the error names, or a function spelling it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise ValueError(f"{name() if callable(name) else name} must be a finite number >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CommGroup:
     size: int
@@ -38,8 +44,10 @@ class CommGroup:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("group size must be >= 1")
-        if self.latency < 0 or self.bandwidth <= 0:
-            raise ValueError("latency must be >= 0 and bandwidth > 0")
+        _require_nonnegative("latency", self.latency)
+        _require_nonnegative("bandwidth", self.bandwidth)
+        if not self.bandwidth:
+            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth!r}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +112,7 @@ def collective_time(kind: str, volume_bytes: float, group: CommGroup) -> float:
 
     A group of size 1 costs nothing regardless of kind or volume.
     """
-    if volume_bytes < 0:
-        raise ValueError("volume must be non-negative")
+    _require_nonnegative("volume_bytes", volume_bytes)
     if kind not in COLLECTIVE_KINDS:
         raise ValueError(f"unknown collective kind {kind!r}")
     g = group.size
@@ -124,7 +131,7 @@ def collective_time(kind: str, volume_bytes: float, group: CommGroup) -> float:
 
 def kernel_time(flops: float, bytes_moved: float, hw: HardwareDescription, dtype_bytes: int = 2) -> float:
     """Roofline estimate: slower of the compute and HBM traffic terms."""
-    if flops < 0 or bytes_moved < 0:
-        raise ValueError("flops and bytes_moved must be non-negative")
+    _require_nonnegative("flops", flops)
+    _require_nonnegative("bytes_moved", bytes_moved)
     peak = hw.peak_for_dtype_bytes(dtype_bytes)
     return max(flops / (peak * hw.matmul_efficiency), bytes_moved / hw.hbm_bandwidth)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cluster import _require_nonnegative
+
 MECHANISMS = ("hierarchical", "alltoall", "allgather")
 
 
@@ -45,8 +47,10 @@ def dispatch_volumes(
     """Bytes crossing each network tier to dispatch one device's tokens."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown dispatch mechanism {mechanism!r}")
-    if min(tokens, hidden, dtype_bytes, topk, tp, ep) < 1 and tokens != 0:
-        raise ValueError("tokens may be zero; all other factors must be >= 1")
+    _require_nonnegative("tokens", tokens)
+    for name, factor in zip(("hidden", "dtype_bytes", "topk", "tp", "ep"), (hidden, dtype_bytes, topk, tp, ep)):
+        if factor < 1:
+            raise ValueError(f"{name} must be >= 1, got {factor!r}")
     unit = hidden * dtype_bytes
     if mechanism == "allgather":
         inter_units = tokens * tp * ep

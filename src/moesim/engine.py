@@ -1,13 +1,15 @@
 """Deterministic task-graph timeline engine.
 
-Tasks occupy one or more serial resources on a device. Execution order per
+Each task occupies one serial resource on its device. Execution order per
 resource is fixed up front (the chain), so timing reduces to a longest-path
 pass over the combined graph of chain edges, dependency edges, and host
-dispatch edges, and no two tasks on one resource can ever overlap. An
-overlap feature that only removes edges while the chains keep their order
-can never lengthen the step. `host_gmm_first` is not one: it reorders a
-forward's grouped matmul and permute on the chains, so that argument does
-not cover it.
+dispatch edges, and no two tasks on one resource can ever overlap. A task
+that must also wait for work on another resource, as comm does when it
+may not overlap compute, says so with dependencies. An overlap feature
+that only removes edges while the chains keep their order can never
+lengthen the step. `host_gmm_first` is not one: it reorders a forward's
+grouped matmul and permute on the chains, so that argument does not cover
+it.
 
 Host modeling: every task may carry a host-side dispatch cost. Dispatches
 run serially per device in the given host order, ahead of device execution
@@ -17,20 +19,20 @@ that task finishes on the device.
 The core, `run_columns`, takes the tasks as flat columns indexed by task
 position and walks the orders those columns already hold, one lane each:
 every chain is a lane of tasks and every host order a lane of dispatches.
-A task starts at the latest of its lanes' last finishes, its dependencies'
-finishes and, when it is hosted, its dispatch end; a task in two chains
-starts once both lanes reach it. A dispatch begins when the one before it
-in its host order ends, or, after a sync task, when that task finishes, so
-a host lane runs ahead of execution. A lane that reaches a task (or a
-dispatch) it cannot time yet parks until what it waits for completes; if
-tasks are left when no lane can move, the graph has a cycle. Each time is
-a max over the same `begin + length` sums whatever order the lanes move
-in. Node i is task i's execution and node n + i its dispatch, which has a
-time only when the task is in a host order.
+A task starts at the latest of its chain predecessor's finish, its
+dependencies' finishes and, when it is hosted, its dispatch end. A
+dispatch begins when the one before it in its host order ends, or, after a
+sync task, when that task finishes, so a host lane runs ahead of
+execution. A lane that reaches a task (or a dispatch) it cannot time yet
+parks until what it waits for completes; if tasks are left when no lane
+can move, the graph has a cycle. Each time is a max over the same
+`begin + length` sums whatever order the lanes move in. Node i is task i's
+execution and node n + i its dispatch, which has a time only when the task
+is in a host order.
 
-`run_tasks` is the adapter for tasks named by string ids. Besides the
-chain checks, it refuses a task that uses no resource (no lane would reach
-it) and a task listed more than once across the host orders.
+`run_tasks` is the adapter for tasks named by string ids. It checks that
+each task is in the one chain of its device and resource and in no other,
+and refuses a task listed more than once across the host orders.
 
 `covered_lengths` measures how much of each window the union of some spans
 covers (the pipeline's overlap statistic). It takes both in order of
@@ -49,7 +51,7 @@ from .errors import DeadlockError
 class Task:
     id: str
     device: int
-    resources: tuple  # e.g. ("compute",) or ("compute", "intra_link")
+    resource: str  # e.g. "compute" or "intra_link"
     duration: float
     deps: tuple = ()
     kind: str = "op"  # compute | comm | sub-op tags used for metrics
@@ -61,14 +63,14 @@ class Task:
 # positions task i waits on, chains maps (device, resource) and host_order
 # maps device to positions in execution or launch order.
 TaskColumns = namedtuple(
-    "TaskColumns", "duration host_time device resources kind sync_host deps chains host_order"
+    "TaskColumns", "duration host_time device resource kind sync_host deps chains host_order"
 )
 
 
 class TimelineResult:
     """Times of one run, held by task position: `begin` for every graph
     node, `finish` for every task, and `ready` for every task: the latest
-    finish among its chain predecessors and dependencies, which the host
+    finish among its chain predecessor and dependencies, which the host
     delays are measured from. The views keyed by task id (`start`, `end`,
     `dispatch_end`, `host_delay`, `tasks`, `chains`) are built together on
     first read, which rejects a task id given twice; `host_delay` follows
@@ -92,7 +94,7 @@ class TimelineResult:
         self.dispatch_end = {ids[i]: self.begin[n + i] + c.host_time[i] for i in sorted(set(hosted))}
         self.host_delay = dict(zip([ids[i] for i in hosted], self.host_delays()))
         self.tasks = {
-            tid: Task(tid, c.device[i], c.resources[i], c.duration[i], tuple(ids[d] for d in c.deps[i]),
+            tid: Task(tid, c.device[i], c.resource[i], c.duration[i], tuple(ids[d] for d in c.deps[i]),
                       c.kind[i], c.host_time[i], c.sync_host[i])
             for i, tid in enumerate(ids)
         }
@@ -111,8 +113,8 @@ def run_columns(columns: TaskColumns, names) -> TimelineResult:
     """Compute start and end times for tasks given as columns.
 
     names is a zero-argument function returning the task ids by position;
-    it runs only when a view keyed by id is read. Every task must be in at
-    least one chain and in at most one host order (`run_tasks` checks
+    it runs only when a view keyed by id is read. Every task must be in
+    exactly one chain and in at most one host order (`run_tasks` checks
     both). Raises DeadlockError when the combined graph has a cycle.
     """
     duration, host_time, sync, deps = columns.duration, columns.host_time, columns.sync_host, columns.deps
@@ -122,21 +124,12 @@ def run_columns(columns: TaskColumns, names) -> TimelineResult:
     finish = [None] * n  # None until the task has run
     ready = [0.0] * n
     due = [0.0] * n  # dispatch end; None for a hosted task its host lane has not reached
-    need = [0] * n  # lanes that have not reached the task yet
-    chains = [chain for chain in columns.chains.values() if chain]
-    for chain in chains:
-        for i in chain:
-            need[i] += 1
     for order in orders:
         for i in order:
             due[i] = None
-    # A lane is [positions, cursor, dispatches]. The lane that moves onto a task
-    # folds its last finish into the task's begin; a lane that cannot move
-    # parks on the node it waits for and resumes when that node completes.
-    lanes = []
-    for chain in chains:
-        need[chain[0]] -= 1
-        lanes.append([chain, 0, False])
+    # A lane is [positions, cursor, dispatches]. A lane that cannot move parks
+    # on the node it waits for and resumes when that node completes.
+    lanes = [[chain, 0, False] for chain in columns.chains.values() if chain]
     lanes += [[order, 0, True] for order in orders]  # popped first: hosts run ahead
     waiters = {}  # node -> parked lanes
     done = 0
@@ -169,40 +162,32 @@ def run_columns(columns: TaskColumns, names) -> TimelineResult:
         else:
             while k < last:
                 i = seq[k]
-                f = finish[i]
-                if f is None:  # i has not run: its other lanes, deps and dispatch first
-                    wait = i if need[i] else None
-                    if wait is None:
-                        b = begin[i]
-                        for d in deps[i]:
-                            f = finish[d]
-                            if f is None:
-                                wait = d
-                                break
-                            if f > b:
-                                b = f
-                        else:
-                            e = due[i]
-                            if e is None:
-                                wait = n + i
-                    if wait is not None:
-                        waiters.setdefault(wait, []).append(lane)
+                b = finish[seq[k - 1]] if k else 0.0  # the chain predecessor has run
+                wait = None
+                for d in deps[i]:
+                    f = finish[d]
+                    if f is None:
+                        wait = d
                         break
-                    ready[i] = b
-                    if e > b:
-                        b = e
-                    begin[i] = b
-                    f = finish[i] = b + duration[i]
-                    done += 1
-                    woken = waiters.pop(i, None)
-                    if woken:
-                        lanes += woken
+                    if f > b:
+                        b = f
+                else:
+                    e = due[i]
+                    if e is None:
+                        wait = n + i
+                if wait is not None:
+                    waiters.setdefault(wait, []).append(lane)
+                    break
+                ready[i] = b
+                if e > b:
+                    b = e
+                begin[i] = b
+                finish[i] = b + duration[i]
+                done += 1
+                woken = waiters.pop(i, None)
+                if woken:
+                    lanes += woken
                 k += 1
-                if k < last:
-                    j = seq[k]
-                    need[j] -= 1
-                    if f > begin[j]:
-                        begin[j] = f
         lane[1] = k
     if done != n:
         raise DeadlockError("dependency cycle in timeline task graph")
@@ -214,11 +199,10 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
 
     tasks: iterable of Task. chains: {(device, resource): [task ids]} giving
     the execution order on each serial resource; every task must appear
-    exactly once in the chain of each of its resources and in no other
-    chain, or ValueError names the task and the chain; a task that uses no
-    resource is refused too. host_order: {device: [task ids]} enables host
-    dispatch modeling for those devices; a task listed more than once across
-    the host orders is refused.
+    exactly once in the chain (task.device, task.resource) and in no other
+    chain, or ValueError names the task and the chain. host_order: {device:
+    [task ids]} enables host dispatch modeling for those devices; a task
+    listed more than once across the host orders is refused.
 
     Raises DeadlockError when the combined graph has a cycle.
     """
@@ -233,12 +217,10 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
                 raise ValueError(f"chain {key} references unknown task {tid!r}")
     placed = Counter((key, tid) for key, chain in chains.items() for tid in chain)
     for t in by_id.values():
-        if not t.resources:
-            raise ValueError(f"task {t.id!r} uses no resource")
-        for key in dict.fromkeys((t.device, r) for r in t.resources):
-            count = placed.pop((key, t.id), 0)
-            if count != 1:
-                raise ValueError(f"task {t.id!r} is {'repeated in' if count else 'missing from'} chain {key}")
+        key = (t.device, t.resource)
+        count = placed.pop((key, t.id), 0)
+        if count != 1:
+            raise ValueError(f"task {t.id!r} is {'repeated in' if count else 'missing from'} chain {key}")
     if placed:
         key, tid = next(iter(placed))
         raise ValueError(f"chain {key} holds task {tid!r}, which does not use that resource")
@@ -258,7 +240,7 @@ def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
                 raise ValueError(f"task {tid!r} is listed more than once in the host orders")
             hosted.add(tid)
     ids = list(by_id)
-    fields = ("duration", "host_time", "device", "resources", "kind", "sync_host")
+    fields = ("duration", "host_time", "device", "resource", "kind", "sync_host")
     columns = TaskColumns(
         *([getattr(t, field) for t in items] for field in fields),
         deps=[[index[d] for d in t.deps] for t in items],

@@ -6,9 +6,9 @@ micro batch count to divide evenly by the stage count; plans violating
 that are rejected at validation). The simulation turns the schedule's
 slots and the transfers' hops into one ordered program per device: for
 each slot in schedule order, the hops into it in row order, then its
-compute tasks. Each serial resource (compute, inter_link, intra_link) runs
-the program's tasks that use it, in program order, and the host launches
-the whole program in that order.
+compute tasks. Every task uses one serial resource (compute, inter_link or
+intra_link); each resource runs the program's tasks that use it, in
+program order, and the host launches the whole program in that order.
 
 Tasks are integer positions. Each stage's compute tasks are one
 contiguous run, in the order its compute chain runs them; the transfers'
@@ -28,16 +28,15 @@ compensates its rounding, so its bits depend on the interpreter.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, count
+from itertools import chain, compress, count, pairwise
 from operator import add
 from typing import NamedTuple
 
 from . import engine
-from .cluster import CommGroup, HardwareDescription, collective_time
+from .cluster import CommGroup, HardwareDescription, _require_nonnegative, collective_time
 from .model import ModelConfig
 from .parallel import ParallelPlan
 
@@ -47,7 +46,7 @@ PREPROCESS_FRACTION = 0.05
 PERMUTE_FRACTION = 0.15
 GMM_FRACTION = 0.80
 
-COMPUTE = ("compute",)
+COMPUTE = "compute"
 
 # A slot's compute tasks in launch order, and the index of the one
 # downstream work waits on: never a deferred weight gradient.
@@ -64,12 +63,6 @@ class ScheduleSlot(NamedTuple):
 # Builds a slot from a 4-tuple in C: the schedule and the parent table make
 # one per slot, and the namedtuple's own constructor is a Python function.
 _new_tuple = tuple.__new__
-
-
-def _require_nonnegative(name, value) -> None:
-    """name is the string the error names, or a function spelling it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
-        raise ValueError(f"{name() if callable(name) else name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -322,7 +315,7 @@ def _step_program(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDesc
             _require_nonnegative(lambda h=h: f"event {transfers.ids()[hop_shapes.index(h)]!r} bytes", shape[2])
             priced[shape] = _comm_seconds(*shape, hw)
         cost[h] = priced[shape]
-    links = [(sh.resource,) if policy.overlap_comm else ("compute", sh.resource) for sh in shapes]
+    links = [sh.resource for sh in shapes]
     chained = [sh.chained for sh in shapes]
     # The parent table: what the first part of each slot waits on, by slot
     # number: its dataflow parent's waited-on part, or nothing at a graph
@@ -338,8 +331,8 @@ def _step_program(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDesc
         deps[f] = (*dep, *hops_in)
     device += [device[first[g]] for g in hop_slots]
     duration += map(cost.__getitem__, hop_shapes)
-    resources = [COMPUTE] * base
-    resources += map(links.__getitem__, hop_shapes)
+    resource = [COMPUTE] * base
+    resource += map(links.__getitem__, hop_shapes)
     deps += [(j - 1,) if chained[h] else parent_wait[g] for j, g, h in zip(count(base), hop_slots, hop_shapes)]
     kind += ["comm"] * len(hop_slots)
     sync += [False] * len(hop_slots)
@@ -353,25 +346,30 @@ def _step_program(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDesc
             for g in numbers:
                 program += fed[g]
                 program += range(first[g], ends[g])
+    if not policy.overlap_comm:
+        # Comm runs alone on its device: each hop waits on the task before it
+        # in the program. The task after a hop then waits on it too: a hop by
+        # this rule, a slot's first task because it waits on every hop
+        # feeding it.
+        for program in programs.values():
+            for before, j in pairwise(program):
+                if j >= base and before not in deps[j]:
+                    deps[j] += (before,)
 
-    # Each serial resource runs its share of the program in program order.
-    # One pass cuts the program by resource tuple. Tasks use COMPUTE or a
-    # link tuple, so a resource is on one tuple, whose cut is its chain, or
-    # on every tuple (compute, when comm does not overlap), and its chain is
-    # the whole program. Keys go in the order the resources are first used.
-    # The host launches the whole program.
+    # Each serial resource runs its share of the program in program order:
+    # one pass cuts the program by resource, in the order of first use. The
+    # host launches the whole program.
     chains, link_chains = {}, defaultdict(list)  # link_chains: device -> its link resources' chains
     for dev, program in programs.items():
-        cuts = {res: [] for res in map(resources.__getitem__, program)}  # in order of first use
+        cuts = {}
         for pos in program:
-            cuts[resources[pos]].append(pos)
-        for r in dict.fromkeys(chain.from_iterable(cuts)):
-            holders = [res for res in cuts if r in res]
-            lane = chains[(dev, r)] = cuts[holders[0]] if len(holders) == 1 else list(program)
-            if r != COMPUTE[0]:
+            cuts.setdefault(resource[pos], []).append(pos)
+        for r, lane in cuts.items():
+            chains[(dev, r)] = lane
+            if r != COMPUTE:
                 link_chains[dev].append(lane)
     columns = engine.TaskColumns(
-        duration, [host_time] * len(duration), device, resources, kind, sync, deps, chains,
+        duration, [host_time] * len(duration), device, resource, kind, sync, deps, chains,
         programs if host_time > 0 else {},
     )
     return columns, templates, runs, link_chains
@@ -391,8 +389,9 @@ def simulate_timeline(
     ``SlotTransfers`` built on this schedule, take task positions after the
     compute tasks. Each slot's hops go into its device's program just before
     it, in row order. Comm runs on its link resource; with
-    policy.overlap_comm False it additionally occupies the device's compute
-    stream (fully exposed). The overlap statistic sweeps each link chain
+    policy.overlap_comm False each hop also waits on the task before it in
+    its device's program, so a device runs its program one task at a time
+    and comm is fully exposed. The overlap statistic sweeps each link chain
     against its device's compute spans, both in order of start, and folds
     the covered lengths in task order. Backward slots are split into an
     immediate part and a deferrable weight-gradient part when

@@ -264,13 +264,16 @@ def test_c07_reference_model_parameter_bands():
     assert 37e9 <= pc.activated <= 41e9
 
 
-def _scan_for_conflicts(timeline):
+def _scan_for_conflicts(timeline, comm_holds_compute=False):
     """Brute-force interval scan: no resource double-occupancy and no
-    dependency violation anywhere in the executed task set."""
+    dependency violation anywhere in the executed task set. With
+    comm_holds_compute, as without comm overlap, each comm task also holds
+    its device's compute stream."""
     occupancy = {}
     for task in timeline.tasks.values():
-        for resource in task.resources:
-            occupancy.setdefault((task.device, resource), []).append(task.id)
+        occupancy.setdefault((task.device, task.resource), []).append(task.id)
+        if comm_holds_compute and task.kind == "comm":
+            occupancy.setdefault((task.device, "compute"), []).append(task.id)
     for key, ids in occupancy.items():
         spans = sorted((timeline.start[t], timeline.end[t], t) for t in ids)
         for (s0, e0, a), (s1, e1, b) in zip(spans, spans[1:]):
@@ -325,8 +328,8 @@ def test_c08_scheduler_soundness_on_randomized_simulations():
         off = simulate_timeline(
             schedule, costs, policy=OverlapPolicy(overlap_comm=False, **base), hw=hw, transfers=transfers
         )
-        for report in (on, off):
-            _scan_for_conflicts(report.timeline)
+        for report, exposed in ((on, False), (off, True)):
+            _scan_for_conflicts(report.timeline, comm_holds_compute=exposed)
             assert report.step_time == pytest.approx(report.timeline.makespan)
         assert on.step_time <= off.step_time + 1e-9
         checked += 1

@@ -4,6 +4,7 @@ import csv
 import itertools
 import math
 import random
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -239,6 +240,14 @@ def test_predict_loads_window_mean():
     assert np.allclose(predict_loads(hist, 10), [2.0, 2.0])
     with pytest.raises(ValueError, match="steps >= 1"):
         predict_loads(np.empty((0, 4)), 3)
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_predict_loads_refuses_a_window_below_one(window):
+    """0 once meant the whole history and -1 every step but the first."""
+    hist = np.array([[4.0, 0.0], [2.0, 2.0], [0.0, 4.0]])
+    with pytest.raises(ValueError, match=f"^window must be >= 1, got {window}$"):
+        predict_loads(hist, window)
 
 
 def test_contiguous_placement_blocks():
@@ -666,3 +675,21 @@ def test_spec_validation():
         TraceSpec(num_experts=4, tokens_per_step=8, steps=0, top_k=2)
     with pytest.raises(ValueError):
         TraceSpec(num_experts=4, tokens_per_step=8, steps=1, top_k=2, num_tasks=2, task_mix=(1.0,))
+
+
+@pytest.mark.parametrize("mix, message", [
+    ((0, 0), "task_mix must have a finite sum > 0, got [0, 0]"),
+    ((0.0, 0.0), "task_mix must have a finite sum > 0, got [0.0, 0.0]"),
+    ((1e308, 1e308), "task_mix must have a finite sum > 0, got [1e+308, 1e+308]"),
+    ((-1, 2), "task_mix[0] must be a finite number >= 0, got -1"),
+    ((1.0, math.nan), "task_mix[1] must be a finite number >= 0, got nan"),
+    ((math.inf, 1.0), "task_mix[0] must be a finite number >= 0, got inf"),
+    ((1.0, True), "task_mix[1] must be a finite number >= 0, got True"),
+])
+def test_spec_refuses_a_task_mix_it_cannot_draw_from(mix, message):
+    """Such a mix once reached numpy's sampler, which warned and then failed
+    naming neither the spec nor the field."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TraceSpec(num_experts=4, tokens_per_step=8, steps=1, top_k=2, num_tasks=2, task_mix=mix)
+    weights = TraceSpec(num_experts=4, tokens_per_step=8, steps=1, top_k=2, num_tasks=2, task_mix=(0, 3))
+    assert generate_trace(weights, 0).tasks.tolist() == [[1] * 8]

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,16 @@ def test_readme_simulate_block_is_the_reference_output(capsys):
     assert main(argv) == 0
     expected = readme_block("$ moesim simulate")
     assert "step 28.809454 s\n" in expected and "mfu 0.3773\n" in expected
+    assert capsys.readouterr().out == expected
+
+
+def test_readme_no_overlap_block_is_the_reference_output(capsys):
+    configs = ROOT / "configs"
+    argv = ["simulate", "--no-overlap", "--model", str(configs / "model_reference.json"),
+            "--cluster", str(configs / "cluster_6144.json"), "--plan", str(configs / "plan_reference.json")]
+    assert main(argv) == 0
+    expected = readme_block("$ moesim simulate --no-overlap")
+    assert "step 33.804042 s\n" in expected and "comm overlap 0.0000\n" in expected
     assert capsys.readouterr().out == expected
 
 
@@ -537,6 +548,21 @@ def test_plan_splitting_micro_batch_tokens_unevenly_exits_one(tmp_path, capsys, 
     rc = main([command, "--model", paths["model"], "--cluster", str(cluster), "--plan", str(plan)])
     captured = capsys.readouterr()
     assert (rc, captured.out, captured.err) == (1, out, err)
+
+
+@pytest.mark.parametrize("mix, message", [
+    ([0, 0], "task_mix must have a finite sum > 0"),
+    ([-1, 2], "task_mix[0] must be a finite number >= 0, got -1"),
+])
+def test_balance_refuses_a_task_mix_it_cannot_draw_from(tmp_path, capsys, mix, message):
+    """Once a numpy RuntimeWarning, then an error naming neither the spec
+    nor the field."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**TRACE_SPEC, "num_tasks": 2, "task_mix": mix}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_rejected(capsys, ["balance", "--spec", str(spec), "--devices", "4"], "trace_spec: ", message)
+    assert caught == []
 
 
 @pytest.mark.parametrize(

@@ -66,6 +66,38 @@ def test_unknown_collective_rejected():
         collective_time("broadcast-tree", 1e9, group)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, True])
+@pytest.mark.parametrize("name", ["flops", "bytes_moved"])
+def test_kernel_time_rejects_what_it_cannot_price(name, bad):
+    """A NaN flop count once came back as a NaN time, and a NaN byte count
+    was dropped by `max`, leaving the compute bound."""
+    args = {"flops": 1e12, "bytes_moved": 1.0, name: bad}
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number >= 0, got {re.escape(repr(bad))}$"):
+        kernel_time(**args, hw=make_hw())
+
+
+@pytest.mark.parametrize("kind", ["p2p", "allgather"])
+@pytest.mark.parametrize("volume", [math.nan, math.inf, -1.0])
+def test_collective_time_rejects_a_non_finite_volume(kind, volume):
+    """Once a NaN or an infinite time."""
+    with pytest.raises(ValueError, match=rf"^volume_bytes must be a finite number >= 0, got {volume!r}$"):
+        collective_time(kind, volume, CommGroup(4, 1e-6, 1e9))
+
+
+@pytest.mark.parametrize("latency, bandwidth, message", [
+    (math.nan, 1e9, "latency must be a finite number >= 0, got nan"),
+    (math.inf, 1e9, "latency must be a finite number >= 0, got inf"),
+    (-1e-6, 1e9, "latency must be a finite number >= 0, got -1e-06"),
+    (0.0, math.nan, "bandwidth must be a finite number >= 0, got nan"),
+    (0.0, math.inf, "bandwidth must be a finite number >= 0, got inf"),
+    (0.0, 0.0, "bandwidth must be > 0, got 0.0"),
+])
+def test_comm_group_rejects_a_bad_link(latency, bandwidth, message):
+    """NaN latencies and bandwidths were once accepted."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CommGroup(4, latency, bandwidth)
+
+
 def test_kernel_time_is_max_of_bounds():
     hw = make_hw()
     # compute bound: 1e12 flops at 100 TFLOP/s = 10 ms, traffic tiny

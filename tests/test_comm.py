@@ -1,5 +1,6 @@
 """Dispatch volume accounting across network tiers."""
 
+import math
 import random
 
 import pytest
@@ -69,6 +70,23 @@ def test_hierarchical_beats_alltoall_when_ep_small():
 def test_single_expert_group_moves_nothing_across_nodes():
     vols = dispatch_volumes("hierarchical", 128, 16, 2, 4, 2, 1)
     assert vols.inter_node_bytes == 0
+
+
+@pytest.mark.parametrize("tokens", [0, 16])
+@pytest.mark.parametrize("index, name", [(1, "hidden"), (2, "dtype_bytes"), (3, "topk"), (4, "tp"), (5, "ep")])
+def test_each_factor_is_checked_even_with_no_tokens(tokens, index, name):
+    """With zero tokens every factor check was once skipped, so ep=0 passed."""
+    args = [tokens, 16, 2, 2, 1, 2]
+    args[index] = 0
+    for mechanism in ("hierarchical", "alltoall", "allgather"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            dispatch_volumes(mechanism, *args)
+
+
+@pytest.mark.parametrize("tokens", [-1, math.nan, math.inf])
+def test_token_count_must_be_a_finite_number_at_least_zero(tokens):
+    with pytest.raises(ValueError, match=f"^tokens must be a finite number >= 0, got {tokens!r}$"):
+        dispatch_volumes("hierarchical", tokens, 16, 2, 2, 1, 2)
 
 
 def test_unknown_mechanism_rejected():

@@ -24,7 +24,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def compute(tid, device=0, duration=1.0, **kw):
-    return Task(tid, device, ("compute",), duration, **kw)
+    return Task(tid, device, "compute", duration, **kw)
 
 
 def test_duplicate_task_id_rejected():
@@ -53,12 +53,6 @@ def test_task_missing_from_its_chain_rejected():
         run_tasks([compute("a"), compute("b")], {(0, "compute"): ["a"]})
 
 
-def test_task_missing_from_the_chain_of_its_second_resource_rejected():
-    both = Task("a", 0, ("compute", "intra_link"), 1.0)
-    with pytest.raises(ValueError, match=r"task 'a' is missing from chain \(0, 'intra_link'\)"):
-        run_tasks([both], {(0, "compute"): ["a"]})
-
-
 def test_task_repeated_in_its_chain_rejected():
     # Once reported as a dependency cycle.
     with pytest.raises(ValueError, match=r"task 'a' is repeated in chain \(0, 'compute'\)"):
@@ -70,12 +64,6 @@ def test_task_in_a_foreign_chain_rejected(key):
     """A chain of another device, or of a resource the task does not use."""
     with pytest.raises(ValueError, match=re.escape(f"chain {key} holds task 'a', which does not use that resource")):
         run_tasks([compute("a")], {(0, "compute"): ["a"], key: ["a"]})
-
-
-def test_task_on_no_resource_rejected():
-    # It would be in no chain, so no lane would ever reach it.
-    with pytest.raises(ValueError, match="task 'b' uses no resource"):
-        run_tasks([compute("a"), Task("b", 0, (), 1.0)], {(0, "compute"): ["a"]})
 
 
 @pytest.mark.parametrize("host_order", [{0: ["a", "b", "a"]}, {0: ["a"], 1: ["b", "a"]}])
@@ -130,7 +118,7 @@ def test_two_device_host_dispatch_hand_timed():
     assert r.makespan == 7.5
 
 
-RESOURCES = [("compute",), ("link",), ("compute", "link")]
+RESOURCES = ["compute", "link"]
 TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]) | st.floats(0.0, 10.0)
 
 
@@ -148,7 +136,7 @@ def task_graphs(draw):
             Task(
                 id=f"t{i}",
                 device=draw(st.integers(0, devices - 1)),
-                resources=draw(st.sampled_from(RESOURCES)),
+                resource=draw(st.sampled_from(RESOURCES)),
                 duration=draw(TIMES),
                 deps=tuple(f"t{j}" for j in sorted(deps)),
                 host_time=draw(TIMES),
@@ -157,8 +145,7 @@ def task_graphs(draw):
         )
     chains = {}
     for t in tasks:
-        for r in t.resources:
-            chains.setdefault((t.device, r), []).append(t.id)
+        chains.setdefault((t.device, t.resource), []).append(t.id)
     hosted = draw(st.sets(st.integers(0, devices - 1)))
     host_order = {d: [t.id for t in tasks if t.device == d] for d in sorted(hosted)}
     return draw(st.permutations(tasks)), chains, host_order
@@ -293,8 +280,8 @@ def assert_matches_oracle(columns):
 
 @st.composite
 def task_columns(draw):
-    """(shape, TaskColumns) with hosted tasks on any device, sync tasks and
-    tasks on two resources. "ordered": dependencies, chains and host orders
+    """(shape, TaskColumns) with hosted tasks on any device and sync tasks,
+    each task on one resource. "ordered": dependencies, chains and host orders
     follow position order, so the graph is acyclic. "shuffled": a task may
     wait on any other and every order is a random permutation, so cycles
     may form. "cyclic": shuffled, plus two tasks that wait on each other."""
@@ -302,7 +289,7 @@ def task_columns(draw):
     n = draw(st.integers(1, 12))
     devices = draw(st.integers(1, 3))
     device = [draw(st.integers(0, devices - 1)) for _ in range(n)]
-    resources = [draw(st.sampled_from(RESOURCES)) for _ in range(n)]
+    resource = [draw(st.sampled_from(RESOURCES)) for _ in range(n)]
     duration = [draw(TIMES) for _ in range(n)]
     host_time = [draw(TIMES) for _ in range(n)]
     sync = [draw(st.booleans()) for _ in range(n)]
@@ -315,8 +302,7 @@ def task_columns(draw):
     order = list(range(n)) if shape == "ordered" else draw(st.permutations(range(n)))
     chains = {}
     for i in order:
-        for r in resources[i]:
-            chains.setdefault((device[i], r), []).append(i)
+        chains.setdefault((device[i], resource[i]), []).append(i)
     hosted = draw(st.lists(st.integers(0, n - 1), unique=True))
     if shape == "ordered":
         hosted.sort()
@@ -324,7 +310,7 @@ def task_columns(draw):
     for i in hosted:
         host_order.setdefault(draw(st.integers(0, devices - 1)), []).append(i)
     kind = ["op"] * n
-    return shape, TaskColumns(duration, host_time, device, resources, kind, sync, deps, chains, host_order)
+    return shape, TaskColumns(duration, host_time, device, resource, kind, sync, deps, chains, host_order)
 
 
 @settings(database=None, derandomize=True, max_examples=300, deadline=None)

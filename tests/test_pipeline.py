@@ -10,7 +10,7 @@ import subprocess
 import sys
 from collections import defaultdict
 from functools import reduce
-from itertools import count
+from itertools import count, pairwise
 from operator import add
 from pathlib import Path
 
@@ -21,13 +21,12 @@ from hypothesis import strategies as st
 import moesim
 
 from moesim import engine
-from moesim.cluster import CommGroup, HardwareDescription, collective_time
+from moesim.cluster import CommGroup, HardwareDescription, _require_nonnegative, collective_time
 from moesim.comm import MECHANISMS
 from moesim.engine import run_tasks
 from moesim.model import MlaDims, ModelConfig, flops_per_token
 from moesim.parallel import ParallelPlan, assign_chunks
 from moesim.pipeline import (
-    COMPUTE,
     SERIALIZED,
     ChunkCost,
     HopShape,
@@ -37,7 +36,6 @@ from moesim.pipeline import (
     StepReport,
     _comm_seconds,
     _Parts,
-    _require_nonnegative,
     _slot_parts,
     analytic_bubble_ratio,
     build_1f1b_schedule,
@@ -587,10 +585,10 @@ def test_random_program_reports_stay_pinned(seed):
     assert rep.host_idle_time == pytest.approx(idle, rel=1e-12)
 
 
-def test_random_program_timelines_stay_pinned():
-    """One SHA-256 over random programs 0-199: every report field, every
-    time view with its key order, every task's deps in order and every
-    chain, recorded before the timeline lost its hand-built event path."""
+def test_random_program_times_stay_pinned():
+    """One SHA-256 over random programs 0-199: every report field and every
+    time view with its key order, recorded before comm stopped sharing the
+    compute chain under no-overlap. Those times must not move."""
     digest = hashlib.sha256()
     for seed in range(200):
         rep = simulate(random_program(random.Random(seed)))
@@ -598,10 +596,22 @@ def test_random_program_timelines_stay_pinned():
         digest.update(repr((
             [getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "timeline"],
             [list(getattr(tl, view).items()) for view in ("start", "end", "dispatch_end", "host_delay")],
+        )).encode())
+    assert digest.hexdigest() == "7291058c43f391764340af89ef5ba9ff8283ac325bf73794a9544cc7284326c4"
+
+
+def test_random_program_graphs_stay_pinned():
+    """One SHA-256 over random programs 0-199: every task's deps in order
+    and every chain with its key order, recorded once each task ran on one
+    resource and no-overlap comm waited on its program predecessor."""
+    digest = hashlib.sha256()
+    for seed in range(200):
+        tl = simulate(random_program(random.Random(seed))).timeline
+        digest.update(repr((
             [(tid, task.deps) for tid, task in tl.tasks.items()],
             list(tl.chains.items()),
         )).encode())
-    assert digest.hexdigest() == "a56a6a8272ddad3a52d9c136c937ded955aa4705a8af2d62215bf9a4feaa8079"
+    assert digest.hexdigest() == "a5b0af9cea0389ee756bff2c6b1ed697faf5ad685dd80b71bdf006f9ca297b34"
 
 
 def test_report_does_not_depend_on_string_hash_seed():
@@ -642,6 +652,28 @@ def test_run_tasks_adapter_agrees_with_the_pipeline(seed, hosted):
     assert bool(tl.host_delay) == hosted
 
 
+@settings(database=None, derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_every_task_is_in_the_one_chain_of_its_resource(seed, hosted, overlap):
+    """What `engine.run_columns` relies on: the chains list every task once,
+    in the chain keyed by its device and resource, and the host orders list
+    each task at most once. Without overlap, every task after a comm task in
+    its device's program waits on it, and every comm task on the task
+    before it."""
+    args, opts = random_program(random.Random(seed))
+    opts["hw"] = dataclasses.replace(opts["hw"], host_dispatch_time=0.05 if hosted else 0.0)
+    opts["policy"] = dataclasses.replace(opts["policy"], overlap_comm=overlap)
+    c = simulate_timeline(*args, **opts).timeline.columns
+    placed = sorted((i, key) for key, chain in c.chains.items() for i in chain)
+    assert placed == [(i, (c.device[i], c.resource[i])) for i in range(len(c.duration))]
+    hosted_tasks = [i for order in c.host_order.values() for i in order]
+    assert len(set(hosted_tasks)) == len(hosted_tasks)
+    if hosted and not overlap:
+        for before, j in (pair for program in c.host_order.values() for pair in pairwise(program)):
+            if c.kind[before] == "comm" or c.kind[j] == "comm":
+                assert before in c.deps[j]
+
+
 @settings(database=None, derandomize=True, max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_report_figures_are_left_folds_over_the_timeline(seed, hosted, overlap):
@@ -668,7 +700,11 @@ def test_report_figures_are_left_folds_over_the_timeline(seed, hosted, overlap):
 # The simulator and the overlap sweep as they were before hops were placed
 # by slot, kept verbatim as the oracle for the program and chain assembly.
 # It is fed rows only; its event path, and the reference spelling that path
-# names errors with, are reached by no caller.
+# names errors with, are reached by no caller. It puts each task on a tuple
+# of resources; `one_resource` maps its columns to one resource per task.
+COMPUTE = ("compute",)
+
+
 def _spelled(ref) -> str:
     """An event's slot or event reference as error messages name it."""
     return ref if isinstance(ref, str) else slot_id(ref)
@@ -950,16 +986,52 @@ HOP_PROGRAMS = dict(
 )
 
 
+def one_resource(columns, overlap):
+    """The oracle's task columns with one resource per task: each task runs
+    on the last resource of its tuple. Without overlap the oracle's compute
+    chain is the device's whole program: each hop gains a dependency on the
+    task before it there, after which the task after a hop must wait on it,
+    and the program is cut by resource in order of first use, so the compute
+    chain loses its hops and each link chain stays as it was."""
+    resource = [res[-1] for res in columns.resource]
+    deps, chains = list(columns.deps), dict(columns.chains)
+    if not overlap:
+        chains = {}
+        for (dev, res), program in columns.chains.items():
+            if res == "compute":
+                for before, j in pairwise(program):
+                    if columns.kind[j] == "comm" and before not in deps[j]:
+                        deps[j] += (before,)
+                    assert columns.kind[before] != "comm" or before in deps[j]
+                for pos in program:
+                    chains.setdefault((dev, resource[pos]), []).append(pos)
+        for key, chain in columns.chains.items():
+            want = [i for i in chain if columns.kind[i] != "comm"] if key[1] == "compute" else chain
+            assert chains[key] == want
+    return columns._replace(resource=resource, deps=deps, chains=chains)
+
+
+def oracle_report(args, opts):
+    """The oracle's step, its engine run on `one_resource` of its columns."""
+    run = engine.run_columns
+    engine.run_columns = lambda columns, names: run(one_resource(columns, opts["policy"].overlap_comm), names)
+    try:
+        return oracle_simulate_timeline(*args, **opts)
+    finally:
+        engine.run_columns = run
+
+
 @settings(database=None, derandomize=True, max_examples=120, deadline=None)
 @given(**HOP_PROGRAMS)
 def test_hops_and_events_are_placed_like_the_oracle(**draw):
     """Hops placed by slot and chains cut by resource give the oracle's
-    step: the same task columns, chains with their key order, host order,
-    every view keyed by id and every report figure, bit for bit."""
+    step, read through `one_resource`: the same task columns, chains with
+    their key order, host order, every view keyed by id and every report
+    figure, bit for bit."""
     args, opts = hop_program(**draw)
-    rep, ref = simulate_timeline(*args, **opts), oracle_simulate_timeline(*args, **opts)
+    rep, ref = simulate_timeline(*args, **opts), oracle_report(args, opts)
     got, want = rep.timeline.columns, ref.timeline.columns
-    for field in ("duration", "device", "resources", "kind", "sync_host", "deps"):
+    for field in ("duration", "device", "resource", "kind", "sync_host", "deps"):
         assert getattr(got, field) == getattr(want, field), field
     assert list(got.chains.items()) == list(want.chains.items())
     assert list(got.host_order.items()) == list(want.host_order.items())

@@ -580,8 +580,8 @@ def test_reference_training_report_is_pinned(variant):
         hw = replace(hw, host_dispatch_time=3e-6)
         features = SimulationFeatures()
     elif variant == "hierarchical_serialized":
-        # The --no-overlap policy: only here do comm tasks share the compute
-        # chain, which the overlap statistic must filter out.
+        # The --no-overlap policy: only here does each comm task wait on the
+        # task before it in its device's program, so no comm is overlapped.
         features = SimulationFeatures(policy=SERIALIZED)
     elif variant == "alltoall_no_decouple_no_gmm_first":
         features = SimulationFeatures(
