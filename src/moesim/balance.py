@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .cluster import _require_nonnegative
 from .errors import EmptyWindowError, ParseError, SlotMismatchError, ZeroMeanError
+from .model import require_int_fields
 
 TRACE_HEADER = "# moesim-trace v1"
 TRACE_COLUMNS = "step,token,task,experts,scores"
@@ -43,12 +44,13 @@ class TraceSpec:
     task_mix: tuple = ()
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.num_experts < 1 or self.tokens_per_step < 1 or self.steps < 1:
             raise ValueError("num_experts, tokens_per_step, steps must be >= 1")
         if not 1 <= self.top_k <= self.num_experts:
             raise ValueError("top_k must be in [1, num_experts]")
-        if self.concentration <= 0:
-            raise ValueError("concentration must be > 0")
+        if not 0 < self.concentration < math.inf:
+            raise ValueError(f"concentration must be a finite number > 0, got {self.concentration!r}")
         if not 0.0 <= self.autocorr < 1.0:
             raise ValueError("autocorr must be in [0, 1)")
         if self.num_tasks < 1:

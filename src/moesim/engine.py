@@ -1,47 +1,46 @@
 """Deterministic task-graph timeline engine.
 
-Each task occupies one serial resource on its device. Execution order per
-resource is fixed up front (the chain), so timing reduces to a longest-path
-pass over the combined graph of chain edges, dependency edges, and host
-dispatch edges, and no two tasks on one resource can ever overlap. A task
-that must also wait for work on another resource, as comm does when it
-may not overlap compute, says so with dependencies. An overlap feature
-that only removes edges while the chains keep their order can never
-lengthen the step. `host_gmm_first` is not one: it reorders a forward's
-grouped matmul and permute on the chains, so that argument does not cover
-it.
+Each device runs one program: its tasks in one fixed order. Each task
+occupies one serial resource on its device, and each resource runs the
+program's tasks that use it in program order, so no two tasks on one
+resource can ever overlap. A task's chain predecessor is the last earlier
+task of its resource in the program. A task that must also wait for work
+on another resource, as comm does when it may not overlap compute, says so
+with dependencies. An overlap feature that only removes dependencies while
+the programs keep their order can never lengthen the step.
+`host_gmm_first` is not one: it reorders a forward's grouped matmul and
+permute in the program, so that argument does not cover it.
 
-Host modeling: every task may carry a host-side dispatch cost. Dispatches
-run serially per device in the given host order, ahead of device execution
-(asynchronously), except that a task marked sync_host stalls the host until
-that task finishes on the device.
+Host modeling: when the columns are hosted, every task carries a host-side
+dispatch cost, and each device's host launches its program in program
+order, ahead of device execution (asynchronously), except that a task
+marked sync_host stalls the host until that task finishes on the device.
 
 The core, `run_columns`, takes the tasks as flat columns indexed by task
-position and walks the orders those columns already hold, one lane each:
-every chain is a lane of tasks and every host order a lane of dispatches.
-A task starts at the latest of its chain predecessor's finish, its
-dependencies' finishes and, when it is hosted, its dispatch end. A
-dispatch begins when the one before it in its host order ends, or, after a
-sync task, when that task finishes, so a host lane runs ahead of
-execution. A lane that reaches a task (or a dispatch) it cannot time yet
-parks until what it waits for completes; if tasks are left when no lane
-can move, the graph has a cycle. Each time is a max over the same
-`begin + length` sums whatever order the lanes move in. Node i is task i's
-execution and node n + i its dispatch, which has a time only when the task
-is in a host order.
+position and walks each program as one lane. A task starts at the latest
+of its chain predecessor's finish, its dependencies' finishes and, when
+hosted, its dispatch end. Its dispatch begins when the dispatch before it
+in the program ends or, after a sync task, when that task finishes; the
+lane has timed both already, so dispatch is computed inline. Where the
+dispatch end is the latest, the task's host delay is how much later it is
+than the rest. A task may wait on earlier tasks of its own program or on
+any task of another program: a lane that reaches a dependency not yet
+timed parks until it completes. If lanes are left parked when none can
+move (a task waits on a later task of its own program, or the programs
+wait on each other in a cycle), DeadlockError is raised. Each time is a
+max over the same `begin + length` sums whatever order the lanes move in.
 
 `run_tasks` is the adapter for tasks named by string ids. It checks that
-each task is in the one chain of its device and resource and in no other,
-and refuses a task listed more than once across the host orders.
+each task is in the program of its device once and in no other program.
 
-`covered_lengths` measures how much of each window the union of some spans
-covers (the pipeline's overlap statistic). It takes both in order of
-start, as a serial chain runs them, so it sorts neither.
+`covered_lengths` measures how much of each window some merged spans cover
+(the pipeline's overlap statistic). It takes both in order of start, as a
+serial chain runs them, so it sorts neither.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 
 from .errors import DeadlockError
@@ -60,25 +59,26 @@ class Task:
 
 
 # Tasks as one list per field, indexed by task position. deps[i] lists the
-# positions task i waits on, chains maps (device, resource) and host_order
-# maps device to positions in execution or launch order.
+# positions task i waits on; programs maps device to its positions in
+# program order; hosted turns host dispatch on for every program.
 TaskColumns = namedtuple(
-    "TaskColumns", "duration host_time device resource kind sync_host deps chains host_order"
+    "TaskColumns", "duration host_time device resource kind sync_host deps programs hosted"
 )
 
 
 class TimelineResult:
-    """Times of one run, held by task position: `begin` for every graph
-    node, `finish` for every task, and `ready` for every task: the latest
-    finish among its chain predecessor and dependencies, which the host
-    delays are measured from. The views keyed by task id (`start`, `end`,
-    `dispatch_end`, `host_delay`, `tasks`, `chains`) are built together on
-    first read, which rejects a task id given twice; `host_delay` follows
-    host order, the others task order.
+    """Times of one run, held by task position: `begin` and `finish` for
+    every task, and when hosted `delay`, its host delay (0.0 where the
+    dispatch did not hold it back; empty when unhosted). The views keyed by
+    task id (`start`, `end`, `dispatch_end`, `host_delay`, `tasks`,
+    `chains`) are built together on first read, which rejects a task id
+    given twice; `host_delay` follows host order, `chains` cuts each
+    program by resource in order of first use, the others follow task
+    order.
     """
 
-    def __init__(self, columns: TaskColumns, names, begin: list, finish: list, ready: list):
-        self.columns, self.begin, self.finish, self.ready = columns, begin, finish, ready
+    def __init__(self, columns: TaskColumns, names, begin: list, finish: list, delay: list):
+        self.columns, self.begin, self.finish, self.delay = columns, begin, finish, delay
         self._names = names  # () -> task ids by position
         self.makespan = max(finish, default=0.0)
 
@@ -88,25 +88,40 @@ class TimelineResult:
         c, ids, n = self.columns, self._names(), len(self.finish)
         if len(set(ids)) < n:
             raise ValueError(f"duplicate task id {next(t for t, k in Counter(ids).items() if k > 1)!r}")
-        hosted = [i for order in c.host_order.values() for i in order]
         self.start = dict(zip(ids, self.begin))
         self.end = dict(zip(ids, self.finish))
-        self.dispatch_end = {ids[i]: self.begin[n + i] + c.host_time[i] for i in sorted(set(hosted))}
-        self.host_delay = dict(zip([ids[i] for i in hosted], self.host_delays()))
+        # The walk's dispatch recurrence again, for the view alone.
+        dispatch = {}
+        for program in c.programs.values() if c.hosted else ():
+            floor = 0.0
+            for i in program:
+                e = dispatch[i] = floor + c.host_time[i]
+                floor = e if e > 0.0 else 0.0
+                if c.sync_host[i] and self.finish[i] > floor:
+                    floor = self.finish[i]
+        self.dispatch_end = {ids[i]: dispatch[i] for i in sorted(dispatch)}
+        self.host_delay = {ids[i]: self.delay[i] for i in self._host_order()}
         self.tasks = {
             tid: Task(tid, c.device[i], c.resource[i], c.duration[i], tuple(ids[d] for d in c.deps[i]),
                       c.kind[i], c.host_time[i], c.sync_host[i])
             for i, tid in enumerate(ids)
         }
-        self.chains = {key: [ids[i] for i in chain] for key, chain in c.chains.items()}
+        self.chains = {}
+        for dev, program in c.programs.items():
+            cuts = defaultdict(list)
+            for i in program:
+                cuts[c.resource[i]].append(ids[i])
+            self.chains.update(((dev, r), chain) for r, chain in cuts.items())
         return getattr(self, name)
+
+    def _host_order(self) -> list:
+        """Every hosted task's position, program by program."""
+        return [i for program in self.columns.programs.values() for i in program] if self.columns.hosted else []
 
     def host_delays(self) -> list:
         """Per task in host order: how long its dispatch ended after its
-        latest execute -> execute predecessor finished, at least 0."""
-        begin, host_time, ready, n = self.begin, self.columns.host_time, self.ready, len(self.finish)
-        return [max(0.0, begin[n + i] + host_time[i] - ready[i]) for order in self.columns.host_order.values()
-                for i in order]
+        chain predecessor and dependencies finished, at least 0."""
+        return list(map(self.delay.__getitem__, self._host_order()))
 
 
 def run_columns(columns: TaskColumns, names) -> TimelineResult:
@@ -114,138 +129,100 @@ def run_columns(columns: TaskColumns, names) -> TimelineResult:
 
     names is a zero-argument function returning the task ids by position;
     it runs only when a view keyed by id is read. Every task must be in
-    exactly one chain and in at most one host order (`run_tasks` checks
-    both). Raises DeadlockError when the combined graph has a cycle.
+    exactly one program, its device's (`run_tasks` checks). Raises
+    DeadlockError when a task waits on a later task of its own program or
+    the programs wait on each other in a cycle.
     """
-    duration, host_time, sync, deps = columns.duration, columns.host_time, columns.sync_host, columns.deps
+    duration, host_time, sync, deps, resource = (
+        columns.duration, columns.host_time, columns.sync_host, columns.deps, columns.resource)
+    hosted = columns.hosted
     n = len(duration)
-    orders = [order for order in columns.host_order.values() if order]
-    begin = [0.0] * (2 * n if orders else n)
+    begin = [0.0] * n
     finish = [None] * n  # None until the task has run
-    ready = [0.0] * n
-    due = [0.0] * n  # dispatch end; None for a hosted task its host lane has not reached
-    for order in orders:
-        for i in order:
-            due[i] = None
-    # A lane is [positions, cursor, dispatches]. A lane that cannot move parks
-    # on the node it waits for and resumes when that node completes.
-    lanes = [[chain, 0, False] for chain in columns.chains.values() if chain]
-    lanes += [[order, 0, True] for order in orders]  # popped first: hosts run ahead
-    waiters = {}  # node -> parked lanes
-    done = 0
+    delay = [0.0] * n if hosted else []
+    # A lane is [program, cursor, finish of its last task by resource, floor
+    # of its next dispatch's begin]. A lane that reaches a task it cannot
+    # time yet parks on the dependency it waits for and resumes when that
+    # task completes.
+    lanes = [[program, 0, defaultdict(float), 0.0] for program in columns.programs.values() if program]
+    waiters = {}  # task position -> parked lanes
     while lanes:
         lane = lanes.pop()
-        seq, k, dispatches = lane
-        last = len(seq)
-        if dispatches:
-            while k < last:
-                i = seq[k]
-                b = 0.0
-                if k:
-                    p = seq[k - 1]
-                    e = begin[n + p] + host_time[p]
-                    if e > b:
-                        b = e
-                    if sync[p]:
-                        f = finish[p]
-                        if f is None:
-                            waiters.setdefault(p, []).append(lane)
-                            break
-                        if f > b:
-                            b = f
-                begin[n + i] = b
-                due[i] = b + host_time[i]
-                woken = waiters.pop(n + i, None)
-                if woken:
-                    lanes += woken
-                k += 1
-        else:
-            while k < last:
-                i = seq[k]
-                b = finish[seq[k - 1]] if k else 0.0  # the chain predecessor has run
-                wait = None
-                for d in deps[i]:
-                    f = finish[d]
-                    if f is None:
-                        wait = d
-                        break
-                    if f > b:
-                        b = f
-                else:
-                    e = due[i]
-                    if e is None:
-                        wait = n + i
-                if wait is not None:
-                    waiters.setdefault(wait, []).append(lane)
+        seq, k, last, floor = lane
+        for k in range(k, len(seq)):
+            i = seq[k]
+            r = resource[i]
+            b = last[r]  # the chain predecessor's finish, 0.0 before the first
+            for d in deps[i]:
+                f = finish[d]
+                if f is None:
                     break
-                ready[i] = b
-                if e > b:
-                    b = e
+                if f > b:
+                    b = f
+            else:
+                if hosted:
+                    e = floor + host_time[i]  # dispatch end
+                    if e > b:
+                        delay[i] = e - b
+                        b = e
+                    floor = e if e > 0.0 else 0.0
                 begin[i] = b
-                finish[i] = b + duration[i]
-                done += 1
-                woken = waiters.pop(i, None)
-                if woken:
-                    lanes += woken
-                k += 1
-        lane[1] = k
-    if done != n:
+                f = finish[i] = last[r] = b + duration[i]
+                if hosted and sync[i] and f > floor:
+                    floor = f
+                if i in waiters:
+                    lanes += waiters.pop(i)
+                continue
+            waiters.setdefault(d, []).append(lane)
+            lane[1], lane[3] = k, floor
+            break
+    if waiters:
         raise DeadlockError("dependency cycle in timeline task graph")
-    return TimelineResult(columns, names, begin, finish, ready)
+    return TimelineResult(columns, names, begin, finish, delay)
 
 
-def run_tasks(tasks, chains, host_order=None) -> TimelineResult:
+def run_tasks(tasks, programs, *, hosted=False) -> TimelineResult:
     """Compute start/end times for every task.
 
-    tasks: iterable of Task. chains: {(device, resource): [task ids]} giving
-    the execution order on each serial resource; every task must appear
-    exactly once in the chain (task.device, task.resource) and in no other
-    chain, or ValueError names the task and the chain. host_order: {device:
-    [task ids]} enables host dispatch modeling for those devices; a task
-    listed more than once across the host orders is refused.
+    tasks: iterable of Task. programs: {device: [task ids]} giving each
+    device's program order; every task must appear exactly once in the
+    program of its device and in no other, or ValueError names the task and
+    the program. hosted: model host dispatch, each device's host launching
+    its program in program order.
 
-    Raises DeadlockError when the combined graph has a cycle.
+    Raises DeadlockError when a task waits on a later task of its own
+    program or the programs wait on each other in a cycle.
     """
     by_id = {}
     for t in tasks:
         if t.id in by_id:
             raise ValueError(f"duplicate task id {t.id!r}")
         by_id[t.id] = t
-    for key, chain in chains.items():
-        for tid in chain:
+    for dev, program in programs.items():
+        for tid in program:
             if tid not in by_id:
-                raise ValueError(f"chain {key} references unknown task {tid!r}")
-    placed = Counter((key, tid) for key, chain in chains.items() for tid in chain)
+                raise ValueError(f"program {dev} references unknown task {tid!r}")
+    placed = Counter((dev, tid) for dev, program in programs.items() for tid in program)
     for t in by_id.values():
-        key = (t.device, t.resource)
-        count = placed.pop((key, t.id), 0)
+        count = placed.pop((t.device, t.id), 0)
         if count != 1:
-            raise ValueError(f"task {t.id!r} is {'repeated in' if count else 'missing from'} chain {key}")
+            raise ValueError(f"task {t.id!r} is {'repeated in' if count else 'missing from'} program {t.device}")
     if placed:
-        key, tid = next(iter(placed))
-        raise ValueError(f"chain {key} holds task {tid!r}, which does not use that resource")
+        dev, tid = next(iter(placed))
+        raise ValueError(f"program {dev} holds task {tid!r}, which runs on device {by_id[tid].device}")
     index = {tid: i for i, tid in enumerate(by_id)}
     items = list(by_id.values())
     for t in items:
         for dep in t.deps:
             if dep not in index:
                 raise ValueError(f"task {t.id!r} depends on unknown task {dep!r}")
-    host_order = host_order or {}
-    hosted = set()
-    for order in host_order.values():
-        for tid in order:
-            if tid not in index:
-                raise ValueError(f"host order references unknown task {tid!r}")
-            if tid in hosted:
-                raise ValueError(f"task {tid!r} is listed more than once in the host orders")
-            hosted.add(tid)
     ids = list(by_id)
     fields = ("duration", "host_time", "device", "resource", "kind", "sync_host")
     columns = TaskColumns(
         *([getattr(t, field) for t in items] for field in fields),
         deps=[[index[d] for d in t.deps] for t in items],
-        chains={key: [index[tid] for tid in chain] for key, chain in chains.items()},
-        host_order={dev: [index[tid] for tid in order] for dev, order in host_order.items()},
+        programs={dev: [index[tid] for tid in program] for dev, program in programs.items()},
+        hosted=bool(hosted),
     )
     return run_columns(columns, lambda: ids)
 
@@ -267,13 +244,12 @@ def merged_intervals(spans):
     return merged
 
 
-def covered_lengths(spans, windows) -> list:
-    """For each (start, end) window, the length of it that the union of the
-    spans covers, added piece by piece from left to right. Spans and
-    windows come in order of start, as a serial chain runs them, so one
-    sweep serves: the first merged span a window can reach only moves
-    forward."""
-    merged = merged_intervals(spans)
+def covered_lengths(merged, windows) -> list:
+    """For each (start, end) window, the length of it that the merged
+    spans cover, added piece by piece from left to right. The spans come
+    as `merged_intervals` returns them, disjoint and in order, and the
+    windows in order of start, as a serial chain runs them, so one sweep
+    serves: the first merged span a window can reach only moves forward."""
     last, first = len(merged), 0
     covered = []
     for s, e in windows:

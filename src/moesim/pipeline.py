@@ -9,16 +9,19 @@ each slot in schedule order, the hops into it in row order, then its
 compute tasks. Every task uses one serial resource (compute, inter_link or
 intra_link); each resource runs the program's tasks that use it, in
 program order, and the host launches the whole program in that order.
+Every dependency points back in its program or into another device's, so
+the engine times each program in one walk.
 
 Tasks are integer positions. Each stage's compute tasks are one
 contiguous run, in the order its compute chain runs them; the transfers'
 hops follow in row order. The transfers come as ``SlotTransfers`` rows:
 each hop names the slot it feeds by its number in schedule order and
 carries its kind, resource, bytes and group size. The first hop into a
-slot waits on the slot's dataflow parent, read from one parent table (one
-``dataflow_parent`` call per slot), and each later hop on the hop before
-it. Slot ids (``{phase}:p{stage}:v{chunk}:m{micro_batch}``) only spell task
-ids, which are spelled only when a timeline view keyed by id is read.
+slot waits on the slot's dataflow parent, read from one parent table
+(``dataflow_parent`` asked once per template key), and each later hop on
+the hop before it. Slot ids (``{phase}:p{stage}:v{chunk}:m{micro_batch}``)
+only spell task ids, which are spelled only when a timeline view keyed by
+id is read.
 
 The report gives step time, bubble fraction, communication overlap and
 host-induced idle time. Every figure that adds floats is a left fold
@@ -28,11 +31,12 @@ compensates its rounding, so its bits depend on the interpreter.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, count, pairwise
-from operator import add
+from itertools import chain, compress, count
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import engine
@@ -155,6 +159,11 @@ def build_1f1b_schedule(p: int, m: int, v: int = 1) -> list:
     return stages
 
 
+# A slot's (phase, pp_stage, vpp_stage), which alone sets its compute parts
+# and all of its dataflow parent but the micro batch.
+template_key = itemgetter(3, 0, 1)
+
+
 def dataflow_parent(slot: ScheduleSlot, p: int, v: int) -> ScheduleSlot | None:
     """The slot whose completion feeds this one, or None for graph sources."""
     s, c, mb, phase = slot
@@ -169,6 +178,13 @@ def dataflow_parent(slot: ScheduleSlot, p: int, v: int) -> ScheduleSlot | None:
     if c < v - 1:
         return _new_tuple(ScheduleSlot, (0, c + 1, mb, "bwd"))
     return _new_tuple(ScheduleSlot, (p - 1, v - 1, mb, "fwd"))
+
+
+def parents_by_key(keys, p: int, v: int) -> dict:
+    """Each template key's dataflow parent at micro batch 0, or None at a
+    graph source. A slot's parent has the slot's micro batch and the rest
+    from this table, so the rule is read once per key, not once per slot."""
+    return {(phase, s, c): dataflow_parent(ScheduleSlot(s, c, 0, phase), p, v) for phase, s, c in keys}
 
 
 def uniform_chunk_costs(p: int, v: int, fwd: float, bwd: float) -> dict:
@@ -233,7 +249,7 @@ class SlotTransfers:
         joined = object.__new__(SlotTransfers)
         joined.schedule = self.schedule
         joined.slots, joined.shapes = self.slots + other.slots, self.shapes + other.shapes
-        joined.hops = self.hops + [h + len(self.shapes) for h in other.hops]
+        joined.hops = self.hops + list(map(len(self.shapes).__add__, other.hops))
         return joined
 
     def ids(self) -> list:
@@ -264,34 +280,34 @@ def _slot_parts(phase: str, cost: ChunkCost, policy: OverlapPolicy, split_fwd: b
 
 def _step_program(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDescription | None,
                   transfers: SlotTransfers) -> tuple:
-    """(task columns, compute-part templates by (phase, stage, chunk), each
-    stage's compute run, each device's link chains) of one step. The tables
-    only the build reads (slot numbers, parent table, hops by slot, priced
+    """(task columns, compute-part templates by template key, each stage's
+    compute run, each device's link chains) of one step. The tables only
+    the build reads (slot numbers, parent table, hops by slot, priced
     shapes) end with this frame, before the engine walks the columns."""
-    p = len(schedule)
-    v = 1 + max((sl.vpp_stage for slots in schedule for sl in slots), default=0)
     host_time = hw.host_dispatch_time if hw is not None else 0.0
 
     # Task positions: each slot's compute tasks in schedule order, then the
-    # transfers' hops in row order. Parts are derived once per (phase,
-    # stage, chunk).
-    templates, slot_at, stage_slots = {}, {}, []  # slot_at: slot -> slot number
+    # transfers' hops in row order. Parts are derived once per template key,
+    # and each key's slots are numbered by micro batch.
+    numbered, stage_slots = {}, []  # numbered: template key -> (parts, {micro batch: slot number})
     runs = []  # by stage: slice of its compute task positions
-    tpl_of, first = [], []  # by slot number
+    first, wait = [], []  # by slot number: its first task, the task downstream work waits on
     duration, kind, sync, device = [], [], [], []
     for s, slots in enumerate(schedule):
-        stage_slots.append(range(len(tpl_of), len(tpl_of) + len(slots)))
-        for sl in slots:
-            key = (sl[3], sl[0], sl[1])  # (phase, pp_stage, vpp_stage)
-            tpl = templates.get(key)
-            if tpl is None:
+        stage_slots.append(range(len(first), len(first) + len(slots)))
+        for g, sl in enumerate(slots, len(first)):
+            key = template_key(sl)
+            entry = numbered.get(key)
+            if entry is None:
                 parts = _slot_parts(key[0], chunk_costs[key[1:]], policy, host_time > 0)
-                tpl = templates[key] = _Parts(*zip(*parts), len(parts) - 1 - (parts[-1][2] == "bwd_dw"))
-            g = len(tpl_of)
-            if slot_at.setdefault(sl, g) != g:
+                tpl = _Parts(*zip(*parts), len(parts) - 1 - (parts[-1][2] == "bwd_dw"))
+                entry = numbered[key] = (tpl, {})
+            tpl, by_batch = entry
+            if by_batch.setdefault(sl[2], g) != g:
                 raise ValueError(f"duplicate task id {slot_id(sl) + tpl.suffixes[0]!r}")
-            tpl_of.append(tpl)
-            first.append(len(duration))
+            f = len(duration)
+            first.append(f)
+            wait.append(f + tpl.wait)
             duration += tpl.durations
             kind += tpl.kinds
             sync += tpl.syncs
@@ -299,7 +315,6 @@ def _step_program(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDesc
         device += [s] * (len(duration) - len(device))
     base = len(duration)
     ends = first[1:] + [base]  # slot number -> end of its compute tasks
-    wait = [f + tpl.wait for f, tpl in zip(first, tpl_of)]
 
     # Hop rows. A hop feeds a slot on its own device and waits on the slot's
     # parent or on the hop before it, which feeds the same slot, so its rows
@@ -321,15 +336,21 @@ def _step_program(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDesc
     # number: its dataflow parent's waited-on part, or nothing at a graph
     # source. The hops feeding a slot, in row order, run on its device just
     # before it, and its first part waits on its parent, then on them.
-    parents = map(slot_at.get, [dataflow_parent(sl, p, v) for sl in slot_at])
-    parent_wait = [() if up is None else (wait[up],) for up in parents]
+    up = parents_by_key(numbered, len(schedule), 1 + max((key[2] for key in numbered), default=0))
+    parent_wait = [()] * len(first)
+    for key, (_, by_batch) in numbered.items():
+        parent = numbered.get(template_key(up[key])) if up[key] is not None else None
+        if parent is not None:
+            for g, pg in zip(by_batch.values(), map(parent[1].get, by_batch)):
+                if pg is not None:
+                    parent_wait[g] = (wait[pg],)
     fed = [[] for _ in first]  # slot number -> positions of the hops feeding it
     for j, g in zip(count(base), hop_slots):
         fed[g].append(j)
     deps = [()] * base
     for f, dep, hops_in in zip(first, parent_wait, fed):
         deps[f] = (*dep, *hops_in)
-    device += [device[first[g]] for g in hop_slots]
+    device += map(device.__getitem__, map(first.__getitem__, hop_slots))
     duration += map(cost.__getitem__, hop_shapes)
     resource = [COMPUTE] * base
     resource += map(links.__getitem__, hop_shapes)
@@ -338,41 +359,38 @@ def _step_program(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDesc
     sync += [False] * len(hop_slots)
 
     # Every device runs one program: per slot, the hops into it, then its
-    # compute tasks.
-    programs = {}
+    # compute tasks. Only the overlap statistic reads the link chains: each
+    # device's hops cut by resource, in program order. Without overlap,
+    # comm runs alone on its device: each hop waits on the task before it
+    # in the program. The task after a hop then waits on it too: a hop by
+    # this rule, a slot's first task because it waits on every hop feeding
+    # it. The device then runs its program one task at a time, so no
+    # compute span covers any part of a hop, and no chain is cut.
+    programs, link_chains = {}, {}  # link_chains: device -> its link resources' chains
+    serial = not policy.overlap_comm
     for dev, numbers in enumerate(stage_slots):
         if numbers:
             program = programs[dev] = []
+            cuts, before = defaultdict(list), None  # before: the last task placed
             for g in numbers:
-                program += fed[g]
+                hops_in = fed[g]
+                if serial:
+                    for j in hops_in:
+                        if before is not None and before not in deps[j]:
+                            deps[j] += (before,)
+                        before = j
+                else:
+                    for j in hops_in:
+                        cuts[resource[j]].append(j)
+                program += hops_in
                 program += range(first[g], ends[g])
-    if not policy.overlap_comm:
-        # Comm runs alone on its device: each hop waits on the task before it
-        # in the program. The task after a hop then waits on it too: a hop by
-        # this rule, a slot's first task because it waits on every hop
-        # feeding it.
-        for program in programs.values():
-            for before, j in pairwise(program):
-                if j >= base and before not in deps[j]:
-                    deps[j] += (before,)
-
-    # Each serial resource runs its share of the program in program order:
-    # one pass cuts the program by resource, in the order of first use. The
-    # host launches the whole program.
-    chains, link_chains = {}, defaultdict(list)  # link_chains: device -> its link resources' chains
-    for dev, program in programs.items():
-        cuts = {}
-        for pos in program:
-            cuts.setdefault(resource[pos], []).append(pos)
-        for r, lane in cuts.items():
-            chains[(dev, r)] = lane
-            if r != COMPUTE:
-                link_chains[dev].append(lane)
+                before = program[-1]
+            if cuts:
+                link_chains[dev] = list(cuts.values())
     columns = engine.TaskColumns(
-        duration, [host_time] * len(duration), device, resource, kind, sync, deps, chains,
-        programs if host_time > 0 else {},
+        duration, [host_time] * len(duration), device, resource, kind, sync, deps, programs, host_time > 0,
     )
-    return columns, templates, runs, link_chains
+    return columns, {key: tpl for key, (tpl, _) in numbered.items()}, runs, link_chains
 
 
 def simulate_timeline(
@@ -393,7 +411,7 @@ def simulate_timeline(
     its device's program, so a device runs its program one task at a time
     and comm is fully exposed. The overlap statistic sweeps each link chain
     against its device's compute spans, both in order of start, and folds
-    the covered lengths in task order. Backward slots are split into an
+    the covered lengths in task order; without overlap each is zero. Backward slots are split into an
     immediate part and a deferrable weight-gradient part when
     policy.decouple_dw is set; downstream work waits only on the immediate
     part. Host dispatch is modeled when hw.host_dispatch_time > 0.
@@ -408,7 +426,7 @@ def simulate_timeline(
 
     def names():
         return [slot_id(sl) + x for stage in schedule for sl in stage
-                for x in templates[(sl[3], sl[0], sl[1])].suffixes] + transfers.ids()
+                for x in templates[template_key(sl)].suffixes] + transfers.ids()
 
     result = engine.run_columns(columns, names)
     begin, finish, duration = result.begin, result.finish, columns.duration
@@ -416,9 +434,10 @@ def simulate_timeline(
     busy = tuple(reduce(add, duration[run], 0) for run in runs)
     bubble = 1.0 - reduce(add, busy, 0) / (len(schedule) * result.makespan) if result.makespan > 0 else 0.0
     total_comm = reduce(add, duration[base:], 0)
-    # Every comm task is on one link chain. A stage's compute run and each
-    # chain run in order of start, so each chain's windows sweep its
-    # device's compute spans in one pass, merged once per device.
+    # With overlap every comm task is on one link chain; without, none is,
+    # and none is covered. A stage's compute run and each chain run in
+    # order of start, so each chain's windows sweep its device's compute
+    # spans in one pass, merged once per device.
     covered = [0.0] * (len(duration) - base)  # by hop
     for dev, lanes in link_chains.items():
         spans = engine.merged_intervals(zip(begin[runs[dev]], finish[runs[dev]]))
@@ -449,6 +468,9 @@ def summarize(
 
     if step_time <= 0:
         raise ValueError("step_time must be positive")
+    if not step_time < math.inf:
+        raise ValueError(f"step_time is {step_time!r}: the cluster's intra_node_latency, inter_node_latency "
+                         "or host_dispatch_time is too large to time a step")
     if plan.global_batch_size <= 0:
         raise ValueError("plan.global_batch_size must be set")
     tokens = plan.global_batch_size * cfg.seq_len

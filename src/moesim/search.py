@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 from .cluster import HardwareDescription, kernel_time
 from .comm import MECHANISMS, dispatch_volumes
@@ -27,8 +28,8 @@ from .parallel import (
     ParallelPlan, StageAssignment, assign_chunks, micro_batch_count, require_valid, tokens_per_device,
 )
 from .pipeline import (
-    ChunkCost, HopShape, OverlapPolicy, SlotTransfers, build_1f1b_schedule, dataflow_parent, simulate_timeline,
-    summarize,
+    ChunkCost, HopShape, OverlapPolicy, SlotTransfers, build_1f1b_schedule, parents_by_key, simulate_timeline,
+    summarize, template_key,
 )
 
 
@@ -115,8 +116,11 @@ def boundary_transfer_events(
     streams = 2 if cfg.num_mtp_layers > 0 else 1
     volume = tokens_dev * cfg.hidden_size * cfg.dtype_bytes * streams
     shapes = [HopShape("p2p", _stage_crossing_resource(plan, hw), volume, 0, False, "p2p:", "")]
-    parents = ((sl, dataflow_parent(sl, len(schedule), plan.vpp)) for sl in chain.from_iterable(schedule))
-    per_slot = [(0,) if up is not None and up.pp_stage != sl.pp_stage else () for sl, up in parents]
+    # Whether the parent is on another stage follows from the template key.
+    keys = dict.fromkeys(map(template_key, chain.from_iterable(schedule)))
+    up = parents_by_key(keys, len(schedule), plan.vpp)
+    hops = {key: (0,) if u is not None and u.pp_stage != key[1] else () for key, u in up.items()}
+    per_slot = list(map(hops.__getitem__, map(template_key, chain.from_iterable(schedule))))
     return _slot_transfers(schedule, shapes, per_slot)
 
 
@@ -160,7 +164,7 @@ def slot_dispatch_events(
             index.setdefault(HopShape(kind, res, vol * scale, group, i > 0, "disp:", tier), len(index))
             for i, (tier, kind, res, vol, group) in enumerate(tiers if layers else ())
         )
-    per_slot = [chunk_hops[(sl.pp_stage, sl.vpp_stage)] for sl in chain.from_iterable(schedule)]
+    per_slot = list(map(chunk_hops.__getitem__, map(itemgetter(0, 1), chain.from_iterable(schedule))))
     return _slot_transfers(schedule, list(index), per_slot)
 
 

@@ -677,6 +677,24 @@ def test_spec_validation():
         TraceSpec(num_experts=4, tokens_per_step=8, steps=1, top_k=2, num_tasks=2, task_mix=(1.0,))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("concentration", math.nan, "concentration must be a finite number > 0, got nan"),
+    ("concentration", math.inf, "concentration must be a finite number > 0, got inf"),
+    ("concentration", -math.inf, "concentration must be a finite number > 0, got -inf"),
+    ("tokens_per_step", math.nan, "tokens_per_step must be an integer, got nan"),
+    ("steps", True, "steps must be an integer, got True"),
+    ("top_k", True, "top_k must be an integer, got True"),
+    ("num_experts", 1e308, "num_experts must be an integer, got 1e+308"),
+    ("num_tasks", 2.0, "num_tasks must be an integer, got 2.0"),
+])
+def test_spec_refuses_what_it_cannot_sample(field, value, message):
+    """A non-finite concentration once gave all-NaN gate scores, and a
+    float or bool count a bare TypeError from numpy, naming no field."""
+    spec = dict(num_experts=4, tokens_per_step=8, steps=2, top_k=2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TraceSpec(**{**spec, field: value})
+
+
 @pytest.mark.parametrize("mix, message", [
     ((0, 0), "task_mix must have a finite sum > 0, got [0, 0]"),
     ((0.0, 0.0), "task_mix must have a finite sum > 0, got [0.0, 0.0]"),

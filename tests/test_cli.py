@@ -8,6 +8,7 @@ every subcommand with the same seed and requires byte-identical output.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -212,6 +213,17 @@ def test_readme_no_overlap_block_is_the_reference_output(capsys):
     assert main(argv) == 0
     expected = readme_block("$ moesim simulate --no-overlap")
     assert "step 33.804042 s\n" in expected and "comm overlap 0.0000\n" in expected
+    assert capsys.readouterr().out == expected
+
+
+def test_readme_host_dispatch_block_is_the_reference_output(capsys):
+    configs = ROOT / "configs"
+    argv = ["simulate", "--model", str(configs / "model_reference.json"),
+            "--cluster", str(configs / "cluster_6144_host.json"), "--plan", str(configs / "plan_reference.json")]
+    assert main(argv) == 0
+    expected = readme_block("$ moesim simulate --model configs/model_reference.json \\\n"
+                            "    --cluster configs/cluster_6144_host.json")
+    assert "step 28.809883 s\n" in expected and "comm overlap 0.7164\n" in expected
     assert capsys.readouterr().out == expected
 
 
@@ -562,6 +574,22 @@ def test_balance_refuses_a_task_mix_it_cannot_draw_from(tmp_path, capsys, mix, m
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert_rejected(capsys, ["balance", "--spec", str(spec), "--devices", "4"], "trace_spec: ", message)
+    assert caught == []
+
+
+@pytest.mark.parametrize("value, message", [
+    (0, "trace_spec: concentration must be a finite number > 0, got 0"),
+    (-1e308, "trace_spec: concentration must be a finite number > 0, got -1e+308"),
+    (math.nan, "trace_spec.concentration must be a finite number, got nan"),
+])
+def test_balance_refuses_a_concentration_it_cannot_sample(tmp_path, capsys, value, message):
+    """A spec's concentration must be a finite number > 0: the loader
+    refuses NaN and infinities, the spec the rest, naming the field."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**TRACE_SPEC, "concentration": value}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_rejected(capsys, ["balance", "--spec", str(spec), "--devices", "4"], message)
     assert caught == []
 
 

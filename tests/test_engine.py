@@ -1,10 +1,11 @@
 """The task-graph engine: input checks, deadlocks, a hand-timed host
-dispatch case, properties on random DAGs, the lane walk against the Kahn
-pass it replaced, its memory per task, and the overlap sweep."""
+dispatch case, properties on random DAGs, the program walk against the
+chain-lane walk and the Kahn pass it replaced, its memory per task, and the
+overlap sweep."""
 
 import random
-import re
 import tracemalloc
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from moesim import engine
 from moesim.configio import load_cluster, load_model, load_plan
 from moesim.engine import Task, TaskColumns, covered_lengths, merged_intervals, run_columns, run_tasks
 from moesim.errors import DeadlockError
-from moesim.pipeline import simulate_timeline
+from moesim.pipeline import SERIALIZED, OverlapPolicy, simulate_timeline
 from moesim.search import SimulationFeatures, training_report
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -29,73 +30,83 @@ def compute(tid, device=0, duration=1.0, **kw):
 
 def test_duplicate_task_id_rejected():
     with pytest.raises(ValueError, match="duplicate task id 'a'"):
-        run_tasks([compute("a"), compute("a")], {(0, "compute"): ["a"]})
+        run_tasks([compute("a"), compute("a")], {0: ["a"]})
 
 
 def test_chain_with_unknown_task_rejected():
-    with pytest.raises(ValueError, match=r"chain \(0, 'compute'\) references unknown task 'z'"):
-        run_tasks([compute("a")], {(0, "compute"): ["a", "z"]})
+    """A program lists every chain of its device."""
+    with pytest.raises(ValueError, match="program 0 references unknown task 'z'"):
+        run_tasks([compute("a")], {0: ["a", "z"]})
 
 
 def test_deps_with_unknown_task_rejected():
     with pytest.raises(ValueError, match="task 'a' depends on unknown task 'z'"):
-        run_tasks([compute("a", deps=("z",))], {(0, "compute"): ["a"]})
-
-
-def test_host_order_with_unknown_task_rejected():
-    with pytest.raises(ValueError, match="host order references unknown task 'z'"):
-        run_tasks([compute("a")], {(0, "compute"): ["a"]}, {0: ["a", "z"]})
+        run_tasks([compute("a", deps=("z",))], {0: ["a"]})
 
 
 def test_task_missing_from_its_chain_rejected():
-    # Without the check, a and b would both run at 0 to 1 on one resource.
-    with pytest.raises(ValueError, match=r"task 'b' is missing from chain \(0, 'compute'\)"):
-        run_tasks([compute("a"), compute("b")], {(0, "compute"): ["a"]})
+    # Without the check, b would never run and never be timed.
+    with pytest.raises(ValueError, match="task 'b' is missing from program 0"):
+        run_tasks([compute("a"), compute("b")], {0: ["a"]})
 
 
 def test_task_repeated_in_its_chain_rejected():
     # Once reported as a dependency cycle.
-    with pytest.raises(ValueError, match=r"task 'a' is repeated in chain \(0, 'compute'\)"):
-        run_tasks([compute("a"), compute("b")], {(0, "compute"): ["a", "b", "a"]})
+    with pytest.raises(ValueError, match="task 'a' is repeated in program 0"):
+        run_tasks([compute("a"), compute("b")], {0: ["a", "b", "a"]})
 
 
-@pytest.mark.parametrize("key", [(1, "compute"), (0, "intra_link")])
-def test_task_in_a_foreign_chain_rejected(key):
-    """A chain of another device, or of a resource the task does not use."""
-    with pytest.raises(ValueError, match=re.escape(f"chain {key} holds task 'a', which does not use that resource")):
-        run_tasks([compute("a")], {(0, "compute"): ["a"], key: ["a"]})
-
-
-@pytest.mark.parametrize("host_order", [{0: ["a", "b", "a"]}, {0: ["a"], 1: ["b", "a"]}])
+@pytest.mark.parametrize("host_order", [{0: ["a", "b", "a"], 1: ["b"]}, {0: ["a"], 1: ["b", "a"]}])
 def test_task_in_the_host_orders_twice_rejected(host_order):
-    # Once a self-loop deadlock in one order, or a silent max over two.
+    """Each program is its device's host order: a task may be listed once,
+    and only in the program of its own device."""
     tasks = [compute("a"), compute("b", device=1)]
-    with pytest.raises(ValueError, match="task 'a' is listed more than once in the host orders"):
-        run_tasks(tasks, {(0, "compute"): ["a"], (1, "compute"): ["b"]}, host_order)
+    message = "task 'a' is repeated in program 0|program 1 holds task 'a', which runs on device 0"
+    with pytest.raises(ValueError, match=message):
+        run_tasks(tasks, host_order, hosted=True)
 
 
-def test_input_checks_run_chains_then_deps_then_host_order():
+def test_input_checks_run_programs_then_deps():
     tasks = [compute("a", deps=("y",))]
-    with pytest.raises(ValueError, match="chain"):
-        run_tasks(tasks, {(0, "compute"): ["a", "x"]}, {0: ["z"]})
+    with pytest.raises(ValueError, match="program"):
+        run_tasks(tasks, {0: ["a", "x"]})
     with pytest.raises(ValueError, match="depends on"):
-        run_tasks(tasks, {(0, "compute"): ["a"]}, {0: ["z"]})
+        run_tasks(tasks, {0: ["a"]})
 
 
 def test_chain_against_dependency_deadlocks():
     tasks = [compute("a"), compute("b", deps=("a",))]
     with pytest.raises(DeadlockError):
-        run_tasks(tasks, {(0, "compute"): ["b", "a"]})
+        run_tasks(tasks, {0: ["b", "a"]})
+
+
+def test_waiting_on_a_later_task_of_its_own_program_deadlocks():
+    """Even on another resource, where no chain orders the two: the walk
+    times a program in order, so b can never be timed before a."""
+    tasks = [compute("a", deps=("b",)), Task("b", 0, "link", 1.0)]
+    assert run_tasks(tasks, {0: ["b", "a"]}).end == {"a": 2.0, "b": 1.0}
+    with pytest.raises(DeadlockError):
+        run_tasks(tasks, {0: ["a", "b"]})
+
+
+def test_cross_device_cycle_deadlocks():
+    tasks = [compute("a", deps=("b",)), compute("b", device=1, deps=("a",))]
+    with pytest.raises(DeadlockError):
+        run_tasks(tasks, {0: ["a"], 1: ["b"]})
 
 
 def test_cycle_through_sync_host_deadlocks():
-    # b runs on another device but waits for a; a's host stalls until a
-    # finishes, so b's dispatch (after a's) can never happen.
-    tasks = [compute("a", deps=("b",), sync_host=True), compute("b", device=1)]
-    chains = {(0, "compute"): ["a"], (1, "compute"): ["b"]}
-    assert run_tasks(tasks, chains).makespan == 2.0
-    with pytest.raises(DeadlockError):
-        run_tasks(tasks, chains, {0: ["a", "b"]})
+    # a waits for b on another device, and b for c, which follows a in
+    # device 0's program on a link: a's host stalls until a finishes, so
+    # c's dispatch never comes. The walk times a program in order, so it
+    # refuses the graph unhosted too: the host adds no wait the program
+    # order does not already make.
+    tasks = [compute("a", deps=("b",), sync_host=True), Task("c", 0, "link", 1.0),
+             compute("b", device=1, deps=("c",))]
+    for hosted in (False, True):
+        with pytest.raises(DeadlockError):
+            run_tasks(tasks, {0: ["a", "c"], 1: ["b"]}, hosted=hosted)
+    assert run_tasks(tasks, {0: ["c", "a"], 1: ["b"]}, hosted=True).makespan == 3.0
 
 
 def test_two_device_host_dispatch_hand_timed():
@@ -106,16 +117,18 @@ def test_two_device_host_dispatch_hand_timed():
         compute("d", device=1, duration=2.0, host_time=5.0),
         compute("e", device=2, duration=4.0, host_time=9.0),
     ]
-    chains = {(0, "compute"): ["a", "b"], (1, "compute"): ["c", "d"], (2, "compute"): ["e"]}
-    r = run_tasks(tasks, chains, {0: ["a", "b"], 1: ["c", "d"]})
+    r = run_tasks(tasks, {0: ["a", "b"], 1: ["c", "d"], 2: ["e"]}, hosted=True)
     # a dispatches in [0, 1] and runs in [1, 3]; the host waits for it, so
     # b dispatches in [3, 4]. c waits for a; d's slow dispatch ends at 5.5.
-    # e's device has no host order, so its host time costs nothing.
-    assert r.start == {"a": 1.0, "b": 4.0, "c": 3.0, "d": 5.5, "e": 0.0}
-    assert r.end == {"a": 3.0, "b": 7.0, "c": 4.0, "d": 7.5, "e": 4.0}
-    assert r.dispatch_end == {"a": 1.0, "b": 4.0, "c": 0.5, "d": 5.5}
-    assert r.host_delay == {"a": 1.0, "b": 1.0, "c": 0.0, "d": 1.5}
-    assert r.makespan == 7.5
+    # e's dispatch alone holds it back to 9.
+    assert r.start == {"a": 1.0, "b": 4.0, "c": 3.0, "d": 5.5, "e": 9.0}
+    assert r.end == {"a": 3.0, "b": 7.0, "c": 4.0, "d": 7.5, "e": 13.0}
+    assert r.dispatch_end == {"a": 1.0, "b": 4.0, "c": 0.5, "d": 5.5, "e": 9.0}
+    assert r.host_delay == {"a": 1.0, "b": 1.0, "c": 0.0, "d": 1.5, "e": 9.0}
+    assert r.makespan == 13.0
+    unhosted = run_tasks(tasks, {0: ["a", "b"], 1: ["c", "d"], 2: ["e"]})
+    assert unhosted.end == {"a": 2.0, "b": 5.0, "c": 3.0, "d": 5.0, "e": 4.0}
+    assert unhosted.dispatch_end == unhosted.host_delay == {}
 
 
 RESOURCES = ["compute", "link"]
@@ -124,9 +137,9 @@ TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]) | st.floats(0.0, 10.0)
 
 @st.composite
 def task_graphs(draw):
-    """(tasks, chains, host_order) for a random DAG. Task i may depend only
-    on tasks before it and chains and host orders follow index order, so
-    every graph is acyclic; the task list itself comes in random order."""
+    """(tasks, programs, hosted) for a random DAG. Task i may depend only
+    on tasks before it and programs follow index order, so every graph is
+    acyclic; the task list itself comes in random order."""
     n = draw(st.integers(1, 12))
     devices = draw(st.integers(1, 3))
     tasks = []
@@ -143,12 +156,10 @@ def task_graphs(draw):
                 sync_host=draw(st.booleans()),
             )
         )
-    chains = {}
+    programs = {}
     for t in tasks:
-        chains.setdefault((t.device, t.resource), []).append(t.id)
-    hosted = draw(st.sets(st.integers(0, devices - 1)))
-    host_order = {d: [t.id for t in tasks if t.device == d] for d in sorted(hosted)}
-    return draw(st.permutations(tasks)), chains, host_order
+        programs.setdefault(t.device, []).append(t.id)
+    return draw(st.permutations(tasks)), programs, draw(st.booleans())
 
 
 PROPERTY = settings(database=None, derandomize=True, max_examples=60, deadline=None)
@@ -157,28 +168,32 @@ PROPERTY = settings(database=None, derandomize=True, max_examples=60, deadline=N
 @PROPERTY
 @given(task_graphs())
 def test_timeline_keeps_chains_deps_and_host_order(graph):
-    tasks, chains, host_order = graph
-    r = run_tasks(tasks, chains, host_order)
-    for chain in chains.values():
+    tasks, programs, hosted = graph
+    r = run_tasks(tasks, programs, hosted=hosted)
+    for (dev, res), chain in r.chains.items():
+        assert chain == [tid for tid in programs[dev] if r.tasks[tid].resource == res]
         for prev, nxt in zip(chain, chain[1:]):
             assert r.end[prev] <= r.start[nxt]
-    for order in host_order.values():
+    assert sum(map(len, r.chains.values())) == len(tasks)
+    for order in programs.values() if hosted else ():
         for prev, nxt in zip(order, order[1:]):
             after = r.end[prev] if r.tasks[prev].sync_host else r.dispatch_end[prev]
             assert r.dispatch_end[nxt] >= after + r.tasks[nxt].host_time
+    assert list(r.host_delay) == ([tid for order in programs.values() for tid in order] if hosted else [])
     for t in tasks:
         assert r.end[t.id] == r.start[t.id] + t.duration
         for dep in t.deps:
             assert r.end[dep] <= r.start[t.id]
         if t.id in r.dispatch_end:
             assert r.dispatch_end[t.id] <= r.start[t.id]
+            assert r.host_delay[t.id] == max(0.0, r.dispatch_end[t.id] - r.start[t.id] + r.host_delay[t.id])
     assert r.makespan == max(r.end.values())
 
 
 @PROPERTY
 @given(task_graphs(), st.data())
 def test_dropping_a_dependency_never_lengthens_the_step(graph, data):
-    tasks, chains, host_order = graph
+    tasks, programs, hosted = graph
     with_deps = [i for i, t in enumerate(tasks) if t.deps]
     if not with_deps:
         return
@@ -186,8 +201,8 @@ def test_dropping_a_dependency_never_lengthens_the_step(graph, data):
     dep = data.draw(st.sampled_from(tasks[i].deps))
     fewer = list(tasks)
     fewer[i] = replace(tasks[i], deps=tuple(d for d in tasks[i].deps if d != dep))
-    full = run_tasks(tasks, chains, host_order)
-    relaxed = run_tasks(fewer, chains, host_order)
+    full = run_tasks(tasks, programs, hosted=hosted)
+    relaxed = run_tasks(fewer, programs, hosted=hosted)
     assert relaxed.makespan <= full.makespan
     for t in tasks:
         assert relaxed.start[t.id] <= full.start[t.id]
@@ -196,20 +211,40 @@ def test_dropping_a_dependency_never_lengthens_the_step(graph, data):
 @PROPERTY
 @given(task_graphs(), st.randoms(use_true_random=False))
 def test_task_list_order_changes_no_value(graph, rng):
-    tasks, chains, host_order = graph
+    tasks, programs, hosted = graph
     shuffled = list(tasks)
     rng.shuffle(shuffled)
-    a = run_tasks(tasks, chains, host_order)
-    b = run_tasks(shuffled, chains, host_order)
+    a = run_tasks(tasks, programs, hosted=hosted)
+    b = run_tasks(shuffled, programs, hosted=hosted)
     for field in ("start", "end", "dispatch_end", "host_delay", "tasks", "chains", "makespan"):
         assert getattr(a, field) == getattr(b, field), field
+
+
+# The columns as the engine took them before programs: chains maps
+# (device, resource) and host_order maps device to positions in execution
+# or launch order. Both earlier cores below take this form.
+ChainColumns = namedtuple(
+    "ChainColumns", "duration host_time device resource kind sync_host deps chains host_order"
+)
+
+
+def chain_form(columns):
+    """Program columns in the chain form: each program cut by resource in
+    order of first use, and the programs themselves as the host orders
+    when hosted."""
+    chains = {}
+    for dev, program in columns.programs.items():
+        for i in program:
+            chains.setdefault((dev, columns.resource[i]), []).append(i)
+    return ChainColumns(*columns[:7], chains, columns.programs if columns.hosted else {})
 
 
 def kahn_oracle(columns):
     """The engine's earlier core, kept verbatim as the reference: a Kahn
     pass over a successor graph with one node per execution and one per
     dispatch, then the host delays from a second walk over the chains and
-    dependencies. Returns (begin, finish, host delays, makespan)."""
+    dependencies. Takes chain-form columns; returns (begin, finish, host
+    delays, makespan)."""
     duration, sync = columns.duration, columns.sync_host
     n = len(duration)
     hosted = any(columns.host_order.values())
@@ -263,28 +298,139 @@ def kahn_oracle(columns):
     return begin, finish, delays, max(finish, default=0.0)
 
 
-def assert_matches_oracle(columns):
-    """run_columns gives the oracle's bits, or both raise DeadlockError;
-    returns whether the graph ran."""
-    try:
-        want = kahn_oracle(columns)
-    except DeadlockError:
+def chain_lane_walk(columns):
+    """The core the program walk replaced, kept verbatim but for what it
+    returns: every chain a lane of tasks and every host order a lane of
+    dispatches, each parking on the node it waits for. Takes chain-form
+    columns; returns (begin, finish, host delays, makespan)."""
+    duration, host_time, sync, deps = columns.duration, columns.host_time, columns.sync_host, columns.deps
+    n = len(duration)
+    orders = [order for order in columns.host_order.values() if order]
+    begin = [0.0] * (2 * n if orders else n)
+    finish = [None] * n  # None until the task has run
+    ready = [0.0] * n
+    due = [0.0] * n  # dispatch end; None for a hosted task its host lane has not reached
+    for order in orders:
+        for i in order:
+            due[i] = None
+    # A lane is [positions, cursor, dispatches]. A lane that cannot move parks
+    # on the node it waits for and resumes when that node completes.
+    lanes = [[chain, 0, False] for chain in columns.chains.values() if chain]
+    lanes += [[order, 0, True] for order in orders]  # popped first: hosts run ahead
+    waiters = {}  # node -> parked lanes
+    done = 0
+    while lanes:
+        lane = lanes.pop()
+        seq, k, dispatches = lane
+        last = len(seq)
+        if dispatches:
+            while k < last:
+                i = seq[k]
+                b = 0.0
+                if k:
+                    p = seq[k - 1]
+                    e = begin[n + p] + host_time[p]
+                    if e > b:
+                        b = e
+                    if sync[p]:
+                        f = finish[p]
+                        if f is None:
+                            waiters.setdefault(p, []).append(lane)
+                            break
+                        if f > b:
+                            b = f
+                begin[n + i] = b
+                due[i] = b + host_time[i]
+                woken = waiters.pop(n + i, None)
+                if woken:
+                    lanes += woken
+                k += 1
+        else:
+            while k < last:
+                i = seq[k]
+                b = finish[seq[k - 1]] if k else 0.0  # the chain predecessor has run
+                wait = None
+                for d in deps[i]:
+                    f = finish[d]
+                    if f is None:
+                        wait = d
+                        break
+                    if f > b:
+                        b = f
+                else:
+                    e = due[i]
+                    if e is None:
+                        wait = n + i
+                if wait is not None:
+                    waiters.setdefault(wait, []).append(lane)
+                    break
+                ready[i] = b
+                if e > b:
+                    b = e
+                begin[i] = b
+                finish[i] = b + duration[i]
+                done += 1
+                woken = waiters.pop(i, None)
+                if woken:
+                    lanes += woken
+                k += 1
+        lane[1] = k
+    if done != n:
+        raise DeadlockError("dependency cycle in timeline task graph")
+    delays = [max(0.0, begin[n + i] + host_time[i] - ready[i]) for order in columns.host_order.values()
+              for i in order]
+    return begin, finish, delays, max(finish, default=0.0)
+
+
+def walk_order_cycles(columns) -> bool:
+    """Whether program order and dependencies together form a cycle: the
+    graphs the program walk refuses."""
+    succ = [[] for _ in columns.duration]
+    for i, deps in enumerate(columns.deps):
+        for d in deps:
+            succ[d].append(i)
+    for program in columns.programs.values():
+        for prev, nxt in zip(program, program[1:]):
+            succ[prev].append(nxt)
+    indeg = [0] * len(succ)
+    for out in succ:
+        for v in out:
+            indeg[v] += 1
+    visit = [u for u, k in enumerate(indeg) if not k]
+    for u in visit:
+        for v in succ[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                visit.append(v)
+    return len(visit) < len(succ)
+
+
+def assert_matches_oracles(columns):
+    """run_columns gives the bits of both earlier cores, or raises
+    DeadlockError exactly where program order and dependencies form a
+    cycle; returns whether the graph ran."""
+    if walk_order_cycles(columns):
         with pytest.raises(DeadlockError):
             run_columns(columns, list)
         return False
     r = run_columns(columns, list)
-    got = (r.begin, r.finish, r.host_delays(), r.makespan)
-    assert list(map(repr, got)) == list(map(repr, want))  # repr: 0.0 and -0.0 differ
+    got = list(map(repr, (r.begin, r.finish, r.host_delays(), r.makespan)))
+    n = len(r.finish)
+    for oracle in (kahn_oracle, chain_lane_walk):
+        begin, finish, delays, makespan = oracle(chain_form(columns))
+        assert got == list(map(repr, (begin[:n], finish, delays, makespan)))  # repr: 0.0 and -0.0 differ
     return True
 
 
 @st.composite
 def task_columns(draw):
-    """(shape, TaskColumns) with hosted tasks on any device and sync tasks,
-    each task on one resource. "ordered": dependencies, chains and host orders
-    follow position order, so the graph is acyclic. "shuffled": a task may
-    wait on any other and every order is a random permutation, so cycles
-    may form. "cyclic": shuffled, plus two tasks that wait on each other."""
+    """(shape, TaskColumns) with sync tasks, each task on one resource,
+    hosted or not. "ordered": dependencies and programs follow position
+    order, so every dependency on a task of the same program points back
+    in it and the graph is acyclic. "shuffled": a task may wait on any
+    other and every program is a random permutation of its device's tasks,
+    so the walk may refuse the graph. "cyclic": shuffled, plus two tasks
+    that wait on each other."""
     shape = draw(st.sampled_from(["ordered", "shuffled", "cyclic"]))
     n = draw(st.integers(1, 12))
     devices = draw(st.integers(1, 3))
@@ -300,24 +446,22 @@ def task_columns(draw):
         deps[a] = sorted({*deps[a], b})
         deps[b] = sorted({*deps[b], a})
     order = list(range(n)) if shape == "ordered" else draw(st.permutations(range(n)))
-    chains = {}
+    programs = {}
     for i in order:
-        chains.setdefault((device[i], resource[i]), []).append(i)
-    hosted = draw(st.lists(st.integers(0, n - 1), unique=True))
-    if shape == "ordered":
-        hosted.sort()
-    host_order = {}
-    for i in hosted:
-        host_order.setdefault(draw(st.integers(0, devices - 1)), []).append(i)
+        programs.setdefault(device[i], []).append(i)
     kind = ["op"] * n
-    return shape, TaskColumns(duration, host_time, device, resource, kind, sync, deps, chains, host_order)
+    return shape, TaskColumns(duration, host_time, device, resource, kind, sync, deps, programs, draw(st.booleans()))
 
 
 @settings(database=None, derandomize=True, max_examples=300, deadline=None)
 @given(task_columns())
 def test_lane_walk_matches_the_kahn_oracle(drawn):
     shape, columns = drawn
-    ran = assert_matches_oracle(columns)
+    if shape == "ordered":
+        for program in columns.programs.values():
+            where = {i: k for k, i in enumerate(program)}
+            assert all(where[d] < where[i] for i in program for d in columns.deps[i] if d in where)
+    ran = assert_matches_oracles(columns)
     assert ran or shape != "ordered"
     assert not ran or shape != "cyclic"
 
@@ -329,15 +473,52 @@ def test_lane_walk_matches_the_kahn_oracle_on_random_programs(seed, hosted, over
     opts["hw"] = replace(opts["hw"], host_dispatch_time=0.05 if hosted else 0.0)
     opts["policy"] = replace(opts["policy"], overlap_comm=overlap)
     columns = simulate_timeline(*args, **opts).timeline.columns
-    assert any(columns.host_order.values()) == hosted
-    assert assert_matches_oracle(columns)
+    assert columns.hosted == hosted
+    assert assert_matches_oracles(columns)
+
+
+# The 72 reference steps: 3 mechanisms x host dispatch off or on x three
+# overlap policies x both memory modes x m = 16 or 32.
+REFERENCE_VARIANTS = [
+    (mechanism, host, policy, fine, gbs)
+    for mechanism in ("hierarchical", "alltoall", "allgather")
+    for host in (0.0, 3e-6)
+    for policy in (OverlapPolicy(), SERIALIZED, OverlapPolicy(overlap_comm=False))
+    for fine in (True, False)
+    for gbs in (1536, 3072)
+]
+
+
+def test_program_walk_matches_the_chain_lane_walk_on_the_reference_steps(monkeypatch):
+    """begin, finish, host delays and makespan by repr, on each reference
+    step's own columns."""
+    cfg = load_model(CONFIGS / "model_reference.json")
+    cluster = load_cluster(CONFIGS / "cluster_6144.json")
+    plan = load_plan(CONFIGS / "plan_reference.json")
+    captured = []
+
+    def capture(columns, names):
+        captured.append(columns)
+        return run_columns(columns, names)
+
+    monkeypatch.setattr(engine, "run_columns", capture)
+    assert len(REFERENCE_VARIANTS) == 72
+    for mechanism, host, policy, fine, gbs in REFERENCE_VARIANTS:
+        features = SimulationFeatures(policy=policy, fine_grained_memory=fine, dispatch_mechanism=mechanism)
+        training_report(cfg, replace(plan, global_batch_size=gbs), replace(cluster, host_dispatch_time=host), features)
+        columns = captured.pop()
+        r = run_columns(columns, list)
+        begin, finish, delays, makespan = chain_lane_walk(chain_form(columns))
+        got = (r.begin, r.finish, r.host_delays(), r.makespan)
+        assert list(map(repr, got)) == list(map(repr, (begin[:len(finish)], finish, delays, makespan)))
 
 
 def test_engine_memory_per_task_stays_small(monkeypatch):
     """run_columns and host_delays() on the reference step at m = 64 with
-    host dispatch allocate at most 250 bytes per task at their peak: the
-    times, and no successor list or dispatch node per task (the Kahn pass
-    took about 385)."""
+    host dispatch allocate at most 150 bytes per task at their peak: the
+    times and host delays, and no successor list, dispatch node or ready
+    time per task (about 72 here; the chain-lane walk took about 109 and
+    the Kahn pass about 385)."""
     cfg = load_model(CONFIGS / "model_reference.json")
     hw = replace(load_cluster(CONFIGS / "cluster_6144.json"), host_dispatch_time=3e-6)
     plan = replace(load_plan(CONFIGS / "plan_reference.json"), global_batch_size=96 * 64)
@@ -351,7 +532,7 @@ def test_engine_memory_per_task_stays_small(monkeypatch):
     training_report(cfg, plan, hw, SimulationFeatures(dispatch_mechanism="alltoall"))
     (columns,) = captured
     n = len(columns.duration)
-    assert n > 10_000 and any(columns.host_order.values())
+    assert n > 10_000 and columns.hosted
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -360,7 +541,7 @@ def test_engine_memory_per_task_stays_small(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak / n <= 250
+    assert peak / n <= 150
 
 
 def overlap_reference(intervals, s, e):
@@ -375,8 +556,8 @@ def overlap_reference(intervals, s, e):
 
 
 def test_covered_lengths_match_left_to_right_scan():
-    """The sweep, given the spans and the windows in order of start, as a
-    serial chain runs them, returns each window's scan of the spans, bit
+    """The sweep, given merged spans and the windows in order of start, as
+    a serial chain runs them, returns each window's scan of the spans, bit
     for bit."""
     rng = random.Random(7)
     for _ in range(300):
@@ -393,6 +574,7 @@ def test_covered_lengths_match_left_to_right_scan():
         windows = [(s, e) for s in starts
                    for e in (s, s + rng.uniform(0.0, 1.0), s + rng.uniform(0.0, hi - lo + 2.0), hi + 5.0)]
         windows.sort(key=lambda w: w[0])
+        assert merged_intervals(intervals) == intervals
         assert covered_lengths(intervals, windows) == [overlap_reference(intervals, s, e) for s, e in windows]
 
 
@@ -402,3 +584,14 @@ def test_merged_intervals_join_touching_and_nested_spans():
     spans = [(0.0, 1.0), (1.0, 2.0), (1.5, 1.7), (3.0, 3.0), (4.0, 5.0), (4.5, 6.0), (7.0, 6.5), (8.0, 9.0)]
     assert merged_intervals(spans) == [(0.0, 2.0), (4.0, 6.0), (8.0, 9.0)]
     assert merged_intervals([]) == merged_intervals([(2.0, 2.0)]) == []
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(TIMES, TIMES), max_size=12))
+def test_merging_merged_spans_changes_nothing(drawn):
+    """covered_lengths takes spans merged once: a second merge of them,
+    as it made before, would give the same spans."""
+    spans = sorted((s, s + length) for s, length in drawn)
+    merged = merged_intervals(spans)
+    assert merged_intervals(merged) == merged
+    assert all(a < b < c for (a, b), (c, _) in zip(merged, merged[1:]))

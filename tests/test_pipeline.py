@@ -638,16 +638,15 @@ def test_report_does_not_depend_on_string_hash_seed():
 @settings(database=None, derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_run_tasks_adapter_agrees_with_the_pipeline(seed, hosted):
-    """The string adapter, given the timeline's own tasks, chains and host
-    order, reproduces every time the pipeline computed, in the same order."""
+    """The string adapter, given the timeline's own tasks and programs,
+    reproduces every time the pipeline computed, in the same order."""
     args, opts = random_program(random.Random(seed))
     opts["hw"] = dataclasses.replace(opts["hw"], host_dispatch_time=0.05 if hosted else 0.0)
     tl = simulate_timeline(*args, **opts).timeline
-    host_order = {}
-    for tid in tl.host_delay:
-        host_order.setdefault(tl.tasks[tid].device, []).append(tid)
-    again = run_tasks(tl.tasks.values(), tl.chains, host_order)
-    for field in ("start", "end", "dispatch_end", "host_delay"):
+    ids = list(tl.tasks)
+    programs = {dev: [ids[i] for i in program] for dev, program in tl.columns.programs.items()}
+    again = run_tasks(tl.tasks.values(), programs, hosted=tl.columns.hosted)
+    for field in ("start", "end", "dispatch_end", "host_delay", "chains"):
         assert list(getattr(again, field).items()) == list(getattr(tl, field).items()), field
     assert bool(tl.host_delay) == hosted
 
@@ -655,21 +654,28 @@ def test_run_tasks_adapter_agrees_with_the_pipeline(seed, hosted):
 @settings(database=None, derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_every_task_is_in_the_one_chain_of_its_resource(seed, hosted, overlap):
-    """What `engine.run_columns` relies on: the chains list every task once,
-    in the chain keyed by its device and resource, and the host orders list
-    each task at most once. Without overlap, every task after a comm task in
-    its device's program waits on it, and every comm task on the task
-    before it."""
+    """What `engine.run_columns` relies on: the programs list every task
+    once, in the program of its device, so each task is in the one chain
+    of its device and resource; and every dependency on a task of the same
+    program points back in it. Without overlap, every task after a comm
+    task in its device's program waits on it, and every comm task on the
+    task before it."""
     args, opts = random_program(random.Random(seed))
     opts["hw"] = dataclasses.replace(opts["hw"], host_dispatch_time=0.05 if hosted else 0.0)
     opts["policy"] = dataclasses.replace(opts["policy"], overlap_comm=overlap)
-    c = simulate_timeline(*args, **opts).timeline.columns
-    placed = sorted((i, key) for key, chain in c.chains.items() for i in chain)
-    assert placed == [(i, (c.device[i], c.resource[i])) for i in range(len(c.duration))]
-    hosted_tasks = [i for order in c.host_order.values() for i in order]
-    assert len(set(hosted_tasks)) == len(hosted_tasks)
-    if hosted and not overlap:
-        for before, j in (pair for program in c.host_order.values() for pair in pairwise(program)):
+    tl = simulate_timeline(*args, **opts).timeline
+    c = tl.columns
+    placed = sorted((i, dev) for dev, program in c.programs.items() for i in program)
+    assert placed == [(i, c.device[i]) for i in range(len(c.duration))]
+    assert sorted(tid for chain in tl.chains.values() for tid in chain) == sorted(tl.tasks)
+    for (dev, res), chain in tl.chains.items():
+        assert all((tl.tasks[tid].device, tl.tasks[tid].resource) == (dev, res) for tid in chain)
+    for program in c.programs.values():
+        where = {i: k for k, i in enumerate(program)}
+        assert all(where[d] < where[i] for i in program for d in c.deps[i] if d in where)
+    assert c.hosted == hosted
+    if not overlap:
+        for before, j in (pair for program in c.programs.values() for pair in pairwise(program)):
             if c.kind[before] == "comm" or c.kind[j] == "comm":
                 assert before in c.deps[j]
 
@@ -698,10 +704,12 @@ def test_report_figures_are_left_folds_over_the_timeline(seed, hosted, overlap):
 
 
 # The simulator and the overlap sweep as they were before hops were placed
-# by slot, kept verbatim as the oracle for the program and chain assembly.
-# It is fed rows only; its event path, and the reference spelling that path
-# names errors with, are reached by no caller. It puts each task on a tuple
-# of resources; `one_resource` maps its columns to one resource per task.
+# by slot, kept verbatim as the oracle for the program assembly, but for
+# the columns it hands the engine: its programs and a hosted flag, where it
+# cut chains and passed the programs as host orders. It is fed rows only;
+# its event path, and the reference spelling that path names errors with,
+# are reached by no caller. It puts each task on a tuple of resources;
+# `one_resource` maps its columns to one resource per task.
 COMPUTE = ("compute",)
 
 
@@ -918,14 +926,8 @@ def oracle_simulate_timeline(
 
     # Each serial resource runs its share of the program in program order;
     # the host launches the whole program in that order.
-    chains = {}
-    for dev, program in programs.items():
-        for pos in program:
-            for r in resources[pos]:
-                chains.setdefault((dev, r), []).append(pos)
     columns = engine.TaskColumns(
-        duration, [host_time] * len(duration), device, resources, kind, sync, deps, chains,
-        programs if host_time > 0 else {},
+        duration, [host_time] * len(duration), device, resources, kind, sync, deps, programs, host_time > 0,
     )
 
     def names():
@@ -988,27 +990,21 @@ HOP_PROGRAMS = dict(
 
 def one_resource(columns, overlap):
     """The oracle's task columns with one resource per task: each task runs
-    on the last resource of its tuple. Without overlap the oracle's compute
-    chain is the device's whole program: each hop gains a dependency on the
-    task before it there, after which the task after a hop must wait on it,
-    and the program is cut by resource in order of first use, so the compute
-    chain loses its hops and each link chain stays as it was."""
+    on the last resource of its tuple. Without overlap the oracle put each
+    hop on the compute chain as well, so its device ran its whole program
+    one task at a time; here each hop gains a dependency on the task before
+    it in the program instead, after which the task after a hop must wait
+    on it."""
     resource = [res[-1] for res in columns.resource]
-    deps, chains = list(columns.deps), dict(columns.chains)
+    deps = list(columns.deps)
     if not overlap:
-        chains = {}
-        for (dev, res), program in columns.chains.items():
-            if res == "compute":
-                for before, j in pairwise(program):
-                    if columns.kind[j] == "comm" and before not in deps[j]:
-                        deps[j] += (before,)
-                    assert columns.kind[before] != "comm" or before in deps[j]
-                for pos in program:
-                    chains.setdefault((dev, resource[pos]), []).append(pos)
-        for key, chain in columns.chains.items():
-            want = [i for i in chain if columns.kind[i] != "comm"] if key[1] == "compute" else chain
-            assert chains[key] == want
-    return columns._replace(resource=resource, deps=deps, chains=chains)
+        for program in columns.programs.values():
+            assert all(columns.resource[i][0] == "compute" for i in program)
+            for before, j in pairwise(program):
+                if columns.kind[j] == "comm" and before not in deps[j]:
+                    deps[j] += (before,)
+                assert columns.kind[before] != "comm" or before in deps[j]
+    return columns._replace(resource=resource, deps=deps)
 
 
 def oracle_report(args, opts):
@@ -1024,18 +1020,17 @@ def oracle_report(args, opts):
 @settings(database=None, derandomize=True, max_examples=120, deadline=None)
 @given(**HOP_PROGRAMS)
 def test_hops_and_events_are_placed_like_the_oracle(**draw):
-    """Hops placed by slot and chains cut by resource give the oracle's
-    step, read through `one_resource`: the same task columns, chains with
-    their key order, host order, every view keyed by id and every report
-    figure, bit for bit."""
+    """Hops placed by slot give the oracle's step, read through
+    `one_resource`: the same task columns, programs with their key order,
+    every view keyed by id (the chains cut from the programs among them)
+    and every report figure, bit for bit."""
     args, opts = hop_program(**draw)
     rep, ref = simulate_timeline(*args, **opts), oracle_report(args, opts)
     got, want = rep.timeline.columns, ref.timeline.columns
-    for field in ("duration", "device", "resource", "kind", "sync_host", "deps"):
+    for field in ("duration", "device", "resource", "kind", "sync_host", "deps", "hosted"):
         assert getattr(got, field) == getattr(want, field), field
-    assert list(got.chains.items()) == list(want.chains.items())
-    assert list(got.host_order.items()) == list(want.host_order.items())
-    assert bool(got.host_order) == draw["hosted"]
+    assert list(got.programs.items()) == list(want.programs.items())
+    assert got.hosted == draw["hosted"]
     for view in ("start", "end", "dispatch_end", "host_delay", "tasks", "chains"):
         assert list(getattr(rep.timeline, view).items()) == list(getattr(ref.timeline, view).items()), view
     figures = [f.name for f in dataclasses.fields(rep) if f.name != "timeline"]
@@ -1047,14 +1042,20 @@ def test_hops_and_events_are_placed_like_the_oracle(**draw):
 def test_compute_runs_and_link_chains_run_in_order_of_start(**draw):
     """What the overlap sweep takes unsorted: every stage's compute tasks,
     in position order, begin in order and do not overlap, and every link
-    chain's tasks begin in order."""
+    chain's tasks begin in order. Without overlap, what lets the step cut
+    no chain: each device runs its program one task at a time, so no
+    compute span covers any part of a hop."""
     tl = simulate(hop_program(**draw)).timeline
     c, begin, finish = tl.columns, tl.begin, tl.finish
     for s in range(draw["pp"]):
         run = [i for i, (d, k) in enumerate(zip(c.device, c.kind)) if d == s and k != "comm"]
         assert all(finish[i] <= begin[j] for i, j in zip(run, run[1:]))
         assert all(begin[i] <= begin[j] for i, j in zip(run, run[1:]))
-    links = [chain for (_, r), chain in c.chains.items() if r != "compute"]
+    links = [[i for i in program if c.resource[i] == r] for program in c.programs.values()
+             for r in {c.resource[i] for i in program} - {"compute"}]
     assert sum(map(len, links)) == c.kind.count("comm")
     for chain in links:
         assert all(begin[i] <= begin[j] for i, j in zip(chain, chain[1:]))
+    if not draw["overlap"]:
+        for program in c.programs.values():
+            assert all(finish[i] <= begin[j] for i, j in zip(program, program[1:]))

@@ -1,6 +1,7 @@
 """Cost reports for single configurations and design space ranking."""
 
 import gc
+import re
 from argparse import Namespace
 from collections import namedtuple
 from dataclasses import replace
@@ -592,6 +593,19 @@ def test_reference_training_report_is_pinned(variant):
     assert repr(training_report(cfg, plan, hw, features)) == PINNED_REPORTS[variant]
 
 
+@pytest.mark.parametrize("field", ["intra_node_latency", "inter_node_latency", "host_dispatch_time"])
+def test_a_step_that_is_not_finite_is_refused(field):
+    """At 1e308 s the step is inf, which once gave MFU 0.0 and tokens/s
+    0.0 as if it were a result."""
+    cfg = load_model(CONFIGS / "model_reference.json")
+    hw = replace(load_cluster(CONFIGS / "cluster_6144.json"), **{field: 1e308})
+    plan = replace(load_plan(CONFIGS / "plan_reference.json"), global_batch_size=1536)
+    message = ("step_time is inf: the cluster's intra_node_latency, inter_node_latency or host_dispatch_time"
+               " is too large to time a step")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        training_report(cfg, plan, hw)
+
+
 @pytest.mark.parametrize("collecting", [True, False])
 def test_training_report_gives_back_the_collector_as_it_found_it(monkeypatch, collecting):
     """Cyclic collection is held off from the step build on, and the
@@ -645,21 +659,22 @@ def reference_step():
 
 
 def test_the_reference_step_finds_each_dataflow_parent_at_most_twice(monkeypatch):
-    """Once for the timeline's parent table and once for the boundary
-    walk's crossing test; the dispatch builder needs none."""
+    """A parent has its slot's micro batch and the rest follows from the
+    slot's template key, so the timeline's parent table and the boundary
+    walk's crossing test each ask once per key, whatever the micro batch
+    count; the dispatch builder needs none."""
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
         return dataflow_parent(*args)
 
-    monkeypatch.setattr(moesim.search, "dataflow_parent", counted)
     monkeypatch.setattr(moesim.pipeline, "dataflow_parent", counted)
     cfg, plan, hw = reference_step()
     training_report(cfg, plan, hw)
-    slots = 2 * plan.pp * plan.vpp * micro_batch_count(plan)
-    assert slots == 1024
-    assert calls[0] <= 2 * slots
+    keys = 2 * plan.pp * plan.vpp  # (phase, stage, chunk)
+    assert keys * micro_batch_count(plan) == 1024
+    assert calls[0] == 2 * keys
 
 
 def test_each_builder_counts_its_hops(monkeypatch):
