@@ -28,6 +28,7 @@ from .errors import (
     DeadlockError,
     EmptySpaceError,
     EmptyWindowError,
+    FieldError,
     InfeasibleChunkingError,
     InfeasibleMemoryError,
     MoesimError,

@@ -23,38 +23,33 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .cluster import _require_nonnegative
 from .errors import EmptyWindowError, ParseError, SlotMismatchError, ZeroMeanError
-from .model import require_int_fields
+from .records import _require_nonnegative, bounded, check_fields
 
 TRACE_HEADER = "# moesim-trace v1"
 TRACE_COLUMNS = "step,token,task,experts,scores"
 TRACE_TABLE_CELLS = 2**26  # the most cells `trace_statistics` gives one table
+# The Dirichlet concentration's range. From 1e3 on each expert's share is
+# within a few percent of uniform; once num_experts * concentration passes
+# the largest float, the sum of one draw overflows and the scores turn NaN.
+CONCENTRATION = "in (0, 1e6]"
 
 
 @dataclass(frozen=True)
 class TraceSpec:
-    num_experts: int
-    tokens_per_step: int
-    steps: int
-    top_k: int
-    concentration: float = 0.3
-    autocorr: float = 0.0
-    num_tasks: int = 1
+    num_experts: int = bounded(">= 1")
+    tokens_per_step: int = bounded(">= 1")
+    steps: int = bounded(">= 1")
+    top_k: int = bounded(">= 1")
+    concentration: float = bounded(CONCENTRATION, default=0.3)
+    autocorr: float = bounded("in [0, 1)", default=0.0)
+    num_tasks: int = bounded(">= 1", default=1)
     task_mix: tuple = ()
 
     def __post_init__(self):
-        require_int_fields(self)
-        if self.num_experts < 1 or self.tokens_per_step < 1 or self.steps < 1:
-            raise ValueError("num_experts, tokens_per_step, steps must be >= 1")
-        if not 1 <= self.top_k <= self.num_experts:
+        check_fields(self)
+        if self.top_k > self.num_experts:
             raise ValueError("top_k must be in [1, num_experts]")
-        if not 0 < self.concentration < math.inf:
-            raise ValueError(f"concentration must be a finite number > 0, got {self.concentration!r}")
-        if not 0.0 <= self.autocorr < 1.0:
-            raise ValueError("autocorr must be in [0, 1)")
-        if self.num_tasks < 1:
-            raise ValueError("num_tasks must be >= 1")
         if self.task_mix and len(self.task_mix) != self.num_tasks:
             raise ValueError("task_mix length must equal num_tasks")
         for i, weight in enumerate(self.task_mix):

@@ -8,10 +8,10 @@ fraction that is not already local, which the formulas account for.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import UnpricedDtypeError
+from .records import _require_nonnegative, bounded, check_fields, parse_bound, require
 
 
 # The value widths a model may declare, by the peak_flops key each is priced at.
@@ -19,67 +19,44 @@ DTYPE_NAMES = {1: "fp8", 2: "bf16", 4: "fp32"}
 
 COLLECTIVE_KINDS = ("allgather", "reducescatter", "allreduce", "alltoall", "p2p")
 
-# The float fields of a HardwareDescription besides the peak FLOP rates:
-# rates, capacities and the efficiency must be finite and positive,
-# latencies and host time finite and at least 0.
-_RATES = (
-    "hbm_capacity", "hbm_bandwidth", "intra_node_bandwidth", "inter_node_bandwidth", "host_to_device_bandwidth",
-    "matmul_efficiency",
-)
-_DELAYS = ("intra_node_latency", "inter_node_latency", "host_dispatch_time")
-
-
-def _require_nonnegative(name, value) -> None:
-    """name is the string the error names, or a function spelling it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
-        raise ValueError(f"{name() if callable(name) else name} must be a finite number >= 0, got {value!r}")
+# A link latency in seconds: at most 1 s, far above any real link, so the
+# (g - 1) latency terms of a collective stay finite.
+LATENCY = "in [0, 1]"
+_RATE = parse_bound("> 0")
 
 
 @dataclass(frozen=True)
 class CommGroup:
-    size: int
-    latency: float
-    bandwidth: float
+    size: int = bounded(">= 1")
+    latency: float = bounded(LATENCY)
+    bandwidth: float = bounded("> 0")
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("group size must be >= 1")
-        _require_nonnegative("latency", self.latency)
-        _require_nonnegative("bandwidth", self.bandwidth)
-        if not self.bandwidth:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class HardwareDescription:
     name: str
     peak_flops: dict[str, float]  # dtype name -> FLOP/s per device
-    hbm_capacity: float  # bytes per device
-    hbm_bandwidth: float  # bytes/s per device
-    intra_node_bandwidth: float  # bytes/s per device
-    intra_node_latency: float  # seconds
-    inter_node_bandwidth: float  # bytes/s per device
-    inter_node_latency: float  # seconds
-    devices_per_node: int
-    num_nodes: int
-    matmul_efficiency: float = 1.0
-    host_dispatch_time: float = 0.0  # host-side seconds to launch one op
-    host_to_device_bandwidth: float = field(default=64e9)
+    hbm_capacity: float = bounded("> 0")  # bytes per device
+    hbm_bandwidth: float = bounded("> 0")  # bytes/s per device
+    intra_node_bandwidth: float = bounded("> 0")  # bytes/s per device
+    intra_node_latency: float = bounded(LATENCY)  # seconds
+    inter_node_bandwidth: float = bounded("> 0")  # bytes/s per device
+    inter_node_latency: float = bounded(LATENCY)  # seconds
+    devices_per_node: int = bounded(">= 1")
+    num_nodes: int = bounded(">= 1")
+    matmul_efficiency: float = bounded("in (0, 1]", default=1.0)
+    host_dispatch_time: float = bounded(">= 0", default=0.0)  # host-side seconds to launch one op
+    host_to_device_bandwidth: float = bounded("> 0", default=64e9)
 
     def __post_init__(self):
-        if self.devices_per_node < 1 or self.num_nodes < 1:
-            raise ValueError("devices_per_node and num_nodes must be >= 1")
+        check_fields(self)
         if not self.peak_flops:
             raise ValueError("peak_flops must list at least one dtype")
-        values = {f"peak_flops[{dtype!r}]": rate for dtype, rate in self.peak_flops.items()}
-        values.update((name, getattr(self, name)) for name in (*_RATES, *_DELAYS))
-        for name, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value) or (value < 0 if name in _DELAYS else value <= 0):
-                raise ValueError(f"{name} must be finite and {'>= 0' if name in _DELAYS else '> 0'}, got {value}")
-        if self.matmul_efficiency > 1:
-            raise ValueError(f"matmul_efficiency must be in (0, 1], got {self.matmul_efficiency}")
+        for dtype, rate in self.peak_flops.items():
+            require(f"peak_flops.{dtype}", rate, float, _RATE)
 
     @property
     def world_size(self) -> int:

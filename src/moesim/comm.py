@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cluster import _require_nonnegative
+from .records import _require_nonnegative
 
 MECHANISMS = ("hierarchical", "alltoall", "allgather")
 

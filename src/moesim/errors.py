@@ -33,6 +33,21 @@ class DeadlockError(MoesimError):
     """The timeline task graph contains a dependency cycle."""
 
 
+class FieldError(ValueError):
+    """A record field or an argument holds a value outside its declared kind
+    or bound. ``name`` is the field; the message is the prefix, the name and
+    what the value must be. A ValueError, not a MoesimError: `search` skips
+    a candidate over a MoesimError, and a bad input is no candidate's fault."""
+
+    def __init__(self, name: str, problem: str, prefix: str = ""):
+        super().__init__(name, problem, prefix)
+        self.name, self.problem = name, problem
+
+    def __str__(self) -> str:
+        name, problem, prefix = self.args
+        return f"{prefix}{name} {problem}"
+
+
 class UnpricedDtypeError(MoesimError, ValueError):
     """The cluster lists no peak rate for the model's dtype."""
 

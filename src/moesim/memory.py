@@ -30,6 +30,7 @@ from .errors import InfeasibleMemoryError, NonDivisibleError
 from .model import ModelConfig, flops_per_token, _attention_params, _layer_norm_params
 from .parallel import ParallelPlan, StageAssignment, assign_chunks, micro_batch_count, tokens_per_device
 from .pipeline import warmup_forwards
+from .records import check_fields
 
 RECOMPUTE_OPTIONS = ("mla_qkv", "mla_kv_only", "permute", "swiglu_activation")
 SWAP_OPTIONS = ("probs",)
@@ -53,6 +54,7 @@ class MemoryPlan:
     full_layer: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         unknown = set(self.recompute) - set(RECOMPUTE_OPTIONS)
         if unknown:
             raise ValueError(f"unknown recompute options: {sorted(unknown)}")

@@ -22,79 +22,51 @@ from __future__ import annotations
 
 import itertools
 import math
-import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .cluster import DTYPE_NAMES
 from .errors import EmptySpaceError
+from .records import UNBOUNDED, bounded, check_fields, declared, require
 
 # Fitted depth-to-width scaling law: log(hidden) = A + B * num_layers.
 DEPTH_WIDTH_INTERCEPT = 5.039
 DEPTH_WIDTH_SLOPE = 5.55e-2
 
 
-def require_int_fields(obj, prefix: str = "") -> None:
-    """Raise ValueError naming the first field declared ``int`` whose value
-    is a bool or not an int. The JSON loader refuses these first, with the
-    path; this guards construction from Python."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"{prefix}{f.name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class MlaDims:
     """Dimensions of the low-rank attention path."""
 
-    q_rank: int = 1536
-    kv_rank: int = 512
-    head_dim: int = 128
-    rope_dim: int = 64
+    q_rank: int = bounded(">= 1", default=1536)
+    kv_rank: int = bounded(">= 1", default=512)
+    head_dim: int = bounded(">= 1", default=128)
+    rope_dim: int = bounded(">= 1", default=64)
 
     def __post_init__(self):
-        require_int_fields(self, "mla.")
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"mla.{f.name} must be positive")
+        check_fields(self, "mla.")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    num_layers: int
-    hidden_size: int
-    num_attention_heads: int
-    num_routed_experts: int
-    top_k: int
-    expert_intermediate_size: int
-    num_shared_experts: int = 1
-    num_dense_layers: int = 3
-    dense_ffn_intermediate_size: int = 18432
+    num_layers: int = bounded(">= 0")
+    hidden_size: int = bounded(">= 1")
+    num_attention_heads: int = bounded(">= 1")
+    num_routed_experts: int = bounded(">= 1")
+    top_k: int = bounded(">= 1")
+    expert_intermediate_size: int = bounded(">= 1")
+    num_shared_experts: int = bounded(">= 0", default=1)
+    num_dense_layers: int = bounded(">= 0", default=3)
+    dense_ffn_intermediate_size: int = bounded(">= 1", default=18432)
     mla: MlaDims = field(default_factory=MlaDims)
-    num_mtp_layers: int = 1
-    vocab_size: int = 153600
-    seq_len: int = 8192
+    num_mtp_layers: int = bounded(">= 0", default=1)
+    vocab_size: int = bounded(">= 1", default=153600)
+    seq_len: int = bounded(">= 1", default=8192)
     dtype_bytes: int = 2
 
     def __post_init__(self):
-        require_int_fields(self)
-        positive = (
-            "hidden_size",
-            "num_attention_heads",
-            "num_routed_experts",
-            "top_k",
-            "expert_intermediate_size",
-            "vocab_size",
-            "seq_len",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_fields(self)
         if self.dtype_bytes not in DTYPE_NAMES:
             raise ValueError(f"dtype_bytes must be one of {', '.join(map(str, DTYPE_NAMES))}, got {self.dtype_bytes}")
-        for name in ("num_layers", "num_dense_layers", "num_shared_experts", "num_mtp_layers"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
         if self.num_dense_layers > self.num_layers:
             raise ValueError("num_dense_layers exceeds num_layers")
         if self.top_k > self.num_routed_experts:
@@ -256,15 +228,12 @@ class PruningRules:
     depth_width_hidden(num_layers); None disables.
     """
 
-    shape_multiple: int = 1
+    shape_multiple: int = bounded(">= 1", default=1)
     expert_count_power_of_two: bool = False
-    depth_width_band: float | None = None
+    depth_width_band: float | None = bounded(">= 0", default=None)
 
     def __post_init__(self):
-        if self.shape_multiple < 1:
-            raise ValueError("shape_multiple must be >= 1")
-        if self.depth_width_band is not None and self.depth_width_band < 0:
-            raise ValueError("depth_width_band must be non-negative")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -274,25 +243,19 @@ class DesignSpace:
     pruning: PruningRules = field(default_factory=PruningRules)
 
     def __post_init__(self):
-        for name, kind in range_kinds(self.ranges).items():
-            for i, value in enumerate(self.ranges[name]):
-                if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-                    raise ValueError(f"ranges.{name}.{i} must be of type {kind.__name__}, got {value!r}")
-
-
-def range_kinds(ranges: dict) -> dict:
-    """The ModelConfig type of each field a design space's ranges vary.
-
-    Raises ValueError for a field that cannot vary (unknown, or the nested
-    mla block) or an empty candidate list, naming the first in order.
-    """
-    hints = typing.get_type_hints(ModelConfig)
-    for name in ranges:
-        if name not in hints or name == "mla":
-            raise ValueError(f"unknown ModelConfig field in ranges: {name!r}")
-        if not ranges[name]:
-            raise ValueError(f"empty candidate list for field {name!r}")
-    return {name: hints[name] for name in ranges}
+        check_fields(self)
+        kinds = declared(ModelConfig)
+        for name, values in self.ranges.items():
+            if name not in kinds or name == "mla":
+                raise ValueError(f"unknown ModelConfig field in ranges: {name!r}")
+            require(f"ranges.{name}", values, list, UNBOUNDED)
+            if not values:
+                raise ValueError(f"empty candidate list for field {name!r}")
+        # A candidate must have its field's kind; one outside the field's
+        # bound is skipped when the space is enumerated.
+        for name, values in self.ranges.items():
+            for i, value in enumerate(values):
+                require(f"ranges.{name}.{i}", value, kinds[name][0], UNBOUNDED)
 
 
 def _passes_pruning(cfg: ModelConfig, rules: PruningRules) -> bool:

@@ -24,27 +24,23 @@ from operator import add
 
 from .cluster import HardwareDescription
 from .errors import InfeasibleChunkingError, NonDivisibleError, PlanError
-from .model import ModelConfig, require_int_fields
+from .model import ModelConfig
+from .records import bounded, check_fields
 
 
 @dataclass(frozen=True)
 class ParallelPlan:
-    tp: int = 1
-    pp: int = 1
-    vpp: int = 1
-    ep: int = 1
-    dp: int = 0  # 0 means "derive from world size"
-    cp: int = 1
-    micro_batch_size: int = 1
-    global_batch_size: int = 0  # sequences per step; 0 means unspecified
+    tp: int = bounded(">= 1", default=1)
+    pp: int = bounded(">= 1", default=1)
+    vpp: int = bounded(">= 1", default=1)
+    ep: int = bounded(">= 1", default=1)
+    dp: int = bounded(">= 0", default=0)  # 0 means "derive from world size"
+    cp: int = bounded(">= 1", default=1)
+    micro_batch_size: int = bounded(">= 1", default=1)
+    global_batch_size: int = bounded(">= 0", default=0)  # sequences per step; 0 means unspecified
 
     def __post_init__(self):
-        require_int_fields(self)
-        for name in ("tp", "pp", "vpp", "ep", "cp", "micro_batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.dp < 0 or self.global_batch_size < 0:
-            raise ValueError("dp and global_batch_size must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

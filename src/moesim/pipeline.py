@@ -40,9 +40,10 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import engine
-from .cluster import CommGroup, HardwareDescription, _require_nonnegative, collective_time
+from .cluster import CommGroup, HardwareDescription, collective_time
 from .model import ModelConfig
 from .parallel import ParallelPlan
+from .records import _require_nonnegative, bounded, check_fields
 
 # Fractions of a forward chunk spent in the host-visible sub-ops when host
 # dispatch is modeled. The grouped expert matmul dominates.
@@ -69,14 +70,17 @@ class ScheduleSlot(NamedTuple):
 _new_tuple = tuple.__new__
 
 
+# A chunk's seconds: at most 1e300, so that no step's sum of them overflows.
+CHUNK_SECONDS = "in [0, 1e300]"
+
+
 @dataclass(frozen=True)
 class ChunkCost:
-    fwd: float
-    bwd: float
+    fwd: float = bounded(CHUNK_SECONDS)
+    bwd: float = bounded(CHUNK_SECONDS)
 
     def __post_init__(self):
-        _require_nonnegative("ChunkCost.fwd", self.fwd)
-        _require_nonnegative("ChunkCost.bwd", self.bwd)
+        check_fields(self, "ChunkCost.")
 
 
 @dataclass(frozen=True)
@@ -88,12 +92,11 @@ class OverlapPolicy:
 
     overlap_comm: bool = True
     decouple_dw: bool = True
-    dw_fraction: float = 0.3
+    dw_fraction: float = bounded("in [0, 1)", default=0.3)
     host_gmm_first: bool = True
 
     def __post_init__(self):
-        if not 0 <= self.dw_fraction < 1:
-            raise ValueError("dw_fraction must be in [0, 1)")
+        check_fields(self)
 
 
 SERIALIZED = OverlapPolicy(overlap_comm=False, decouple_dw=False, host_gmm_first=False)

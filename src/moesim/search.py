@@ -31,6 +31,7 @@ from .pipeline import (
     ChunkCost, HopShape, OverlapPolicy, SlotTransfers, build_1f1b_schedule, parents_by_key, simulate_timeline,
     summarize, template_key,
 )
+from .records import check_fields
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,7 @@ class SimulationFeatures:
     dispatch_mechanism: str = "hierarchical"
 
     def __post_init__(self):
+        check_fields(self)
         if self.dispatch_mechanism not in MECHANISMS:
             raise ValueError(f"dispatch_mechanism must be one of {MECHANISMS}, got {self.dispatch_mechanism!r}")
 

@@ -678,9 +678,11 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("concentration", math.nan, "concentration must be a finite number > 0, got nan"),
-    ("concentration", math.inf, "concentration must be a finite number > 0, got inf"),
-    ("concentration", -math.inf, "concentration must be a finite number > 0, got -inf"),
+    ("concentration", math.nan, "concentration must be a finite number in (0, 1e6], got nan"),
+    ("concentration", math.inf, "concentration must be a finite number in (0, 1e6], got inf"),
+    ("concentration", -math.inf, "concentration must be a finite number in (0, 1e6], got -inf"),
+    ("concentration", True, "concentration must be a finite number in (0, 1e6], got True"),
+    ("concentration", 1.000001e6, "concentration must be a finite number in (0, 1e6], got 1000001.0"),
     ("tokens_per_step", math.nan, "tokens_per_step must be an integer, got nan"),
     ("steps", True, "steps must be an integer, got True"),
     ("top_k", True, "top_k must be an integer, got True"),
@@ -693,6 +695,20 @@ def test_spec_refuses_what_it_cannot_sample(field, value, message):
     spec = dict(num_experts=4, tokens_per_step=8, steps=2, top_k=2)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         TraceSpec(**{**spec, field: value})
+
+
+def test_the_concentration_ceiling_still_samples():
+    """1e308 once gave NaN gate scores and a numpy RuntimeWarning: on 64
+    experts the sum of one Dirichlet draw overflows from about 1e307. At
+    the 1e6 ceiling every score is finite and nothing warns."""
+    spec = TraceSpec(num_experts=64, tokens_per_step=32, steps=3, top_k=4, concentration=1e6, num_tasks=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = generate_trace(spec, 0)
+        result = run_balance_simulation(trace, 4)
+    assert np.isfinite(trace.scores).all()
+    assert np.allclose(trace.scores.sum(axis=2), 1.0)
+    assert np.isfinite(result.static_cv).all() and np.isfinite(result.managed_cv).all()
 
 
 @pytest.mark.parametrize("mix, message", [

@@ -573,18 +573,21 @@ def test_balance_refuses_a_task_mix_it_cannot_draw_from(tmp_path, capsys, mix, m
     spec.write_text(json.dumps({**TRACE_SPEC, "num_tasks": 2, "task_mix": mix}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert_rejected(capsys, ["balance", "--spec", str(spec), "--devices", "4"], "trace_spec: ", message)
+        assert_rejected(capsys, ["balance", "--spec", str(spec), "--devices", "4"], "error: trace_spec", message)
     assert caught == []
 
 
 @pytest.mark.parametrize("value, message", [
-    (0, "trace_spec: concentration must be a finite number > 0, got 0"),
-    (-1e308, "trace_spec: concentration must be a finite number > 0, got -1e+308"),
-    (math.nan, "trace_spec.concentration must be a finite number, got nan"),
+    (0, "trace_spec.concentration must be a finite number in (0, 1e6], got 0"),
+    (-1e308, "trace_spec.concentration must be a finite number in (0, 1e6], got -1e+308"),
+    (math.nan, "trace_spec.concentration must be a finite number in (0, 1e6], got nan"),
+    (1e308, "trace_spec.concentration must be a finite number in (0, 1e6], got 1e+308"),
 ])
 def test_balance_refuses_a_concentration_it_cannot_sample(tmp_path, capsys, value, message):
-    """A spec's concentration must be a finite number > 0: the loader
-    refuses NaN and infinities, the spec the rest, naming the field."""
+    """A spec's concentration must be a finite number in (0, 1e6]; the spec
+    refuses anything else, and the loader names its path. 1e308 once wrote
+    a trace of NaN gate scores, with a numpy RuntimeWarning, that
+    trace-stats then refused."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({**TRACE_SPEC, "concentration": value}))
     with warnings.catch_warnings(record=True) as caught:
@@ -637,6 +640,19 @@ def test_non_finite_cluster_value_is_named_in_the_error(tmp_path, capsys, path, 
     assert f"cluster.{path} must be a finite number" in captured.err
 
 
+@pytest.mark.parametrize("size", [-18432, -1, 0])
+def test_a_dense_ffn_size_below_one_is_refused(tmp_path, capsys, size):
+    """-18432 was once accepted: on the reference configs simulate exited 0
+    with step 28.621657 s and memory 42.27 GB (28.809454 s and 56.46 GB at
+    the declared 18432)."""
+    model = json.loads((ROOT / "configs" / "model_reference.json").read_text())
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**model, "dense_ffn_intermediate_size": size}))
+    argv = ["simulate", "--model", str(path), "--cluster", str(ROOT / "configs" / "cluster_6144.json"),
+            "--plan", str(ROOT / "configs" / "plan_reference.json")]
+    assert_rejected(capsys, argv, f"error: model.dense_ffn_intermediate_size must be an integer >= 1, got {size}\n")
+
+
 @pytest.mark.parametrize(
     "config, field, value",
     [
@@ -672,10 +688,10 @@ def test_value_of_the_wrong_json_type_is_named_in_the_error(tmp_path, capsys, co
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        ("cluster.peak_flops.bf16", True, "must be a number, got a boolean"),
-        ("cluster.peak_flops.bf16", "x", "must be a number, got a string"),
+        ("cluster.peak_flops.bf16", True, "must be a finite number > 0, got True"),
+        ("cluster.peak_flops.bf16", "x", "must be a finite number > 0, got 'x'"),
         ("space.ranges.num_layers.0", 56.5, "must be an integer, got 56.5"),
-        ("space.ranges.hidden_size.1", True, "must be a number, got a boolean"),
+        ("space.ranges.hidden_size.1", True, "must be an integer, got True"),
     ],
 )
 def test_nested_value_of_the_wrong_json_type_is_named_in_the_error(tmp_path, capsys, path, value, message):

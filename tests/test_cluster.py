@@ -85,15 +85,17 @@ def test_collective_time_rejects_a_non_finite_volume(kind, volume):
 
 
 @pytest.mark.parametrize("latency, bandwidth, message", [
-    (math.nan, 1e9, "latency must be a finite number >= 0, got nan"),
-    (math.inf, 1e9, "latency must be a finite number >= 0, got inf"),
-    (-1e-6, 1e9, "latency must be a finite number >= 0, got -1e-06"),
-    (0.0, math.nan, "bandwidth must be a finite number >= 0, got nan"),
-    (0.0, math.inf, "bandwidth must be a finite number >= 0, got inf"),
-    (0.0, 0.0, "bandwidth must be > 0, got 0.0"),
+    (math.nan, 1e9, "latency must be a finite number in [0, 1], got nan"),
+    (math.inf, 1e9, "latency must be a finite number in [0, 1], got inf"),
+    (-1e-6, 1e9, "latency must be a finite number in [0, 1], got -1e-06"),
+    (1e308, 1e9, "latency must be a finite number in [0, 1], got 1e+308"),
+    (0.0, math.nan, "bandwidth must be a finite number > 0, got nan"),
+    (0.0, math.inf, "bandwidth must be a finite number > 0, got inf"),
+    (0.0, 0.0, "bandwidth must be a finite number > 0, got 0.0"),
 ])
 def test_comm_group_rejects_a_bad_link(latency, bandwidth, message):
-    """NaN latencies and bandwidths were once accepted."""
+    """NaN latencies and bandwidths were once accepted, and a 1e308
+    latency gave an infinite collective time."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         CommGroup(4, latency, bandwidth)
 
@@ -156,7 +158,7 @@ def test_invalid_hardware_rejected():
 @pytest.mark.parametrize("rate", [True, "x", None])
 def test_peak_flops_rate_must_be_a_number(rate):
     """The Python API refuses what the JSON loader refuses, naming the dtype."""
-    with pytest.raises(ValueError, match=r"^peak_flops\['fp8'\] must be a number, got "):
+    with pytest.raises(ValueError, match=r"^peak_flops\.fp8 must be a finite number > 0, got "):
         make_hw(peak_flops={"bf16": 100e12, "fp8": rate})
 
 
@@ -164,6 +166,12 @@ FLOAT_FIELDS = (
     "hbm_capacity", "hbm_bandwidth", "intra_node_bandwidth", "intra_node_latency", "inter_node_bandwidth",
     "inter_node_latency", "matmul_efficiency", "host_dispatch_time", "host_to_device_bandwidth",
 )
+# Each float field's bound as its errors state it: rates and capacities are
+# positive, latencies at most 1 s, the efficiency at most 1.
+BOUNDS = {
+    **dict.fromkeys(FLOAT_FIELDS, "> 0"), "intra_node_latency": "in [0, 1]", "inter_node_latency": "in [0, 1]",
+    "matmul_efficiency": "in (0, 1]", "host_dispatch_time": ">= 0",
+}
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -171,13 +179,13 @@ FLOAT_FIELDS = (
 def test_non_finite_hardware_value_is_named(name, value):
     """NaN once turned the step into nan, or silently into another step
     (a nan latency) or into no host dispatch at all (a nan host time)."""
-    with pytest.raises(ValueError, match=rf"^{name} must be finite and [>=]+ 0, got {value}$"):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number {re.escape(BOUNDS[name])}, got {value}$"):
         make_hw(**{name: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_peak_flop_rate_is_named(value):
-    with pytest.raises(ValueError, match=rf"^peak_flops\['bf16'\] must be finite and > 0, got {value}$"):
+    with pytest.raises(ValueError, match=rf"^peak_flops\.bf16 must be a finite number > 0, got {value}$"):
         make_hw(peak_flops={"bf16": value})
 
 
@@ -185,17 +193,44 @@ def test_non_finite_peak_flop_rate_is_named(value):
 def test_negative_delay_is_named(name):
     """A negative latency once failed only when an event was priced, in a
     message naming no field."""
-    with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0, got -0.001$"):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number {re.escape(BOUNDS[name])}, got -0.001$"):
         make_hw(**{name: -1e-3})
     assert getattr(make_hw(**{name: 0.0}), name) == 0.0
 
 
 @pytest.mark.parametrize("name", [f for f in FLOAT_FIELDS if "latency" not in f and f != "host_dispatch_time"])
 def test_rates_and_capacities_must_be_positive(name):
-    with pytest.raises(ValueError, match=rf"^{name} must be finite and > 0, got 0$"):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number {re.escape(BOUNDS[name])}, got 0$"):
         make_hw(**{name: 0})
 
 
+@pytest.mark.parametrize("name", ["intra_node_latency", "inter_node_latency"])
+def test_link_latency_is_at_most_one_second(name):
+    """At 1e308 s a collective's latency terms once summed to an infinite
+    step; the ceiling sits far above any real link."""
+    assert getattr(make_hw(**{name: 1.0}), name) == 1.0
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number in \[0, 1\], got 1.5$"):
+        make_hw(**{name: 1.5})
+
+
+@pytest.mark.parametrize("name", ["devices_per_node", "num_nodes"])
+@pytest.mark.parametrize("value", [2.5, 8.0, True, math.nan])
+def test_device_counts_must_be_integers(name, value):
+    """devices_per_node=2.5 was once accepted, and validate_plan on the
+    reference plan then named the derived dp: "dp must be an integer, got
+    15.0"."""
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        make_hw(**{name: value})
+
+
+@pytest.mark.parametrize("size", [2.5, 4.0, math.nan, math.inf, True, "4"])
+def test_comm_group_size_must_be_an_integer(size):
+    """A NaN or infinite size once priced a collective at NaN seconds, True
+    at 0 s and 2.5 at 0.6 s; a string raised a bare TypeError."""
+    with pytest.raises(ValueError, match=rf"^size must be an integer, got {re.escape(repr(size))}$"):
+        CommGroup(size, 1e-6, 1e9)
+
+
 def test_matmul_efficiency_at_most_one():
-    with pytest.raises(ValueError, match=r"^matmul_efficiency must be in \(0, 1\], got 1.5$"):
+    with pytest.raises(ValueError, match=r"^matmul_efficiency must be a finite number in \(0, 1\], got 1.5$"):
         make_hw(matmul_efficiency=1.5)

@@ -48,7 +48,7 @@ def test_every_field_has_a_hint_the_loader_handles(cls):
 
 def test_boolean_is_rejected_in_a_numeric_field(tmp_path):
     plan = {**reference("plan_reference"), "tp": True}
-    with pytest.raises(ParseError, match=r"^plan\.tp must be a number, got a boolean$"):
+    with pytest.raises(ParseError, match=r"^plan\.tp must be an integer, got True$"):
         load_plan(write(tmp_path, "plan", plan))
 
 
@@ -118,6 +118,22 @@ def test_missing_required_field_is_named(tmp_path):
     del model["hidden_size"]
     with pytest.raises(ParseError, match=r"^model\.hidden_size is required$"):
         load_model(write(tmp_path, "model", model))
+
+
+@pytest.mark.parametrize(
+    "name, key, value, message",
+    [
+        ("balance_demo", "task_mix", 5, "trace_spec.task_mix must be an array, got int"),
+        ("cluster_6144", "peak_flops", [1, 2], "cluster.peak_flops must be an object, got list"),
+        ("model_reference", "mla", 5, "model.mla must be an object, got int"),
+    ],
+)
+def test_a_container_field_names_the_json_type_it_takes(tmp_path, name, key, value, message):
+    """The loader, which turns arrays into tuples, names JSON types, not the
+    Python types the records declare."""
+    load = {"balance_demo": load_trace_spec, "cluster_6144": load_cluster, "model_reference": load_model}[name]
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load(write(tmp_path, name, {**reference(name), key: value}))
 
 
 def test_space_that_is_not_an_object_is_rejected(tmp_path):

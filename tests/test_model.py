@@ -245,10 +245,10 @@ def test_pruning_power_of_two_and_band():
 @pytest.mark.parametrize(
     "ranges, message",
     [
-        ({"num_layers": [56.5], "top_k": [True]}, "ranges.num_layers.0 must be of type int, got 56.5"),
-        ({"num_layers": [4], "top_k": [2, True]}, "ranges.top_k.1 must be of type int, got True"),
-        ({"hidden_size": [16, "32"]}, "ranges.hidden_size.1 must be of type int, got '32'"),
-        ({"hidden_size": [16.0]}, "ranges.hidden_size.0 must be of type int, got 16.0"),
+        ({"num_layers": [56.5], "top_k": [True]}, "ranges.num_layers.0 must be an integer, got 56.5"),
+        ({"num_layers": [4], "top_k": [2, True]}, "ranges.top_k.1 must be an integer, got True"),
+        ({"hidden_size": [16, "32"]}, "ranges.hidden_size.1 must be an integer, got '32'"),
+        ({"hidden_size": [16.0]}, "ranges.hidden_size.0 must be an integer, got 16.0"),
     ],
 )
 def test_design_space_candidates_must_have_their_field_type(ranges, message):
@@ -291,6 +291,13 @@ def test_dtype_bytes_must_be_a_width_a_cluster_can_price(width):
 
 def test_model_id_format():
     assert model_id(REFERENCE) == "L61d3-h7680-a128-E256x2048-K8s1-mtp1"
+
+
+@pytest.mark.parametrize("size", [-18432, -1, 0])
+def test_dense_ffn_size_must_be_at_least_one(size):
+    """Once accepted from Python and from JSON, unlike the expert FFN size."""
+    with pytest.raises(ValueError, match=f"^dense_ffn_intermediate_size must be an integer >= 1, got {size}$"):
+        tiny_config(dense_ffn_intermediate_size=size)
 
 
 def test_config_validation():

@@ -275,10 +275,18 @@ def test_timeline_views_are_built_on_first_read():
 @pytest.mark.parametrize("field", ["fwd", "bwd"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, True, "1.0", None])
 def test_chunk_cost_must_be_a_finite_number_at_least_zero(field, value):
-    message = rf"^ChunkCost\.{field} must be a finite number >= 0, got {re.escape(repr(value))}$"
+    message = rf"^ChunkCost\.{field} must be a finite number in \[0, 1e300\], got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         ChunkCost(**{"fwd": 1.0, "bwd": 2.0, field: value})
     assert ChunkCost(0, 0.0) == ChunkCost(0.0, 0)
+
+
+def test_chunk_cost_ceiling_keeps_the_step_finite():
+    """ChunkCost(1e308, 1e308) once gave step inf and bubble nan."""
+    with pytest.raises(ValueError, match=r"^ChunkCost\.fwd must be a finite number in \[0, 1e300\], got 1e\+308$"):
+        ChunkCost(1e308, 1e308)
+    rep = simulate_timeline(build_1f1b_schedule(4, 8, 2), uniform_chunk_costs(4, 2, 1e300, 1e300))
+    assert math.isfinite(rep.step_time) and math.isfinite(rep.bubble_ratio)
 
 
 @pytest.mark.parametrize("nbytes", [-1e12, math.nan, math.inf, True, "1e9"])

@@ -595,10 +595,17 @@ def test_reference_training_report_is_pinned(variant):
 
 @pytest.mark.parametrize("field", ["intra_node_latency", "inter_node_latency", "host_dispatch_time"])
 def test_a_step_that_is_not_finite_is_refused(field):
-    """At 1e308 s the step is inf, which once gave MFU 0.0 and tokens/s
-    0.0 as if it were a result."""
+    """At 1e308 s the step was inf, which once gave MFU 0.0 and tokens/s
+    0.0 as if it were a result. A link latency that large is now refused
+    with the cluster, above its 1 s ceiling; a host time that large still
+    makes the step inf, and the report refuses it."""
     cfg = load_model(CONFIGS / "model_reference.json")
-    hw = replace(load_cluster(CONFIGS / "cluster_6144.json"), **{field: 1e308})
+    hw = load_cluster(CONFIGS / "cluster_6144.json")
+    if field != "host_dispatch_time":
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite number in \[0, 1\], got 1e\+308$"):
+            replace(hw, **{field: 1e308})
+        return
+    hw = replace(hw, **{field: 1e308})
     plan = replace(load_plan(CONFIGS / "plan_reference.json"), global_batch_size=1536)
     message = ("step_time is inf: the cluster's intra_node_latency, inter_node_latency or host_dispatch_time"
                " is too large to time a step")
