@@ -8,9 +8,10 @@ fraction that is not already local, which the formulas account for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import UnpricedDtypeError
+from .errors import FieldError, UnpricedDtypeError
 from .records import _require_nonnegative, bounded, check_fields, parse_bound, require
 
 
@@ -65,11 +66,15 @@ class HardwareDescription:
     def peak_for_dtype_bytes(self, dtype_bytes: int) -> float:
         """The peak rate for values of this width; a 2-byte dtype falls
         back from bf16 to fp16."""
+        return self.peak_flops[self._peak_name(dtype_bytes)]
+
+    def _peak_name(self, dtype_bytes: int) -> str:
+        """The peak_flops key that prices values of this width."""
         name = DTYPE_NAMES.get(dtype_bytes)
         if name in self.peak_flops:
-            return self.peak_flops[name]
+            return name
         if dtype_bytes == 2 and "fp16" in self.peak_flops:
-            return self.peak_flops["fp16"]
+            return "fp16"
         if name is None:
             raise ValueError(f"dtype_bytes must be one of {', '.join(map(str, DTYPE_NAMES))}, got {dtype_bytes!r}")
         alias = " or 'fp16'" if dtype_bytes == 2 else ""
@@ -107,8 +112,20 @@ def collective_time(kind: str, volume_bytes: float, group: CommGroup) -> float:
 
 
 def kernel_time(flops: float, bytes_moved: float, hw: HardwareDescription, dtype_bytes: int = 2) -> float:
-    """Roofline estimate: slower of the compute and HBM traffic terms."""
+    """Roofline estimate: slower of the compute and HBM traffic terms. A
+    rate too low to give either term in finite time is refused by its
+    cluster field."""
     _require_nonnegative("flops", flops)
     _require_nonnegative("bytes_moved", bytes_moved)
-    peak = hw.peak_for_dtype_bytes(dtype_bytes)
-    return max(flops / (peak * hw.matmul_efficiency), bytes_moved / hw.hbm_bandwidth)
+    name = hw._peak_name(dtype_bytes)
+    peak = hw.peak_flops[name]
+    rate = peak * hw.matmul_efficiency  # 0.0 when both are tiny enough to underflow
+    compute = flops / rate if rate > 0 else math.inf
+    if not compute < math.inf:
+        raise FieldError(f"peak_flops.{name}", f"must be large enough to run {flops!r} FLOPs in finite time at "
+                         f"matmul_efficiency {hw.matmul_efficiency!r}, got {peak!r}", "cluster.")
+    memory = bytes_moved / hw.hbm_bandwidth
+    if not memory < math.inf:
+        raise FieldError("hbm_bandwidth", f"must be large enough to move {bytes_moved!r} bytes in finite time, "
+                         f"got {hw.hbm_bandwidth!r}", "cluster.")
+    return max(compute, memory)

@@ -1,5 +1,10 @@
 """Deterministic task-graph timeline engine.
 
+This is the general engine: `pipeline` times a training step with its own
+slot walk, and the tests check that walk against `run_columns` on the
+step's task columns, which this engine also turns into the timeline's
+views keyed by task id.
+
 Each device runs one program: its tasks in one fixed order. Each task
 occupies one serial resource on its device, and each resource runs the
 program's tasks that use it in program order, so no two tasks on one
@@ -33,9 +38,9 @@ max over the same `begin + length` sums whatever order the lanes move in.
 `run_tasks` is the adapter for tasks named by string ids. It checks that
 each task is in the program of its device once and in no other program.
 
-`covered_lengths` measures how much of each window some merged spans cover
-(the pipeline's overlap statistic). It takes both in order of start, as a
-serial chain runs them, so it sorts neither.
+`covered_lengths` measures how much of each window some merged spans cover,
+the reference for the pipeline's overlap statistic. It takes both in order
+of start, as a serial chain runs them, so it sorts neither.
 """
 
 from __future__ import annotations
@@ -69,20 +74,28 @@ TaskColumns = namedtuple(
 class TimelineResult:
     """Times of one run, held by task position: `begin` and `finish` for
     every task, and when hosted `delay`, its host delay (0.0 where the
-    dispatch did not hold it back; empty when unhosted). The views keyed by
-    task id (`start`, `end`, `dispatch_end`, `host_delay`, `tasks`,
-    `chains`) are built together on first read, which rejects a task id
-    given twice; `host_delay` follows host order, `chains` cuts each
-    program by resource in order of first use, the others follow task
-    order.
+    dispatch did not hold it back; empty when unhosted). `columns` are the
+    tasks the times are for; given as a zero-argument function, they are
+    built on first read. The views keyed by task id (`start`, `end`,
+    `dispatch_end`, `host_delay`, `tasks`, `chains`) are built together on
+    first read, which rejects a task id given twice; `host_delay` follows
+    host order, `chains` cuts each program by resource in order of first
+    use, the others follow task order.
     """
 
-    def __init__(self, columns: TaskColumns, names, begin: list, finish: list, delay: list):
-        self.columns, self.begin, self.finish, self.delay = columns, begin, finish, delay
+    def __init__(self, columns, names, begin: list, finish: list, delay: list):
+        if isinstance(columns, TaskColumns):
+            self.columns = columns
+        else:
+            self._columns = columns
+        self.begin, self.finish, self.delay = begin, finish, delay
         self._names = names  # () -> task ids by position
         self.makespan = max(finish, default=0.0)
 
     def __getattr__(self, name):
+        if name == "columns":
+            self.columns = self._columns()
+            return self.columns
         if name not in ("start", "end", "dispatch_end", "host_delay", "tasks", "chains"):
             raise AttributeError(name)
         c, ids, n = self.columns, self._names(), len(self.finish)

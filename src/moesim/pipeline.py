@@ -3,25 +3,32 @@
 The schedule is the one-forward-one-backward family: classic 1F1B when
 vpp == 1, and the interleaved variant when vpp > 1 (which requires the
 micro batch count to divide evenly by the stage count; plans violating
-that are rejected at validation). The simulation turns the schedule's
-slots and the transfers' hops into one ordered program per device: for
-each slot in schedule order, the hops into it in row order, then its
-compute tasks. Every task uses one serial resource (compute, inter_link or
+that are rejected at validation). Each device runs one program: for each
+slot in schedule order, the hops into it in row order, then its compute
+tasks. Every task uses one serial resource (compute, inter_link or
 intra_link); each resource runs the program's tasks that use it, in
 program order, and the host launches the whole program in that order.
-Every dependency points back in its program or into another device's, so
-the engine times each program in one walk.
+
+The step is timed by the slot walk, with no task columns: one walk per
+device over its slots in schedule order, timing the hops into each slot,
+then its compute parts from the template of its key. A walk parks only
+on the waited-on part of its slot's dataflow parent, read from one parent
+table (``dataflow_parent`` asked once per template key). The same walk
+folds each stage's busy time, records each nonzero host delay in host
+order, merges the device's compute spans and measures each hop's covered
+length once the hop is timed. The times equal `engine.run_columns`'s on
+the step's task columns bit for bit; those columns, the general engine's
+input, are built only when the timeline's ``columns`` or a view is read.
 
 Tasks are integer positions. Each stage's compute tasks are one
 contiguous run, in the order its compute chain runs them; the transfers'
 hops follow in row order. The transfers come as ``SlotTransfers`` rows:
 each hop names the slot it feeds by its number in schedule order and
 carries its kind, resource, bytes and group size. The first hop into a
-slot waits on the slot's dataflow parent, read from one parent table
-(``dataflow_parent`` asked once per template key), and each later hop on
-the hop before it. Slot ids (``{phase}:p{stage}:v{chunk}:m{micro_batch}``)
-only spell task ids, which are spelled only when a timeline view keyed by
-id is read.
+slot waits on the slot's dataflow parent, and each later hop on the hop
+before it. Slot ids (``{phase}:p{stage}:v{chunk}:m{micro_batch}``) only
+spell task ids, which are spelled only when a timeline view keyed by id
+is read.
 
 The report gives step time, bubble fraction, communication overlap and
 host-induced idle time. Every figure that adds floats is a left fold
@@ -32,15 +39,17 @@ compensates its rounding, so its bits depend on the interpreter.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, namedtuple
+from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, count
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import engine
 from .cluster import CommGroup, HardwareDescription, collective_time
+from .errors import DeadlockError, FieldError
 from .model import ModelConfig
 from .parallel import ParallelPlan
 from .records import _require_nonnegative, bounded, check_fields
@@ -194,10 +203,20 @@ def uniform_chunk_costs(p: int, v: int, fwd: float, bwd: float) -> dict:
     return {(s, c): ChunkCost(fwd, bwd) for s in range(p) for c in range(v)}
 
 
+# The cluster field whose rate prices a link tier's transfers.
+_BANDWIDTH = {"inter_link": "inter_node_bandwidth", "intra_link": "intra_node_bandwidth"}
+
+
 def _comm_seconds(kind: str, resource: str, nbytes: float, group_size: int, hw: HardwareDescription) -> float:
-    """A collective over the transfer's group; a plain transfer is a p2p."""
+    """A collective over the transfer's group; a plain transfer is a p2p.
+    A link too slow to move the bytes in finite time is refused by name."""
     kind, size = (kind, group_size) if group_size > 1 else ("p2p", 2)
-    return collective_time(kind, nbytes, CommGroup(size, *hw.tier(resource)))
+    latency, bandwidth = hw.tier(resource)
+    seconds = collective_time(kind, nbytes, CommGroup(size, latency, bandwidth))
+    if not seconds < math.inf:
+        raise FieldError(_BANDWIDTH[resource], f"must be large enough to move {nbytes!r} bytes by {kind} in "
+                         f"finite time, got {bandwidth!r}", "cluster.")
+    return seconds
 
 
 # What the hops of one shape share: kind, resource, bytes and group size,
@@ -281,51 +300,18 @@ def _slot_parts(phase: str, cost: ChunkCost, policy: OverlapPolicy, split_fwd: b
     return [("", cost.fwd if phase == "fwd" else cost.bwd, phase, False)]
 
 
-def _step_program(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDescription | None,
-                  transfers: SlotTransfers) -> tuple:
-    """(task columns, compute-part templates by template key, each stage's
-    compute run, each device's link chains) of one step. The tables only
-    the build reads (slot numbers, parent table, hops by slot, priced
-    shapes) end with this frame, before the engine walks the columns."""
-    host_time = hw.host_dispatch_time if hw is not None else 0.0
+def _template(key, chunk_costs, policy: OverlapPolicy, split_fwd: bool) -> _Parts:
+    """The compute parts of a template key's slots."""
+    parts = _slot_parts(key[0], chunk_costs[key[1:]], policy, split_fwd)
+    return _Parts(*zip(*parts), len(parts) - 1 - (parts[-1][2] == "bwd_dw"))
 
-    # Task positions: each slot's compute tasks in schedule order, then the
-    # transfers' hops in row order. Parts are derived once per template key,
-    # and each key's slots are numbered by micro batch.
-    numbered, stage_slots = {}, []  # numbered: template key -> (parts, {micro batch: slot number})
-    runs = []  # by stage: slice of its compute task positions
-    first, wait = [], []  # by slot number: its first task, the task downstream work waits on
-    duration, kind, sync, device = [], [], [], []
-    for s, slots in enumerate(schedule):
-        stage_slots.append(range(len(first), len(first) + len(slots)))
-        for g, sl in enumerate(slots, len(first)):
-            key = template_key(sl)
-            entry = numbered.get(key)
-            if entry is None:
-                parts = _slot_parts(key[0], chunk_costs[key[1:]], policy, host_time > 0)
-                tpl = _Parts(*zip(*parts), len(parts) - 1 - (parts[-1][2] == "bwd_dw"))
-                entry = numbered[key] = (tpl, {})
-            tpl, by_batch = entry
-            if by_batch.setdefault(sl[2], g) != g:
-                raise ValueError(f"duplicate task id {slot_id(sl) + tpl.suffixes[0]!r}")
-            f = len(duration)
-            first.append(f)
-            wait.append(f + tpl.wait)
-            duration += tpl.durations
-            kind += tpl.kinds
-            sync += tpl.syncs
-        runs.append(slice(len(device), len(duration)))
-        device += [s] * (len(duration) - len(device))
-    base = len(duration)
-    ends = first[1:] + [base]  # slot number -> end of its compute tasks
 
-    # Hop rows. A hop feeds a slot on its own device and waits on the slot's
-    # parent or on the hop before it, which feeds the same slot, so its rows
-    # come straight from the columns. Pricing is pure, so each distinct
-    # (kind, resource, bytes, group size) is priced once, and its bytes
-    # checked then.
-    hop_slots, hop_shapes, shapes = transfers.slots, transfers.hops, transfers.shapes
-    cost = dict.fromkeys(hop_shapes)  # the shapes in use, in the order of their first hop
+def _hop_seconds(transfers: SlotTransfers, hw: HardwareDescription | None) -> dict:
+    """Seconds by shape number, for the shapes in use, in the order of
+    their first hop. Pricing is pure, so each distinct (kind, resource,
+    bytes, group size) is priced once, and its bytes checked then."""
+    hop_shapes, shapes = transfers.hops, transfers.shapes
+    cost = dict.fromkeys(hop_shapes)
     priced = {}
     for h in cost:
         shape = shapes[h][:4]
@@ -333,48 +319,104 @@ def _step_program(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDesc
             _require_nonnegative(lambda h=h: f"event {transfers.ids()[hop_shapes.index(h)]!r} bytes", shape[2])
             priced[shape] = _comm_seconds(*shape, hw)
         cost[h] = priced[shape]
+    return cost
+
+
+def _slot_table(schedule, chunk_costs, policy: OverlapPolicy, split_fwd: bool, hop_count: int) -> tuple:
+    """The step's slots by number, in schedule order, as positions.
+
+    Returns (template key -> its name, the number of its first slot; the
+    compute parts by key name; each slot's key name; each slot's first
+    compute position, then the compute task count; each slot's waited-on
+    part, then n, past every task and hop; what each slot's first part
+    waits on: its dataflow parent's waited-on part, or n at a graph source
+    and for a parent the schedule does not list). A slot listed twice is
+    refused once the parts of every slot up to its second listing are
+    derived, as a build in schedule order refuses it.
+    """
+    flat = list(chain.from_iterable(schedule))
+    slot_count = len(flat)
+    kid = {}  # template key -> its name
+    kids = list(map(kid.setdefault, map(template_key, flat), count()))
+    number = dict(zip(flat, count()))  # slot -> its number
+    if len(number) < slot_count:
+        seen = set()
+        g = next(g for g, sl in enumerate(flat) if sl in seen or seen.add(sl))
+        keys = dict.fromkeys(map(template_key, flat[:g + 1]))
+        derived = {key: _template(key, chunk_costs, policy, split_fwd) for key in keys}
+        raise ValueError(f"duplicate task id {slot_id(flat[g]) + derived[template_key(flat[g])].suffixes[0]!r}")
+    # By key name: its parts, their count, the waited-on one, and all of its
+    # parent but the micro batch.
+    parts, size, offset = [None] * slot_count, [0] * slot_count, [0] * slot_count
+    up_stage, up_chunk, up_phase = [None] * slot_count, [None] * slot_count, [None] * slot_count
+    up = parents_by_key(kid, len(schedule), 1 + max((key[2] for key in kid), default=0))
+    for key, name in kid.items():
+        tpl = parts[name] = _template(key, chunk_costs, policy, split_fwd)
+        size[name], offset[name] = len(tpl.durations), tpl.wait
+        if up[key] is not None:
+            up_stage[name], up_chunk[name], _, up_phase[name] = up[key]
+    first = list(accumulate(map(size.__getitem__, kids), initial=0))
+    waited = list(map(add, first, map(offset.__getitem__, kids)))
+    waited.append(first[-1] + hop_count)
+    parents = zip(map(up_stage.__getitem__, kids), map(up_chunk.__getitem__, kids), map(itemgetter(2), flat),
+                  map(up_phase.__getitem__, kids))
+    parent_wait = list(map(waited.__getitem__, map(number.get, parents, repeat(slot_count))))
+    return kid, parts, kids, first, waited, parent_wait
+
+
+def _step_program(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDescription | None,
+                  transfers: SlotTransfers) -> engine.TaskColumns:
+    """The task columns of one step, for `engine.run_columns` and the
+    timeline's views: each slot's compute tasks in schedule order, then the
+    transfers' hops in row order."""
+    host_time = hw.host_dispatch_time if hw is not None else 0.0
+    _, parts, kids, first, _, parent_wait = _slot_table(schedule, chunk_costs, policy, host_time > 0, len(transfers))
+    base = first[-1]
+    slot_parts = list(map(parts.__getitem__, kids))
+    duration = [d for tpl in slot_parts for d in tpl.durations]
+    kind = [k for tpl in slot_parts for k in tpl.kinds]
+    sync = [y for tpl in slot_parts for y in tpl.syncs]
+    stage_slots, g = [], 0
+    for slots in schedule:
+        stage_slots.append(range(g, g + len(slots)))
+        g += len(slots)
+    device = [s for s, numbers in enumerate(stage_slots) for _ in range(first[numbers.start], first[numbers.stop])]
+
+    # Hop rows. A hop feeds a slot on its own device and waits on the slot's
+    # parent or on the hop before it, which feeds the same slot, so its rows
+    # come straight from the columns. A slot's hops, in row order, run on
+    # its device just before it, and its first part waits on its parent,
+    # then on them.
+    hop_slots, hop_shapes, shapes = transfers.slots, transfers.hops, transfers.shapes
+    cost = _hop_seconds(transfers, hw)
     links = [sh.resource for sh in shapes]
     chained = [sh.chained for sh in shapes]
-    # The parent table: what the first part of each slot waits on, by slot
-    # number: its dataflow parent's waited-on part, or nothing at a graph
-    # source. The hops feeding a slot, in row order, run on its device just
-    # before it, and its first part waits on its parent, then on them.
-    up = parents_by_key(numbered, len(schedule), 1 + max((key[2] for key in numbered), default=0))
-    parent_wait = [()] * len(first)
-    for key, (_, by_batch) in numbered.items():
-        parent = numbered.get(template_key(up[key])) if up[key] is not None else None
-        if parent is not None:
-            for g, pg in zip(by_batch.values(), map(parent[1].get, by_batch)):
-                if pg is not None:
-                    parent_wait[g] = (wait[pg],)
-    fed = [[] for _ in first]  # slot number -> positions of the hops feeding it
+    waits = [(w,) if w < base + len(transfers) else () for w in parent_wait]
+    fed = [[] for _ in kids]  # slot number -> positions of the hops feeding it
     for j, g in zip(count(base), hop_slots):
         fed[g].append(j)
     deps = [()] * base
-    for f, dep, hops_in in zip(first, parent_wait, fed):
+    for f, dep, hops_in in zip(first, waits, fed):
         deps[f] = (*dep, *hops_in)
     device += map(device.__getitem__, map(first.__getitem__, hop_slots))
     duration += map(cost.__getitem__, hop_shapes)
     resource = [COMPUTE] * base
     resource += map(links.__getitem__, hop_shapes)
-    deps += [(j - 1,) if chained[h] else parent_wait[g] for j, g, h in zip(count(base), hop_slots, hop_shapes)]
+    deps += [(j - 1,) if chained[h] else waits[g] for j, g, h in zip(count(base), hop_slots, hop_shapes)]
     kind += ["comm"] * len(hop_slots)
     sync += [False] * len(hop_slots)
 
     # Every device runs one program: per slot, the hops into it, then its
-    # compute tasks. Only the overlap statistic reads the link chains: each
-    # device's hops cut by resource, in program order. Without overlap,
-    # comm runs alone on its device: each hop waits on the task before it
-    # in the program. The task after a hop then waits on it too: a hop by
-    # this rule, a slot's first task because it waits on every hop feeding
-    # it. The device then runs its program one task at a time, so no
-    # compute span covers any part of a hop, and no chain is cut.
-    programs, link_chains = {}, {}  # link_chains: device -> its link resources' chains
+    # compute tasks. Without overlap, comm runs alone on its device: each
+    # hop waits on the task before it in the program. The task after a hop
+    # then waits on it too: a hop by this rule, a slot's first task because
+    # it waits on every hop feeding it.
+    programs = {}
     serial = not policy.overlap_comm
     for dev, numbers in enumerate(stage_slots):
         if numbers:
             program = programs[dev] = []
-            cuts, before = defaultdict(list), None  # before: the last task placed
+            before = None  # the last task placed
             for g in numbers:
                 hops_in = fed[g]
                 if serial:
@@ -382,18 +424,167 @@ def _step_program(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDesc
                         if before is not None and before not in deps[j]:
                             deps[j] += (before,)
                         before = j
-                else:
-                    for j in hops_in:
-                        cuts[resource[j]].append(j)
                 program += hops_in
-                program += range(first[g], ends[g])
+                program += range(first[g], first[g + 1])
                 before = program[-1]
-            if cuts:
-                link_chains[dev] = list(cuts.values())
-    columns = engine.TaskColumns(
+    return engine.TaskColumns(
         duration, [host_time] * len(duration), device, resource, kind, sync, deps, programs, host_time > 0,
     )
-    return columns, {key: tpl for key, (tpl, _) in numbered.items()}, runs, link_chains
+
+
+def _walk(schedule, chunk_costs, policy: OverlapPolicy, hw: HardwareDescription | None,
+          transfers: SlotTransfers) -> tuple:
+    """Time one step by walking each device's slots in schedule order, with
+    no task columns: (begin, finish, delay by task position, each stage's
+    busy time, the comm time, the part of it compute covers, the host idle
+    time, the compute parts by template key). Every sum is a left fold in
+    task or host order.
+
+    The positions and every time are `engine.run_columns`'s on
+    `_step_program`'s columns. A slot's hops are timed in row order, each
+    at the latest of its link's previous hop, its slot's dataflow parent
+    (for a chained hop: the hop before it), without overlap the task before
+    it in the program, and when hosted its dispatch end; then the slot's
+    compute parts, the first also after the parent and the slot's hops. A
+    lane parks only on its slot's parent, when that is not timed yet. Only
+    earlier compute in a device's program can cover one of its hops, since
+    a slot's first part waits on every hop into it, so each hop's covered
+    length is measured against the spans merged so far once it is timed.
+    """
+    host_time = hw.host_dispatch_time if hw is not None else 0.0
+    hosted, overlap = host_time > 0, policy.overlap_comm
+    kid, parts, kids, first, waited, parent_wait = _slot_table(schedule, chunk_costs, policy, hosted, len(transfers))
+    steps = [()] * len(kids)  # by key name: (duration, sync) of each part
+    for name in kid.values():
+        steps[name] = tuple(zip(parts[name].durations, parts[name].syncs))
+    base = first[-1]
+    n = base + len(transfers)
+
+    # Hop rows by slot number, each slot's in row order, and what each
+    # shape in use costs, runs on and waits on.
+    cost = _hop_seconds(transfers, hw)
+    link = {}  # link resource -> its index in a lane's link finishes
+    shape = {h: (c, link.setdefault(transfers.shapes[h].resource, len(link)), transfers.shapes[h].chained)
+             for h, c in cost.items()}
+    hop_slots = transfers.slots
+    rows = sorted(range(len(hop_slots)), key=hop_slots.__getitem__)
+    fed = list(map(hop_slots.__getitem__, rows))  # by place in rows: the slot the hop feeds
+    fed.append(len(kids))
+    hop_shape = list(map(shape.__getitem__, map(transfers.hops.__getitem__, rows)))
+
+    begin = [0.0] * n
+    finish = [None] * n  # None until the task has run
+    finish.append(0.0)  # position n: what a graph source waits on
+    delay = [0.0] * n if hosted else []
+    covered = [0.0] * len(hop_slots)  # by row
+    busy = [0] * len(schedule)
+    host_delays = []  # by device: its nonzero host delays, in program order
+    waiters = {}  # task position -> the lanes parked on it
+    serial = not overlap
+    # A lane is a device's walk: [device, next slot, end of its slots, next
+    # place in rows, next compute position, compute finish, link finishes,
+    # dispatch floor, busy time, the last finish of its program, the merged
+    # compute spans' starts and ends, the end of the span before the last
+    # and of the last, its host delays].
+    lanes, g = [], 0
+    for dev, slots in enumerate(schedule):
+        if slots:
+            delays = []
+            host_delays.append(delays)
+            lanes.append([dev, g, g + len(slots), bisect_left(fed, g), first[g], 0.0, [0.0] * len(link), 0.0, 0,
+                          0.0, [], [], -math.inf, -math.inf, delays])
+            g += len(slots)
+    del first  # only the lanes' starts read it: free it before the walk makes its times
+    while lanes:
+        dev, g, stop, k, i, last, links, floor, spent, before, starts, ends, prior, reach, delays = lanes.pop()
+        while g < stop:
+            wait = parent_wait[g]
+            w = finish[wait]
+            if w is None:
+                waiters.setdefault(wait, []).append(
+                    [dev, g, stop, k, i, last, links, floor, spent, before, starts, ends, prior, reach, delays])
+                break
+            b = last if last > w else w  # where the first part of the slot may start
+            after = w  # what the next hop waits on
+            while fed[k] == g:
+                d, r, chained = hop_shape[k]
+                row = rows[k]
+                k += 1
+                s = links[r]
+                x = after if chained else w
+                if x > s:
+                    s = x
+                if serial and before > s:
+                    s = before
+                j = base + row
+                if hosted:
+                    e = floor + host_time
+                    if e > s:
+                        x = e - s
+                        delay[j] = x
+                        delays.append(x)
+                        s = e
+                    floor = e
+                begin[j] = s
+                f = finish[j] = links[r] = after = before = s + d
+                if f > b:
+                    b = f
+                if reach > s:
+                    # The pieces of the merged compute spans the hop
+                    # overlaps, added from left to right to 0.0; most often
+                    # only the last span reaches it.
+                    if prior <= s:
+                        a = starts[-1]
+                        if a < f:
+                            covered[row] = 0.0 + ((f if f < reach else reach) - (s if s > a else a))
+                    else:
+                        t = len(ends) - 1
+                        while t and ends[t - 1] > s:
+                            t -= 1
+                        c = 0.0
+                        for a, z in zip(starts[t:], ends[t:]):
+                            if a >= f:
+                                break
+                            c += (f if f < z else z) - (s if s > a else a)
+                        covered[row] = c
+            for d, sync in steps[kids[g]]:
+                if hosted:
+                    e = floor + host_time
+                    if e > b:
+                        x = e - b
+                        delay[i] = x
+                        delays.append(x)
+                        b = e
+                    floor = e
+                begin[i] = b
+                f = finish[i] = b + d
+                spent = spent + d
+                if overlap and f > b:
+                    if b <= reach:
+                        if f > reach:
+                            reach = ends[-1] = f
+                    else:
+                        starts.append(b)
+                        ends.append(f)
+                        prior, reach = reach, f
+                if sync and f > floor:
+                    floor = f
+                b = f
+                i += 1
+            last = before = b
+            if waited[g] in waiters:
+                lanes += waiters.pop(waited[g])
+            g += 1
+        else:
+            busy[dev] = spent
+    if waiters:
+        raise DeadlockError("dependency cycle in timeline task graph")
+    finish.pop()
+    comm = reduce(add, map(cost.__getitem__, transfers.hops), 0)
+    # Host delays of 0.0 leave the fold's bits as they are, but for its type.
+    idle = reduce(add, chain.from_iterable(host_delays), 0.0 if hosted and kids else 0)
+    templates = {key: parts[name] for key, name in kid.items()}
+    return begin, finish, delay, tuple(busy), comm, reduce(add, covered, 0.0), idle, templates
 
 
 def simulate_timeline(
@@ -412,12 +603,14 @@ def simulate_timeline(
     it, in row order. Comm runs on its link resource; with
     policy.overlap_comm False each hop also waits on the task before it in
     its device's program, so a device runs its program one task at a time
-    and comm is fully exposed. The overlap statistic sweeps each link chain
-    against its device's compute spans, both in order of start, and folds
-    the covered lengths in task order; without overlap each is zero. Backward slots are split into an
-    immediate part and a deferrable weight-gradient part when
+    and comm is fully exposed. The overlap statistic measures each hop's
+    window against its device's merged compute spans and folds the covered
+    lengths in task order; without overlap each is zero. Backward slots are
+    split into an immediate part and a deferrable weight-gradient part when
     policy.decouple_dw is set; downstream work waits only on the immediate
-    part. Host dispatch is modeled when hw.host_dispatch_time > 0.
+    part. Host dispatch is modeled when hw.host_dispatch_time > 0. The
+    timeline's task columns, and the views keyed by task id, are built on
+    first read.
     """
     policy = policy or OverlapPolicy()
     transfers = transfers if transfers is not None else SlotTransfers(schedule)
@@ -425,36 +618,23 @@ def simulate_timeline(
         raise ValueError("transfers were built on another schedule")
     if transfers and hw is None:
         raise ValueError("hw is required when transfers are present")
-    columns, templates, runs, link_chains = _step_program(schedule, chunk_costs, policy, hw, transfers)
+    begin, finish, delay, busy, comm, overlapped, idle, templates = _walk(schedule, chunk_costs, policy, hw, transfers)
 
     def names():
         return [slot_id(sl) + x for stage in schedule for sl in stage
                 for x in templates[template_key(sl)].suffixes] + transfers.ids()
 
-    result = engine.run_columns(columns, names)
-    begin, finish, duration = result.begin, result.finish, columns.duration
-    base = len(duration) - len(transfers)
-    busy = tuple(reduce(add, duration[run], 0) for run in runs)
-    bubble = 1.0 - reduce(add, busy, 0) / (len(schedule) * result.makespan) if result.makespan > 0 else 0.0
-    total_comm = reduce(add, duration[base:], 0)
-    # With overlap every comm task is on one link chain; without, none is,
-    # and none is covered. A stage's compute run and each chain run in
-    # order of start, so each chain's windows sweep its device's compute
-    # spans in one pass, merged once per device.
-    covered = [0.0] * (len(duration) - base)  # by hop
-    for dev, lanes in link_chains.items():
-        spans = engine.merged_intervals(zip(begin[runs[dev]], finish[runs[dev]]))
-        for lane in lanes:
-            windows = zip(map(begin.__getitem__, lane), map(finish.__getitem__, lane))
-            for i, c in zip(lane, engine.covered_lengths(spans, windows)):
-                covered[i - base] = c
-    overlapped = reduce(add, covered, 0.0)
+    def columns():
+        return _step_program(schedule, chunk_costs, policy, hw, transfers)
+
+    result = engine.TimelineResult(columns, names, begin, finish, delay)
+    makespan = result.makespan
     return StepReport(
-        step_time=result.makespan,
-        bubble_ratio=bubble,
-        comm_overlap_rate=1.0 if total_comm == 0 else overlapped / total_comm,
-        exposed_comm_time=total_comm - overlapped,
-        host_idle_time=reduce(add, result.host_delays(), 0),
+        step_time=makespan,
+        bubble_ratio=1.0 - reduce(add, busy, 0) / (len(schedule) * makespan) if makespan > 0 else 0.0,
+        comm_overlap_rate=1.0 if comm == 0 else overlapped / comm,
+        exposed_comm_time=comm - overlapped,
+        host_idle_time=idle,
         per_stage_busy=busy,
         timeline=result,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, count
 from operator import itemgetter
 
 from .cluster import HardwareDescription, kernel_time
@@ -118,12 +118,13 @@ def boundary_transfer_events(
     streams = 2 if cfg.num_mtp_layers > 0 else 1
     volume = tokens_dev * cfg.hidden_size * cfg.dtype_bytes * streams
     shapes = [HopShape("p2p", _stage_crossing_resource(plan, hw), volume, 0, False, "p2p:", "")]
-    # Whether the parent is on another stage follows from the template key.
-    keys = dict.fromkeys(map(template_key, chain.from_iterable(schedule)))
-    up = parents_by_key(keys, len(schedule), plan.vpp)
-    hops = {key: (0,) if u is not None and u.pp_stage != key[1] else () for key, u in up.items()}
-    per_slot = list(map(hops.__getitem__, map(template_key, chain.from_iterable(schedule))))
-    return _slot_transfers(schedule, shapes, per_slot)
+    # Whether the parent is on another stage follows from the template key;
+    # each slot it holds for gets one hop.
+    keys = list(map(template_key, chain.from_iterable(schedule)))
+    up = parents_by_key(dict.fromkeys(keys), len(schedule), plan.vpp)
+    crosses = {key: u is not None and u.pp_stage != key[1] for key, u in up.items()}
+    slots = list(compress(count(), map(crosses.__getitem__, keys)))
+    return SlotTransfers(schedule, slots, [0] * len(slots), shapes)
 
 
 def slot_dispatch_events(

@@ -653,6 +653,21 @@ def test_a_dense_ffn_size_below_one_is_refused(tmp_path, capsys, size):
     assert_rejected(capsys, argv, f"error: model.dense_ffn_intermediate_size must be an integer >= 1, got {size}\n")
 
 
+@pytest.mark.parametrize("field", ["peak_flops.bf16", "hbm_bandwidth", "inter_node_bandwidth", "intra_node_bandwidth"])
+def test_a_cluster_rate_too_small_to_price_is_named(tmp_path, capsys, field):
+    """At 1e-300 a price overflows. A FLOP rate or HBM bandwidth once
+    exited 1 naming `ChunkCost.fwd`, and a link bandwidth blaming the link
+    latencies and host dispatch time; the error now names the rate."""
+    cluster = json.loads((ROOT / "configs" / "cluster_6144.json").read_text())
+    owner, key = (cluster["peak_flops"], "bf16") if field == "peak_flops.bf16" else (cluster, field)
+    owner[key] = 1e-300
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps(cluster))
+    argv = ["simulate", "--model", str(ROOT / "configs" / "model_reference.json"), "--cluster", str(path),
+            "--plan", str(ROOT / "configs" / "plan_reference.json")]
+    assert_rejected(capsys, argv, f"error: cluster.{field} must be large enough to ", "got 1e-300\n")
+
+
 @pytest.mark.parametrize(
     "config, field, value",
     [

@@ -76,6 +76,17 @@ def test_kernel_time_rejects_what_it_cannot_price(name, bad):
         kernel_time(**args, hw=make_hw())
 
 
+@pytest.mark.parametrize("field", ["peak_flops", "hbm_bandwidth"])
+def test_kernel_time_refuses_a_rate_too_small_to_price(field):
+    """A rate that makes either roofline term inf is named, as the
+    cluster config spells it."""
+    hw = make_hw()
+    hw = replace(hw, peak_flops={"bf16": 1e-300}) if field == "peak_flops" else replace(hw, hbm_bandwidth=1e-300)
+    name = "peak_flops.bf16" if field == "peak_flops" else field
+    with pytest.raises(ValueError, match=rf"^cluster\.{re.escape(name)} must be large enough to .* got 1e-300$"):
+        kernel_time(1e12, 1e9, hw)
+
+
 @pytest.mark.parametrize("kind", ["p2p", "allgather"])
 @pytest.mark.parametrize("volume", [math.nan, math.inf, -1.0])
 def test_collective_time_rejects_a_non_finite_volume(kind, volume):

@@ -1,7 +1,8 @@
 """The task-graph engine: input checks, deadlocks, a hand-timed host
 dispatch case, properties on random DAGs, the program walk against the
-chain-lane walk and the Kahn pass it replaced, its memory per task, and the
-overlap sweep."""
+chain-lane walk and the Kahn pass it replaced, the pipeline's slot walk
+against the engine on the reference steps, the memory per task of both,
+and the overlap sweep."""
 
 import random
 import tracemalloc
@@ -12,9 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_pipeline import random_program
+from test_pipeline import assert_walk_matches_engine, random_program
 
-from moesim import engine
+from moesim import engine, search
 from moesim.configio import load_cluster, load_model, load_plan
 from moesim.engine import Task, TaskColumns, covered_lengths, merged_intervals, run_columns, run_tasks
 from moesim.errors import DeadlockError
@@ -489,28 +490,67 @@ REFERENCE_VARIANTS = [
 ]
 
 
+def captured_steps(monkeypatch) -> list:
+    """The reports of the step simulations `training_report` runs, kept
+    as it returns them."""
+    steps = []
+
+    def capture(*args, **kwargs):
+        steps.append(simulate_timeline(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(search, "simulate_timeline", capture)
+    return steps
+
+
 def test_program_walk_matches_the_chain_lane_walk_on_the_reference_steps(monkeypatch):
     """begin, finish, host delays and makespan by repr, on each reference
     step's own columns."""
     cfg = load_model(CONFIGS / "model_reference.json")
     cluster = load_cluster(CONFIGS / "cluster_6144.json")
     plan = load_plan(CONFIGS / "plan_reference.json")
-    captured = []
-
-    def capture(columns, names):
-        captured.append(columns)
-        return run_columns(columns, names)
-
-    monkeypatch.setattr(engine, "run_columns", capture)
+    steps = captured_steps(monkeypatch)
     assert len(REFERENCE_VARIANTS) == 72
     for mechanism, host, policy, fine, gbs in REFERENCE_VARIANTS:
         features = SimulationFeatures(policy=policy, fine_grained_memory=fine, dispatch_mechanism=mechanism)
         training_report(cfg, replace(plan, global_batch_size=gbs), replace(cluster, host_dispatch_time=host), features)
-        columns = captured.pop()
+        columns = steps.pop().timeline.columns
         r = run_columns(columns, list)
         begin, finish, delays, makespan = chain_lane_walk(chain_form(columns))
         got = (r.begin, r.finish, r.host_delays(), r.makespan)
         assert list(map(repr, got)) == list(map(repr, (begin[:len(finish)], finish, delays, makespan)))
+
+
+def test_the_slot_walk_matches_the_engine_on_the_reference_steps(monkeypatch):
+    """Each reference step's slot walk gives `run_columns`'s begin, finish
+    and delay on the step's columns, and the report its figures, by repr."""
+    cfg = load_model(CONFIGS / "model_reference.json")
+    cluster = load_cluster(CONFIGS / "cluster_6144.json")
+    plan = load_plan(CONFIGS / "plan_reference.json")
+    steps = captured_steps(monkeypatch)
+    for mechanism, host, policy, fine, gbs in REFERENCE_VARIANTS:
+        features = SimulationFeatures(policy=policy, fine_grained_memory=fine, dispatch_mechanism=mechanism)
+        training_report(cfg, replace(plan, global_batch_size=gbs), replace(cluster, host_dispatch_time=host), features)
+        assert_walk_matches_engine(steps.pop(), policy.overlap_comm)
+
+
+def test_a_training_step_never_runs_the_engine(monkeypatch):
+    """The report and the timeline's columns come without
+    `engine.run_columns`: the slot walk times the step."""
+
+    def refuse(columns, names):
+        raise AssertionError("run_columns was called")
+
+    monkeypatch.setattr(engine, "run_columns", refuse)
+    steps = captured_steps(monkeypatch)
+    cfg = load_model(CONFIGS / "model_reference.json")
+    hw = replace(load_cluster(CONFIGS / "cluster_6144.json"), host_dispatch_time=3e-6)
+    plan = replace(load_plan(CONFIGS / "plan_reference.json"), global_batch_size=3072)
+    for policy in (OverlapPolicy(), OverlapPolicy(overlap_comm=False)):
+        training_report(cfg, plan, hw, SimulationFeatures(policy=policy))
+        (step,) = steps
+        assert step.timeline.columns.hosted and step.timeline.end
+        steps.clear()
 
 
 def test_engine_memory_per_task_stays_small(monkeypatch):
@@ -522,15 +562,10 @@ def test_engine_memory_per_task_stays_small(monkeypatch):
     cfg = load_model(CONFIGS / "model_reference.json")
     hw = replace(load_cluster(CONFIGS / "cluster_6144.json"), host_dispatch_time=3e-6)
     plan = replace(load_plan(CONFIGS / "plan_reference.json"), global_batch_size=96 * 64)
-    captured = []
-
-    def capture(columns, names):
-        captured.append(columns)
-        return run_columns(columns, names)
-
-    monkeypatch.setattr(engine, "run_columns", capture)
+    steps = captured_steps(monkeypatch)
     training_report(cfg, plan, hw, SimulationFeatures(dispatch_mechanism="alltoall"))
-    (columns,) = captured
+    (step,) = steps
+    columns = step.timeline.columns
     n = len(columns.duration)
     assert n > 10_000 and columns.hosted
     tracemalloc.start()
@@ -541,6 +576,36 @@ def test_engine_memory_per_task_stays_small(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    assert peak / n <= 150
+
+
+def test_a_whole_step_memory_per_task_stays_small(monkeypatch):
+    """One `simulate_timeline` call on the reference step at m = 64 with
+    host dispatch, from the schedule and transfers to the report, its
+    tables included, allocates at most 150 bytes per task at its peak
+    (about 113; the column build and engine run it replaced took about
+    203)."""
+    cfg = load_model(CONFIGS / "model_reference.json")
+    hw = replace(load_cluster(CONFIGS / "cluster_6144.json"), host_dispatch_time=3e-6)
+    plan = replace(load_plan(CONFIGS / "plan_reference.json"), global_batch_size=96 * 64)
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return simulate_timeline(*args, **kwargs)
+
+    monkeypatch.setattr(search, "simulate_timeline", record)
+    training_report(cfg, plan, hw, SimulationFeatures(dispatch_mechanism="alltoall"))
+    ((args, kwargs),) = calls
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step = simulate_timeline(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n = len(step.timeline.finish)
+    assert n > 10_000 and step.timeline.delay
     assert peak / n <= 150
 
 

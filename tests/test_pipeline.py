@@ -24,6 +24,7 @@ from moesim import engine
 from moesim.cluster import CommGroup, HardwareDescription, _require_nonnegative, collective_time
 from moesim.comm import MECHANISMS
 from moesim.engine import run_tasks
+from moesim.errors import DeadlockError
 from moesim.model import MlaDims, ModelConfig, flops_per_token
 from moesim.parallel import ParallelPlan, assign_chunks
 from moesim.pipeline import (
@@ -37,6 +38,7 @@ from moesim.pipeline import (
     _comm_seconds,
     _Parts,
     _slot_parts,
+    _step_program,
     analytic_bubble_ratio,
     build_1f1b_schedule,
     dataflow_parent,
@@ -565,6 +567,63 @@ def simulate(program):
     return simulate_timeline(*args, **opts)
 
 
+def assert_walk_matches_engine(rep, overlap):
+    """The slot walk's begin, finish and delay are `engine.run_columns`'s
+    on the step's own columns, and its report figures are those of the
+    engine's run, folded as the step folded them before the walk: each
+    stage's compute durations, each link chain's `covered_lengths` against
+    its device's merged compute spans (no chain without overlap), the host
+    delays in host order. All by repr."""
+    tl = rep.timeline
+    c = tl.columns
+    ref = engine.run_columns(c, list)
+    assert list(map(repr, (tl.begin, tl.finish, tl.delay))) == list(map(repr, (ref.begin, ref.finish, ref.delay)))
+    begin, finish, duration = ref.begin, ref.finish, c.duration
+    base, p = len(duration) - c.kind.count("comm"), len(rep.per_stage_busy)
+    runs = [[i for i in range(base) if c.device[i] == s] for s in range(p)]
+    busy = tuple(reduce(add, map(duration.__getitem__, run), 0) for run in runs)
+    covered = [0.0] * (len(duration) - base)
+    for dev, program in c.programs.items() if overlap else ():
+        spans = engine.merged_intervals((begin[i], finish[i]) for i in runs[dev])
+        lanes = defaultdict(list)
+        for i in program:
+            if c.resource[i] != "compute":
+                lanes[c.resource[i]].append(i)
+        for lane in lanes.values():
+            for i, length in zip(lane, engine.covered_lengths(spans, [(begin[i], finish[i]) for i in lane])):
+                covered[i - base] = length
+    comm, overlapped, makespan = reduce(add, duration[base:], 0), reduce(add, covered, 0.0), ref.makespan
+    want = (makespan, 1.0 - reduce(add, busy, 0) / (p * makespan) if makespan > 0 else 0.0,
+            1.0 if comm == 0 else overlapped / comm, comm - overlapped, reduce(add, ref.host_delays(), 0), busy)
+    got = (rep.step_time, rep.bubble_ratio, rep.comm_overlap_rate, rep.exposed_comm_time, rep.host_idle_time,
+           rep.per_stage_busy)
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
+@settings(database=None, derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_the_slot_walk_times_random_programs_as_the_engine_does(seed, hosted, overlap):
+    args, opts = random_program(random.Random(seed))
+    opts["hw"] = dataclasses.replace(opts["hw"], host_dispatch_time=0.05 if hosted else 0.0)
+    opts["policy"] = dataclasses.replace(opts["policy"], overlap_comm=overlap)
+    assert_walk_matches_engine(simulate_timeline(*args, **opts), overlap)
+
+
+@pytest.mark.parametrize("hosted", [False, True])
+def test_a_backward_listed_before_its_own_forward_deadlocks(hosted):
+    """A stage that lists a backward before the forward it waits on can
+    never run it, alone or through another stage; the engine, on the
+    same step's columns, refuses it too."""
+    costs = uniform_chunk_costs(2, 1, 1.0, 2.0)
+    hw = dataclasses.replace(flat_cluster(), host_dispatch_time=0.1 if hosted else 0.0)
+    fwd, bwd = (lambda s: ScheduleSlot(s, 0, 0, "fwd")), (lambda s: ScheduleSlot(s, 0, 0, "bwd"))
+    for sched in ([[bwd(0), fwd(0)]], [[bwd(0), fwd(0)], [fwd(1), bwd(1)]]):
+        with pytest.raises(DeadlockError, match="^dependency cycle in timeline task graph$"):
+            simulate_timeline(sched, costs, hw=hw)
+        with pytest.raises(DeadlockError):
+            engine.run_columns(_step_program(sched, costs, OverlapPolicy(), hw, SlotTransfers(sched)), list)
+
+
 # (step_time, bubble_ratio, comm_overlap_rate, exposed_comm_time,
 # host_idle_time, per_stage_busy) of random_program(random.Random(seed)),
 # recorded before the timeline lost its hand-built event path.
@@ -1067,3 +1126,11 @@ def test_compute_runs_and_link_chains_run_in_order_of_start(**draw):
     if not draw["overlap"]:
         for program in c.programs.values():
             assert all(finish[i] <= begin[j] for i, j in zip(program, program[1:]))
+
+
+@settings(database=None, derandomize=True, max_examples=120, deadline=None)
+@given(**HOP_PROGRAMS)
+def test_the_slot_walk_times_hop_programs_as_the_engine_does(**draw):
+    """Both builders' hops, chained ones among them, and random rows after
+    them: the walk still gives the engine's times and figures."""
+    assert_walk_matches_engine(simulate(hop_program(**draw)), draw["overlap"])
