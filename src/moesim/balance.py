@@ -29,6 +29,10 @@ from .records import _require_nonnegative, bounded, check_fields
 TRACE_HEADER = "# moesim-trace v1"
 TRACE_COLUMNS = "step,token,task,experts,scores"
 TRACE_TABLE_CELLS = 2**26  # the most cells `trace_statistics` gives one table
+# Rows per block when a trace is saved or its row shapes are checked on load:
+# a block's cells and text are a few MB, so no step holds a file-sized copy.
+TRACE_BLOCK_ROWS = 2**12
+_NOT_SHAPE = bytes(c for c in range(256) if c not in b", \n")  # what a row's shape drops
 # The Dirichlet concentration's range. From 1e3 on each expert's share is
 # within a few percent of uniform; once num_experts * concentration passes
 # the largest float, the sum of one draw overflows and the scores turn NaN.
@@ -111,17 +115,23 @@ class RoutingTrace:
 
     def save(self, path) -> None:
         """One row per (step, token) in order; ids and scores space-separated,
-        scores as `repr(float)`, rows ending in CRLF."""
-        rows = (
-            f"{s},{t},{task},{' '.join(map(str, ids))},{' '.join(map(repr, weights))}\r\n"
-            for s in range(self.steps)
-            for t, (task, ids, weights) in enumerate(
-                zip(self.tasks[s].tolist(), self.experts[s].tolist(), self.scores[s].tolist())
-            )
-        )
+        scores as `repr(float)`, rows ending in CRLF. Each block of
+        TRACE_BLOCK_ROWS rows is one `%` call: the row template repeated for
+        every row, over the block's cells as Python ints and floats."""
+        import numpy as np
+        k = self.top_k
+        tasks, experts, scores = self.tasks.reshape(-1), self.experts.reshape(-1, k), self.scores.reshape(-1, k)
+        row = "%d,%d,%d," + " ".join(["%d"] * k) + "," + " ".join(["%r"] * k) + "\r\n"
         with open(path, "w", newline="") as fh:
             fh.write(f"{TRACE_HEADER}\n# num_experts={self.num_experts}\n{TRACE_COLUMNS}\r\n")
-            fh.writelines(rows)
+            for lo in range(0, len(tasks), TRACE_BLOCK_ROWS):
+                block = slice(lo, lo + TRACE_BLOCK_ROWS)
+                cells = np.empty((len(tasks[block]), 3 + 2 * k), dtype=object)
+                cells[:, 0], cells[:, 1] = np.divmod(np.arange(lo, lo + len(cells)), self.tokens_per_step)
+                cells[:, 2] = tasks[block]
+                cells[:, 3 : 3 + k] = experts[block]
+                cells[:, 3 + k :] = scores[block]
+                fh.write((row * len(cells)) % tuple(cells.ravel().tolist()))
 
     @staticmethod
     def load(path) -> "RoutingTrace":
@@ -159,12 +169,22 @@ class RoutingTrace:
             return np.fromiter(map(str.count, rows, itertools.repeat(sub), *span), np.int64, len(rows))
 
         # A row with k ids and k scores has 4 commas and 2 (k - 1) spaces,
-        # k - 1 of them after the last comma, among the scores.
-        score_gaps = count(" ", map(str.rfind, rows, itertools.repeat(",")))
-        k = int(score_gaps[0]) + 1
-        ragged = (count(",") != 4) | (count(" ") != 2 * (k - 1)) | (score_gaps != k - 1)
-        if ragged.any():
-            reject(int(ragged.argmax()), f"expected 5 columns with {k} expert ids and {k} scores")
+        # k - 1 of them after the last comma, among the scores. Of its commas
+        # and spaces a row as `save` writes it keeps exactly ",,," + (k - 1)
+        # spaces + "," + (k - 1) spaces, checked for a block of rows in one C
+        # pass; only a file with another row counts them row by row.
+        k = rows[0].count(" ", rows[0].rfind(",")) + 1
+        shape = b",,," + b" " * (k - 1) + b"," + b" " * (k - 1)
+
+        def misshaped(block):
+            kept = "\n".join(block).encode().translate(None, _NOT_SHAPE)
+            return kept != b"\n".join(itertools.repeat(shape, len(block)))
+
+        if any(misshaped(rows[lo : lo + TRACE_BLOCK_ROWS]) for lo in range(0, len(rows), TRACE_BLOCK_ROWS)):
+            score_gaps = count(" ", map(str.rfind, rows, itertools.repeat(",")))
+            ragged = (count(",") != 4) | (count(" ") != 2 * (k - 1)) | (score_gaps != k - 1)
+            if ragged.any():
+                reject(int(ragged.argmax()), f"expected 5 columns with {k} expert ids and {k} scores")
         spaced = map(str.replace, rows, itertools.repeat(" "), itertools.repeat(","))
         try:
             table = np.loadtxt(spaced, delimiter=",", comments=None, ndmin=2)
@@ -194,6 +214,26 @@ class RoutingTrace:
             )
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from None
+
+
+def _stable_top_k(values: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of `np.argsort(values, axis=1, kind="stable")`:
+    each row's k smallest values, ties to the lower index. A partition
+    picks k per row, put in index order and stable-sorted by value; a row
+    where an unpicked value ties the k-th, or any value is NaN, is sorted in
+    full instead. k equal to the row length is always sorted in full."""
+    import numpy as np
+    if k == values.shape[1]:
+        return np.argsort(values, axis=1, kind="stable")
+    picked = np.sort(np.argpartition(values, k - 1, axis=1)[:, :k], axis=1)
+    picked_values = np.take_along_axis(values, picked, axis=1)
+    order = np.argsort(picked_values, axis=1, kind="stable")
+    picked = np.take_along_axis(picked, order, axis=1)
+    kth = np.take_along_axis(picked_values, order[:, -1:], axis=1)
+    tied = np.count_nonzero(values > kth, axis=1) != values.shape[1] - k
+    if tied.any():
+        picked[tied] = np.argsort(values[tied], axis=1, kind="stable")[:, :k]
+    return picked
 
 
 def generate_trace(spec: TraceSpec, seed: int = 0) -> RoutingTrace:
@@ -226,8 +266,7 @@ def generate_trace(spec: TraceSpec, seed: int = 0) -> RoutingTrace:
         step_tasks = rng.choice(spec.num_tasks, size=spec.tokens_per_step, p=mix)
         logits = np.log(state[step_tasks] + tiny)
         gumbel = rng.gumbel(size=(spec.tokens_per_step, e))
-        order = np.argsort(-(logits + gumbel), axis=1, kind="stable")
-        picked = order[:, :k]
+        picked = _stable_top_k(-(logits + gumbel), k)
         picked_logits = np.take_along_axis(logits, picked, axis=1)
         shifted = picked_logits - picked_logits.max(axis=1, keepdims=True)
         weights = np.exp(shifted)
@@ -477,9 +516,17 @@ def placement_loads(counts: np.ndarray, device_of_expert: np.ndarray, num_device
 
 @dataclass(frozen=True)
 class TraceStats:
-    coactivation: np.ndarray
+    _coactivation: object  # the (experts, experts) table, or a function that builds it
     task_expert_share: np.ndarray
     uniform_share: float
+
+    @property
+    def coactivation(self) -> np.ndarray:
+        """Built on first read, so a caller that reads only the shares
+        (`trace-stats --out`) never counts the k² slot pairs."""
+        if callable(self._coactivation):
+            object.__setattr__(self, "_coactivation", self._coactivation())
+        return self._coactivation
 
 
 def trace_statistics(trace: RoutingTrace) -> TraceStats:
@@ -489,14 +536,26 @@ def trace_statistics(trace: RoutingTrace) -> TraceStats:
     over tokens. task_expert_share[t, i] is the fraction of task t's
     routed slots that went to expert i; a perfectly uniform router puts
     every entry at 1/N (= top_k / (N * top_k)). A table of more than
-    TRACE_TABLE_CELLS cells raises ValueError before anything is allocated."""
+    TRACE_TABLE_CELLS cells raises ValueError before anything is allocated;
+    the coactivation table is built from `trace` on its first read."""
     import numpy as np
-    n, k = trace.num_experts, trace.top_k
+    n = trace.num_experts
     num_tasks = int(trace.tasks.max(initial=0)) + 1
     for table, rows in (("coactivation", n), ("task_expert_share", num_tasks)):
         if rows * n > TRACE_TABLE_CELLS:
             need = f"{n} experts and task ids up to {num_tasks - 1} need a {rows} x {n} {table} table"
             raise ValueError(f"{need}, over the {TRACE_TABLE_CELLS}-cell limit")
+    cells = trace.tasks[:, :, None] * n + trace.experts
+    counts = np.bincount(cells.ravel(), minlength=num_tasks * n).reshape(num_tasks, n)
+    # A task with no tokens has an all-zero row; dividing it by 1 keeps it at 0.
+    share = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+    return TraceStats(lambda: _coactivation(trace), share, 1.0 / n)
+
+
+def _coactivation(trace: RoutingTrace) -> np.ndarray:
+    """`trace_statistics`' co-selection table, whose size it has checked."""
+    import numpy as np
+    n, k = trace.num_experts, trace.top_k
     slot_ids = np.ascontiguousarray(trace.experts.reshape(-1, k).T)  # (k, tokens)
     # Ids within a token are distinct, so slot pair (a, a) counts each
     # expert's selections (the diagonal) and pairs a != b count co-selections.
@@ -505,13 +564,8 @@ def trace_statistics(trace: RoutingTrace) -> TraceStats:
     for a, b in itertools.product(range(k), repeat=2):
         joint += np.bincount(rows[a] + slot_ids[b], minlength=n * n)
     joint = joint.reshape(n, n)
-    # An expert never selected, or a task with no tokens, has an all-zero
-    # row; dividing it by 1 keeps it at 0.
-    coact = joint / np.maximum(np.diag(joint), 1)[:, None]
-    flat_t = trace.tasks.ravel()
-    counts = np.bincount((flat_t * n + slot_ids).ravel(), minlength=num_tasks * n).reshape(num_tasks, n)
-    share = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
-    return TraceStats(coact, share, 1.0 / n)
+    # An expert never selected has an all-zero row; dividing it by 1 keeps it at 0.
+    return joint / np.maximum(np.diag(joint), 1)[:, None]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,9 @@ COLLECTIVE_KINDS = ("allgather", "reducescatter", "allreduce", "alltoall", "p2p"
 # A link latency in seconds: at most 1 s, far above any real link, so the
 # (g - 1) latency terms of a collective stay finite.
 LATENCY = "in [0, 1]"
+# The longest price in seconds: ChunkCost's bound, so that no step's sum of
+# prices overflows.
+MAX_SECONDS = 1e300
 _RATE = parse_bound("> 0")
 
 
@@ -113,19 +116,19 @@ def collective_time(kind: str, volume_bytes: float, group: CommGroup) -> float:
 
 def kernel_time(flops: float, bytes_moved: float, hw: HardwareDescription, dtype_bytes: int = 2) -> float:
     """Roofline estimate: slower of the compute and HBM traffic terms. A
-    rate too low to give either term in finite time is refused by its
-    cluster field."""
+    rate too low to give either term in at most MAX_SECONDS is refused by
+    its cluster field."""
     _require_nonnegative("flops", flops)
     _require_nonnegative("bytes_moved", bytes_moved)
     name = hw._peak_name(dtype_bytes)
     peak = hw.peak_flops[name]
     rate = peak * hw.matmul_efficiency  # 0.0 when both are tiny enough to underflow
     compute = flops / rate if rate > 0 else math.inf
-    if not compute < math.inf:
-        raise FieldError(f"peak_flops.{name}", f"must be large enough to run {flops!r} FLOPs in finite time at "
-                         f"matmul_efficiency {hw.matmul_efficiency!r}, got {peak!r}", "cluster.")
+    if not compute <= MAX_SECONDS:
+        raise FieldError(f"peak_flops.{name}", f"must be large enough to run {flops!r} FLOPs in at most 1e300 s "
+                         f"at matmul_efficiency {hw.matmul_efficiency!r}, got {peak!r}", "cluster.")
     memory = bytes_moved / hw.hbm_bandwidth
-    if not memory < math.inf:
-        raise FieldError("hbm_bandwidth", f"must be large enough to move {bytes_moved!r} bytes in finite time, "
-                         f"got {hw.hbm_bandwidth!r}", "cluster.")
+    if not memory <= MAX_SECONDS:
+        raise FieldError("hbm_bandwidth", f"must be large enough to move {bytes_moved!r} bytes in at most "
+                         f"1e300 s, got {hw.hbm_bandwidth!r}", "cluster.")
     return max(compute, memory)

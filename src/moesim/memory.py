@@ -283,11 +283,12 @@ def select_memory_plan(cfg: ModelConfig, plan: ParallelPlan, hw: HardwareDescrip
     InfeasibleMemoryError when even the maximal set does not fit.
     """
     assignment = assign_chunks(cfg, plan)
+    static = static_memory(cfg, plan, assignment)  # the same bytes for every candidate
     reports = []
     for mp in candidate_plans():
-        rep = memory_report(cfg, plan, assignment, hw, mp)
-        if rep.feasible:
-            reports.append(rep)
+        act = activation_peak(cfg, plan, assignment, mp)
+        if static + act <= hw.hbm_capacity:  # only a plan that fits is priced
+            reports.append(MemoryReport(static, act, hw.hbm_capacity, True, mp, plan_time_cost(cfg, plan, hw, mp)))
     if not reports:
         full = memory_report(cfg, plan, assignment, hw, MemoryPlan.everything())
         raise infeasible_error(full, "even with every option enabled")

@@ -48,7 +48,7 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import engine
-from .cluster import CommGroup, HardwareDescription, collective_time
+from .cluster import MAX_SECONDS, CommGroup, HardwareDescription, collective_time
 from .errors import DeadlockError, FieldError
 from .model import ModelConfig
 from .parallel import ParallelPlan
@@ -79,7 +79,8 @@ class ScheduleSlot(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-# A chunk's seconds: at most 1e300, so that no step's sum of them overflows.
+# A chunk's seconds: at most 1e300 (cluster.MAX_SECONDS), so that no step's
+# sum of them overflows.
 CHUNK_SECONDS = "in [0, 1e300]"
 
 
@@ -209,13 +210,14 @@ _BANDWIDTH = {"inter_link": "inter_node_bandwidth", "intra_link": "intra_node_ba
 
 def _comm_seconds(kind: str, resource: str, nbytes: float, group_size: int, hw: HardwareDescription) -> float:
     """A collective over the transfer's group; a plain transfer is a p2p.
-    A link too slow to move the bytes in finite time is refused by name."""
+    A link too slow to move the bytes in at most MAX_SECONDS is refused by
+    name."""
     kind, size = (kind, group_size) if group_size > 1 else ("p2p", 2)
     latency, bandwidth = hw.tier(resource)
     seconds = collective_time(kind, nbytes, CommGroup(size, latency, bandwidth))
-    if not seconds < math.inf:
+    if not seconds <= MAX_SECONDS:
         raise FieldError(_BANDWIDTH[resource], f"must be large enough to move {nbytes!r} bytes by {kind} in "
-                         f"finite time, got {bandwidth!r}", "cluster.")
+                         f"at most 1e300 s, got {bandwidth!r}", "cluster.")
     return seconds
 
 

@@ -13,13 +13,14 @@ by the weighted sum.
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import itemgetter
 
-from .cluster import HardwareDescription, kernel_time
+from .cluster import MAX_SECONDS, HardwareDescription, kernel_time
 from .comm import MECHANISMS, dispatch_volumes
-from .errors import MoesimError, UnpricedDtypeError
+from .errors import FieldError, MoesimError, UnpricedDtypeError
 from .memory import (
     MemoryPlan, MemoryReport, infeasible_error, memory_report, select_memory_plan, _item_params_per_device,
 )
@@ -229,7 +230,9 @@ def inference_report(
 
     Compute is twice the activated matmul parameters plus attention over a
     compressed per-token cache; traffic is one sweep of the weights plus
-    the cache reads. The slower of the two bounds sets the step time.
+    the cache reads. The slower of the two bounds sets the step time. A
+    rate too low to give a bound in at most 1e300 s is refused by its
+    cluster field.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -243,7 +246,17 @@ def inference_report(
     cache_bytes = float(batch) * cfg.num_layers * ctx * (mla.kv_rank + mla.rope_dim) * cfg.dtype_bytes
     peak = hw.world_size * hw.peak_for_dtype_bytes(cfg.dtype_bytes) * hw.matmul_efficiency
     bw = hw.world_size * hw.hbm_bandwidth
-    step = max(batch * flops_tok / peak, (weight_bytes + cache_bytes) / bw)
+    compute = batch * flops_tok / peak if peak > 0 else math.inf
+    traffic = (weight_bytes + cache_bytes) / bw
+    if not compute <= MAX_SECONDS:
+        name = hw._peak_name(cfg.dtype_bytes)
+        raise FieldError(f"peak_flops.{name}", f"must be large enough to run a decode step of {batch} tokens in at "
+                         f"most 1e300 s at matmul_efficiency {hw.matmul_efficiency!r}, got {hw.peak_flops[name]!r}",
+                         "cluster.")
+    if not traffic <= MAX_SECONDS:
+        raise FieldError("hbm_bandwidth", f"must be large enough to run a decode step of {batch} tokens in at most "
+                         f"1e300 s, got {hw.hbm_bandwidth!r}", "cluster.")
+    step = max(compute, traffic)
     tps = batch / step
     mfu = batch * flops_tok / (step * hw.world_size * hw.peak_for_dtype_bytes(cfg.dtype_bytes))
     return CostReport(

@@ -24,6 +24,7 @@ from moesim.balance import (
     TraceStats,
     _exact_assignment_count,
     _exact_place,
+    _stable_top_k,
     aux_loss,
     balance_window_tokens,
     capacity_drop_stats,
@@ -76,6 +77,75 @@ def test_generated_trace_is_seed_deterministic():
     assert np.array_equal(a.experts, b.experts)
     assert np.array_equal(a.scores, b.scores)
     assert not np.array_equal(a.experts, c.experts)
+
+
+@st.composite
+def tie_heavy_rows(draw):
+    """(values, k): rows drawn from a few values, signed zeros, infinities
+    and NaN among them, so most rows tie at their k-th value."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    k = draw(st.integers(1, width))
+    special = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan])
+    pool = draw(st.lists(special | st.floats(-4, 4, allow_nan=False), min_size=1, max_size=5))
+    values = draw(st.lists(st.sampled_from(pool) | st.floats(-4, 4), min_size=rows * width, max_size=rows * width))
+    return np.array(values).reshape(rows, width), k
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(tie_heavy_rows())
+def test_partial_top_k_equals_the_stable_sort(case):
+    values, k = case
+    before = values.copy()
+    got = _stable_top_k(values, k)
+    assert np.array_equal(got, np.argsort(values, axis=1, kind="stable")[:, :k])
+    assert np.array_equal(values, before, equal_nan=True)
+
+
+class TiedGenerator:
+    """A seeded generator whose draws tie: every task's expert
+    probabilities are uniform, and the Gumbel noise is `gumbel(values)`
+    of the real draw. It records the noise it hands out."""
+
+    def __init__(self, seed, gumbel):
+        self.real, self.gumbel_of, self.noise = np.random.Generator(np.random.PCG64(seed)), gumbel, []
+
+    def dirichlet(self, alpha, size):
+        return np.full((size, len(alpha)), 1.0 / len(alpha))
+
+    def choice(self, *args, **kwargs):
+        return self.real.choice(*args, **kwargs)
+
+    def gumbel(self, size):
+        self.noise.append(self.gumbel_of(self.real.gumbel(size=size)))
+        return self.noise[-1]
+
+
+@pytest.mark.parametrize("gumbel", [np.round, np.zeros_like], ids=["rounded", "zero"])
+def test_generated_picks_break_ties_by_expert_id(monkeypatch, gumbel):
+    """With equal probabilities the perturbed logits tie wherever the noise
+    does: the picks are those of a full stable sort, and zero noise picks
+    experts 0..k-1 in order for every token."""
+    made = []
+
+    def tied_rng(seed):
+        made.append(TiedGenerator(seed, gumbel))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", tied_rng)
+    spec = TraceSpec(num_experts=16, tokens_per_step=64, steps=3, top_k=5)
+    trace = generate_trace(spec, seed=5)
+    logit = np.log(1.0 / 16 + 1e-12)
+    tied_rows = 0
+    for s, noise in enumerate(made[0].noise):
+        perturbed = -(logit + noise)
+        want = np.argsort(perturbed, axis=1, kind="stable")[:, :5]
+        assert np.array_equal(trace.experts[s], want)
+        # rows where an unpicked expert ties the k-th pick
+        at_kth = perturbed == np.take_along_axis(perturbed, want[:, -1:], axis=1)
+        tied_rows += int((at_kth.sum(axis=1) > np.take_along_axis(at_kth, want, axis=1).sum(axis=1)).sum())
+    assert tied_rows > 0
+    if gumbel is np.zeros_like:
+        assert (trace.experts == np.arange(5)).all()
 
 
 def test_autocorrelation_carries_popularity_across_steps():
@@ -452,7 +522,8 @@ def reference_save(trace, path):
 
 @st.composite
 def routing_traces(draw):
-    steps, tokens, k = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    # Up to the balance demo's top-8, and 64 tokens per step.
+    steps, tokens, k = draw(st.integers(1, 4)), draw(st.integers(1, 64)), draw(st.integers(1, 8))
     n = draw(st.integers(k, 12))
     cells = steps * tokens
     token_ids = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
@@ -521,6 +592,12 @@ BAD_BODIES = {
     "nan score": (GOOD_ROWS[:5] + ["1,2,0,1 3,nan 0.5"], "step 1 token 2: .*finite and sum to 1"),
     "scores summing to 0.9": (GOOD_ROWS[:1] + ["0,1,1,2 3,0.25 0.65"] + GOOD_ROWS[2:], "step 0 token 1: .*sum to 1"),
     "text in a field": (GOOD_ROWS[:1] + ["0,1,x,2 3,0.25 0.75"] + GOOD_ROWS[2:], "could not convert"),
+    # 4 commas and 2 spaces, one after the last comma, as a k = 2 row has,
+    # but the ids' space moved after them: loadtxt meets an empty field
+    "a misplaced space": (
+        GOOD_ROWS[:1] + ["0,1,1,23 ,0.25 0.75"] + GOOD_ROWS[2:],
+        r": could not convert string '' to float64 at row 1, column 5\.$",
+    ),
     "empty body": ([], "trace has no rows"),
 }
 
@@ -552,6 +629,25 @@ def test_trace_load_rejects_malformed_rows(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_trace_codec_is_the_same_in_any_block_size(tmp_path, monkeypatch, block):
+    """Save and load work in blocks of TRACE_BLOCK_ROWS rows; blocks that
+    split steps and rows write the same bytes, load the same arrays and
+    report the same first bad row."""
+    monkeypatch.setattr(balance, "TRACE_BLOCK_ROWS", block)
+    trace = generate_trace(TraceSpec(num_experts=8, tokens_per_step=7, steps=3, top_k=3, num_tasks=2), seed=9)
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    trace.save(ours)
+    reference_save(trace, oracle)
+    assert ours.read_bytes() == oracle.read_bytes()
+    back = RoutingTrace.load(ours)
+    for name in ("experts", "scores", "tasks"):
+        assert np.array_equal(getattr(back, name), getattr(trace, name))
+    for rows, message in BAD_BODIES.values():
+        with pytest.raises(ParseError, match=message):
+            RoutingTrace.load(write_rows(tmp_path / "bad.csv", rows))
 
 
 def test_trace_statistics_hand_case():

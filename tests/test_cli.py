@@ -669,6 +669,31 @@ def test_a_cluster_rate_too_small_to_price_is_named(tmp_path, capsys, field):
 
 
 @pytest.mark.parametrize(
+    "mode, field, rate",
+    [
+        ("training", "inter_node_bandwidth", 1e-295),
+        ("training", "hbm_bandwidth", 1e-295),
+        ("inference", "peak_flops.bf16", 1e-300),
+        ("inference", "hbm_bandwidth", 1e-300),
+    ],
+)
+def test_a_price_over_the_ceiling_is_named(tmp_path, capsys, mode, field, rate):
+    """A price may be finite yet above the 1e300 s every step price keeps
+    to. At 1e-295 a link bandwidth once exited 0 with a 300-digit step, and
+    the HBM bandwidth named `ChunkCost.fwd`; at 1e-300 the decode roofline
+    printed `decode step inf s` and exited 0."""
+    cluster = json.loads((ROOT / "configs" / "cluster_6144.json").read_text())
+    owner, key = (cluster["peak_flops"], "bf16") if field == "peak_flops.bf16" else (cluster, field)
+    owner[key] = rate
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps(cluster))
+    argv = ["simulate", "--mode", mode, "--model", str(ROOT / "configs" / "model_reference.json"),
+            "--cluster", str(path), "--plan", str(ROOT / "configs" / "plan_reference.json")]
+    assert_rejected(capsys, argv, f"error: cluster.{field} must be large enough to ", "at most 1e300 s",
+                    f"got {rate!r}\n")
+
+
+@pytest.mark.parametrize(
     "config, field, value",
     [
         ("plan", "tp", 8.0),
